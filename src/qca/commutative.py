@@ -262,10 +262,6 @@ class CRational:
         self.num, self.den = _reduce(num, fs)
 
     @staticmethod
-    def from_poly(p: CPoly) -> "CRational":
-        return CRational(p)
-
-    @staticmethod
     def variable(rank, i) -> "CRational":
         return CRational(CPoly.variable(rank, i))
 

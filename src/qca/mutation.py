@@ -197,16 +197,6 @@ def quantum_x_variables(fd: FixedData, sequence, with_coefficients: bool = True)
     return final, out
 
 
-def mutate_x_quantum(k: int, seed: Seed, with_coefficients: bool = True):
-    """Spec surface: variables of mu_k(seed) in the initial chart.
-
-    The seed's history determines the chart composition, so the variable
-    words are recomputed from scratch rather than carried."""
-    fd = seed.fixed
-    new_seed = seed.mutate(k)
-    return quantum_x_variables(fd, new_seed.history, with_coefficients)
-
-
 # ---------------------------------------------------------------------------
 # quantum A-mutation (Berenstein-Zelevinsky with principal coefficients)
 
@@ -305,25 +295,6 @@ def _power_word(elem: QTorusElement, k: int) -> FactoredWord:
         return FactoredWord.one(elem.algebra)
     sign = 1 if k > 0 else -1
     return FactoredWord(elem.algebra, ONE, ((elem, sign),) * abs(k))
-
-
-def mutate_a_quantum(k: int, seed: Seed, alg: SkewLattice,
-                     with_coefficients: bool = True):
-    """Variables of mu_k(seed) on the quantum A-side, in the initial chart.
-
-    Returns (new_seed, [words]); only direction k moves at each step, so the
-    composition along the history telescopes like the X-side."""
-    new_seed = seed.mutate(k)
-    seeds = [Seed(seed.fixed)]
-    for kk in new_seed.history:
-        seeds.append(seeds[-1].mutate(kk))
-    out = []
-    for i in range(seed.fixed.n):
-        w = FactoredWord.monomial(alg, seeds[-1].f_basis()[i])
-        for j in range(len(new_seed.history) - 1, -1, -1):
-            w = mutate_a_word(w, new_seed.history[j], seeds[j], with_coefficients)
-        out.append(w)
-    return new_seed, out
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,6 @@ def vec_neg(a) -> tuple[int, ...]:
     return tuple(-x for x in a)
 
 
-def vec_scale(a, k: int) -> tuple[int, ...]:
-    return tuple(k * x for x in a)
-
-
 class QTorusElement:
     """Finite sum of terms c * X^n over a SkewLattice, c a QScalar."""
 
@@ -218,10 +214,6 @@ class QTorusElement:
             out = out * self
         return out
 
-    def inverse_monomial(self) -> "QTorusElement":
-        n, c = self.monomial_parts()
-        return QTorusElement.monomial(self.algebra, vec_neg(n), c.inverse())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QTorusElement):
             return NotImplemented
@@ -293,14 +285,6 @@ class QTorusElement:
 
     def __repr__(self):
         return f"QTorusElement({self.render()})"
-
-
-def qt_mul(a: QTorusElement, b: QTorusElement) -> QTorusElement:
-    return a * b
-
-
-def qt_star(a: QTorusElement) -> QTorusElement:
-    return a.star()
 
 
 def is_central(algebra: SkewLattice, n) -> bool:

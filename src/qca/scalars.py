@@ -5,9 +5,15 @@ Everything downstream (quantum tori, mutation, scattering, theta functions)
 stores its coefficients as :class:`QScalar`.  All arithmetic is exact; there
 is no floating point anywhere in this package.
 
-Internally a QScalar keeps integer q-exponent keys together with a scale L,
-the actual exponent being key / L; this keeps dictionary arithmetic on fast
-int keys while supporting the fractional powers q^{1/d} the formulas need.
+A QScalar is a numerator/denominator pair of Laurent polynomials in
+u = q^{1/scale} (scale supplies the fractional powers q^{1/d} the formulas
+need).  Each polynomial is one flat dict {packed key: int}, where the key is
+a single int holding the u-exponent and the whole t-exponent vector (packed
+exponent vectors in the manner of Monagan and Pearce), so a product of two
+terms is one int addition and one int multiplication.  :class:`TScalar`,
+the integer polynomials in t keyed by exponent tuples, remains the
+coefficient type of the commutative layer, of q = 1 limits and of the
+decoded ``QScalar.num`` / ``QScalar.den`` views.
 """
 
 from __future__ import annotations
@@ -32,14 +38,13 @@ def tmono(exponents) -> tuple[int, ...]:
 
 
 def _tmono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a:
-        return b
+    # the sum of two canonical monomials is canonical: the last entry of the
+    # longer one is positive, so no trailing zero can appear
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return a
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return tmono(x + y for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
 
 
 class TScalar:
@@ -66,10 +71,6 @@ class TScalar:
     @staticmethod
     def integer(n: int) -> "TScalar":
         return TScalar({(): n})
-
-    @staticmethod
-    def monomial(exponents, coeff: int = 1) -> "TScalar":
-        return TScalar({tmono(exponents): coeff})
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -134,45 +135,9 @@ class TScalar:
         return hash(frozenset(self.terms.items()))
 
     # -- structure -----------------------------------------------------------
-    def content(self) -> int:
-        """gcd of the integer coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-            if g == 1:
-                return 1
-        return abs(g)
-
     def coefficient_sum(self) -> int:
         """Value at t = 1."""
         return sum(self.terms.values())
-
-    def t_content(self) -> tuple[int, ...]:
-        """Componentwise minimum exponent over all monomials."""
-        if not self.terms:
-            return ()
-        if () in self.terms:
-            return ()
-        n = max(len(k) for k in self.terms)
-        mins = [None] * n
-        for k in self.terms:
-            padded = k + (0,) * (n - len(k))
-            for i, e in enumerate(padded):
-                mins[i] = e if mins[i] is None else min(mins[i], e)
-        return tmono(mins)
-
-    def divide_tmono(self, mono: tuple[int, ...]) -> "TScalar":
-        if not mono:
-            return self
-        d = {}
-        for k, c in self.terms.items():
-            n = max(len(k), len(mono))
-            kk = k + (0,) * (n - len(k))
-            mm = mono + (0,) * (n - len(mono))
-            d[tmono(x - y for x, y in zip(kk, mm))] = c
-        out = TScalar.__new__(TScalar)
-        out.terms = d
-        return out
 
     def divide_int(self, n: int) -> "TScalar":
         out = TScalar.__new__(TScalar)
@@ -219,55 +184,173 @@ _T_ONE = TScalar.integer(1)
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in u = q^{1/L} with TScalar coefficients, as plain
-# dicts {int exponent: TScalar}.  Module-private helpers; QScalar wraps a
-# numerator/denominator pair of these together with the scale L.
+# Flat packed polynomials.  A Laurent polynomial in u = q^{1/scale} over Z[t]
+# is one dict {key: nonzero int}; the term c * u^e * t1^a1 * t2^a2 * ... has
+#
+#     key = e + 2^20 * (a1 + 2^10 * a2 + 2^20 * a3 + ...)
+#
+# with the signed u-exponent e in the low 20 bits and one 10-bit field per
+# t-exponent above it.  Since key is that integer, the key of a product of
+# two terms is the sum of their keys.  Stored keys keep -2^18 <= e < 2^18 and
+# every t-exponent below 2^9, so adding two keys never carries from one
+# field into the next; each result is checked and leaving that range raises
+# OverflowError instead of wrapping.
 
-def _ql_trim(d: dict) -> dict:
-    return {e: c for e, c in d.items() if c.terms}
+_U_BITS = 20
+_U_HALF = 1 << (_U_BITS - 1)      # e is decoded from [-_U_HALF, _U_HALF)
+_U_MASK = (1 << _U_BITS) - 1
+_U_LIMIT = 1 << (_U_BITS - 2)     # stored keys: -_U_LIMIT <= e < _U_LIMIT
+_T_BITS = 10
+_T_MASK = (1 << _T_BITS) - 1
+_T_LIMIT = 1 << (_T_BITS - 1)     # stored t-exponents are below _T_LIMIT
+_T_VARS = 16
+# For a sum of two stored keys, key + _U_LIMIT has none of these bits set
+# exactly when the sum is a stored key again.
+_GUARD = _U_HALF | sum(_T_LIMIT << (_U_BITS + _T_BITS * i) for i in range(_T_VARS))
+
+_DEN1 = {0: 1}  # the shared denominator of every polynomial QScalar
 
 
-def _ql_add(a: dict, b: dict) -> dict:
+def _overflow() -> OverflowError:
+    return OverflowError(
+        f"exponent outside the packed range (|q-exponent * scale| < {_U_LIMIT}, "
+        f"t-exponents < {_T_LIMIT}, at most {_T_VARS} t-variables)")
+
+
+def _u(key: int) -> int:
+    """The u-exponent of a key."""
+    return ((key + _U_HALF) & _U_MASK) - _U_HALF
+
+
+def _pack(e: int, mono: tuple[int, ...]) -> int:
+    if not -_U_LIMIT <= e < _U_LIMIT or len(mono) > _T_VARS:
+        raise _overflow()
+    t = 0
+    for i, a in enumerate(mono):
+        if not 0 <= a < _T_LIMIT:
+            raise _overflow()
+        t |= a << (_T_BITS * i)
+    return e + (t << _U_BITS)
+
+
+def _t_mono(t: int) -> tuple[int, ...]:
+    """The canonical t-monomial of a key's t-part (key - e) >> _U_BITS."""
+    out = []
+    while t:
+        out.append(t & _T_MASK)
+        t >>= _T_BITS
+    return tuple(out)
+
+
+def _t_min(a: int, b: int) -> int:
+    """Componentwise minimum of two t-parts."""
+    out = shift = 0
+    while a and b:
+        out |= min(a & _T_MASK, b & _T_MASK) << shift
+        a >>= _T_BITS
+        b >>= _T_BITS
+        shift += _T_BITS
+    return out
+
+
+def _checked(d: dict) -> dict:
+    for k in d:
+        if (k + _U_LIMIT) & _GUARD:
+            raise _overflow()
+    return d
+
+
+def _encode(part: dict, mult: int = 1) -> dict:
+    """{exponent: TScalar} -> flat, the u-exponent being exponent * mult."""
+    return {_pack(int(e * mult), m): c
+            for e, ts in part.items() for m, c in ts.terms.items()}
+
+
+def _decode(d: dict) -> dict[int, TScalar]:
+    """Flat -> {u-exponent: TScalar}."""
+    out: dict[int, TScalar] = {}
+    for k, c in d.items():
+        e = _u(k)
+        ts = out.get(e)
+        if ts is None:
+            ts = out[e] = TScalar()
+        ts.terms[_t_mono((k - e) >> _U_BITS)] = c
+    return out
+
+
+def _add(a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
     d = dict(a)
-    for e, c in b.items():
-        if e in d:
-            v = d[e] + c
-            if v.terms:
-                d[e] = v
-            else:
-                del d[e]
+    get = d.get
+    for k, c in b.items():
+        v = get(k)
+        if v is None:
+            d[k] = c
         else:
-            d[e] = c
+            v += c
+            if v:
+                d[k] = v
+            else:
+                del d[k]
     return d
 
 
-def _ql_neg(a: dict) -> dict:
-    return {e: -c for e, c in a.items()}
-
-
-def _ql_mul(a: dict, b: dict) -> dict:
+def _mul(a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
     d = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            p = ca * cb
-            if e in d:
-                p = d[e] + p
-            if p.terms:
-                d[e] = p
-            elif e in d:
-                del d[e]
+    get = d.get
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            k = ka + kb
+            v = get(k)
+            if v is None:
+                if (k + _U_LIMIT) & _GUARD:
+                    raise _overflow()
+                d[k] = ca * cb
+            else:
+                v += ca * cb
+                if v:
+                    d[k] = v
+                else:
+                    del d[k]
     return d
 
 
-def _ql_rescale(a: dict, k: int) -> dict:
-    if k == 1:
-        return a
-    return {e * k: c for e, c in a.items()}
+def _rescale(d: dict, f: int) -> dict:
+    """u -> u^f (a finer scale)."""
+    if f == 1 or d is _DEN1:
+        return d
+    out = {}
+    for k, c in d.items():
+        e = _u(k)
+        if not -_U_LIMIT <= e * f < _U_LIMIT:
+            raise _overflow()
+        out[k + e * (f - 1)] = c
+    return out
 
 
-def _ql_is_tfree(a: dict) -> bool:
-    return all(c.is_constant() for c in a.values())
+def _reduce_scale(n: dict, d: dict, scale: int):
+    """Divide every u-exponent and the scale by their common gcd."""
+    g = scale
+    for part in (n, d):
+        for k in part:
+            g = gcd(g, ((k + _U_HALF) & _U_MASK) - _U_HALF)  # _u(k), inlined
+            if g == 1:
+                return n, d, scale
+    return _divide_u(n, g), _divide_u(d, g), scale // g
+
+
+def _divide_u(d: dict, g: int) -> dict:
+    """u^e -> u^(e/g) for every term; g divides every u-exponent."""
+    if d is _DEN1:
+        return d
+    out = {}
+    for k, c in d.items():
+        e = _u(k)
+        out[k - e + e // g] = c
+    return out
 
 
 # -- integer univariate helpers for gcd cancellation.
@@ -347,16 +430,19 @@ class QScalar:
     """Exact element of the fraction field of Laurent polynomials in q over
     Z[t1, ..., tr].
 
-    The representation is a normalized numerator/denominator pair over
-    integer exponents of u = q^{1/scale}: the denominator has minimal
-    exponent 0, num and den share no t-monomial or integer content,
-    nontrivial t-free denominators are reduced by a polynomial gcd, and the
-    denominator's trailing coefficient is positive.  Engine-produced equal
-    values compare equal structurally; ``__eq__`` nevertheless
-    cross-multiplies, so equality is exact regardless.
+    The representation is a normalized numerator/denominator pair of flat
+    packed polynomials in u = q^{1/scale} (see above): the scale is divided
+    by the gcd of all u-exponents, the denominator has minimal u-exponent 0,
+    num and den share no t-monomial or integer content, nontrivial t-free
+    denominators are reduced by a polynomial gcd, and in the denominator's
+    trailing coefficient the lex-first t-monomial has a positive
+    coefficient.  Engine-produced equal values compare equal structurally;
+    ``__eq__`` nevertheless cross-multiplies, so equality is exact
+    regardless.  ``num`` and ``den`` decode the pair to
+    {u-exponent: TScalar}.
     """
 
-    __slots__ = ("num", "den", "scale")
+    __slots__ = ("_num", "_den", "scale")
 
     # PRS gcd cost explodes on very high degree polynomials; past this bound
     # the fraction is kept unreduced (still exact, equality by cross-multiply).
@@ -369,157 +455,134 @@ class QScalar:
             num = {}
         if den is None:
             den = {0: _T_ONE}
+        mult = 1
         if scale == 1:
-            num, scale_n = _to_scaled(num)
-            den, scale_d = _to_scaled(den)
-            L = lcm(scale_n, scale_d)
-            num = _ql_rescale(num, L // scale_n)
-            den = _ql_rescale(den, L // scale_d)
-            scale = L
-        self.num, self.den, self.scale = self._normalize(num, den, scale)
+            mult = scale = lcm(*(e.denominator for e in (*num, *den)
+                                 if isinstance(e, Fraction)))
+        self._num, self._den, self.scale = self._normalize(
+            _encode(num, mult), _encode(den, mult), scale)
+
+    @staticmethod
+    def _make(num: dict, den: dict, scale: int) -> "QScalar":
+        out = QScalar.__new__(QScalar)
+        out._num, out._den, out.scale = num, den, scale
+        return out
 
     @staticmethod
     def _raw(num: dict, den: dict, scale: int) -> "QScalar":
-        out = QScalar.__new__(QScalar)
-        out.num, out.den, out.scale = QScalar._normalize(num, den, scale)
-        return out
+        return QScalar._make(*QScalar._normalize(num, den, scale))
+
+    @property
+    def num(self) -> dict[int, TScalar]:
+        return _decode(self._num)
+
+    @property
+    def den(self) -> dict[int, TScalar]:
+        return _decode(self._den)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def integer(n: int) -> "QScalar":
-        out = QScalar.__new__(QScalar)
-        if n:
-            out.num, out.den, out.scale = {0: TScalar.integer(n) if n != 1 else _T_ONE}, {0: _T_ONE}, 1
-        else:
-            out.num, out.den, out.scale = {}, {0: _T_ONE}, 1
-        return out
+        return QScalar._make({0: n} if n else {}, _DEN1, 1)
 
     @staticmethod
     def rational(p: int, q: int) -> "QScalar":
-        return QScalar._raw({0: TScalar.integer(p)}, {0: TScalar.integer(q)}, 1)
+        return QScalar._raw({0: p} if p else {}, {0: q} if q else {}, 1)
 
     @staticmethod
     def q_power(e) -> "QScalar":
-        e = Fraction(e)
-        return QScalar._raw({e.numerator: _T_ONE}, {0: _T_ONE}, e.denominator)
+        return QScalar.term(e, ())
 
     @staticmethod
     def t_monomial(exponents, coeff: int = 1) -> "QScalar":
-        return QScalar._raw({0: TScalar.monomial(exponents, coeff)}, {0: _T_ONE}, 1)
+        return QScalar.term(0, exponents, coeff)
 
     @staticmethod
     def term(qexp, texp, coeff: int = 1) -> "QScalar":
         """coeff * q^qexp * t^texp"""
         e = Fraction(qexp)
-        return QScalar._raw({e.numerator: TScalar.monomial(texp, coeff)},
-                            {0: _T_ONE}, e.denominator)
+        num = {_pack(e.numerator, tmono(texp)): coeff} if coeff else {}
+        return QScalar._raw(num, _DEN1, e.denominator)
 
     # -- normalization ------------------------------------------------------
     @staticmethod
     def _normalize(num: dict, den: dict, scale: int):
-        num = _ql_trim(num)
-        den = _ql_trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return {}, {0: _T_ONE}, 1
-
-        # reduce the scale
-        g = scale
-        for e in num:
-            g = gcd(g, e)
-            if g == 1:
-                break
-        if g != 1:
-            for e in den:
-                g = gcd(g, e)
-                if g == 1:
-                    break
-        if g > 1:
-            num = {e // g: c for e, c in num.items()}
-            den = {e // g: c for e, c in den.items()}
-            scale //= g
-
+            return {}, _DEN1, 1
+        if scale != 1:
+            num, den, scale = _reduce_scale(num, den, scale)
         # fast path: denominator exactly 1 needs no content/gcd/sign work
-        if len(den) == 1:
-            d0 = den.get(0)
-            if d0 is not None and d0.terms.get(()) == 1 and len(d0.terms) == 1:
-                return num, den, scale
+        if den is _DEN1 or (len(den) == 1 and den.get(0) == 1):
+            return num, _DEN1, scale
 
         # common t-monomial content
-        tc_all = None
+        tc = None
         for part in (num, den):
-            for c in part.values():
-                tc = c.t_content()
-                if tc_all is None:
-                    tc_all = tc
-                else:
-                    n = max(len(tc_all), len(tc))
-                    a = tc_all + (0,) * (n - len(tc_all))
-                    b = tc + (0,) * (n - len(tc))
-                    tc_all = tmono(min(x, y) for x, y in zip(a, b))
-                if not tc_all:
+            for k in part:
+                t = (k + _U_HALF) >> _U_BITS
+                tc = t if tc is None else _t_min(tc, t)
+                if not tc:
                     break
-            if not tc_all:
+            if not tc:
                 break
-        if tc_all:
-            num = {e: c.divide_tmono(tc_all) for e, c in num.items()}
-            den = {e: c.divide_tmono(tc_all) for e, c in den.items()}
+        if tc:
+            tc <<= _U_BITS
+            num = {k - tc: c for k, c in num.items()}
+            den = {k - tc: c for k, c in den.items()}
 
         # anchor denominator at exponent 0
-        shift = min(den)
+        shift = min(map(_u, den))
         if shift:
-            num = {e - shift: c for e, c in num.items()}
-            den = {e - shift: c for e, c in den.items()}
+            num = _checked({k - shift: c for k, c in num.items()})
+            den = _checked({k - shift: c for k, c in den.items()})
 
         # integer content
-        g = 0
-        for part in (num, den):
-            for c in part.values():
-                g = gcd(g, c.content())
-                if g == 1:
-                    break
-            if g == 1:
-                break
+        g = gcd(*num.values(), *den.values())
         if g > 1:
-            num = {e: c.divide_int(g) for e, c in num.items()}
-            den = {e: c.divide_int(g) for e, c in den.items()}
+            num = {k: c // g for k, c in num.items()}
+            den = {k: c // g for k, c in den.items()}
 
         # polynomial gcd when the denominator is a nontrivial t-free poly
-        if len(den) > 1 and _ql_is_tfree(den):
+        # (a key is t-free exactly when it is below _U_HALF)
+        if len(den) > 1 and max(den) < _U_HALF:
             num, den = QScalar._cancel_poly_gcd(num, den)
 
-        # positive trailing coefficient of the denominator
-        e0 = min(den)
-        _, lead = den[e0].lex_leading()
+        # positive lex-first coefficient of the trailing (u^0) coefficient;
+        # the constant t-monomial, key 0, is lex-first when present
+        lead = den.get(0)
+        if lead is None:
+            lead = den[min((k for k in den if not _u(k)),
+                           key=lambda k: _t_mono(k >> _U_BITS))]
         if lead < 0:
-            num = _ql_neg(num)
-            den = _ql_neg(den)
+            num = {k: -c for k, c in num.items()}
+            den = {k: -c for k, c in den.items()}
+        if len(den) == 1 and den.get(0) == 1:
+            den = _DEN1
         return num, den, scale
 
     @staticmethod
     def _cancel_poly_gcd(num: dict, den: dict):
+        """Cancel the gcd of a t-free denominator (whose keys are its
+        u-exponents) with every t-monomial slice of the numerator."""
         deg_den = max(den)
-        num_min = min(num)
+        es = {k: _u(k) for k in num}
+        num_min = min(es.values())
         if deg_den > QScalar._GCD_DEGREE_CAP or \
-                max(num) - num_min > QScalar._GCD_DEGREE_CAP:
+                max(es.values()) - num_min > QScalar._GCD_DEGREE_CAP:
             return num, den
-        den_int = {e: c.constant_value() for e, c in den.items()}
-        den_list = [den_int.get(i, 0) for i in range(deg_den + 1)]
 
         # slice the numerator per t-monomial, offset by its minimal exponent
-        slices: dict[tuple[int, ...], dict[int, int]] = {}
-        for e, c in num.items():
-            for k, cc in c.terms.items():
-                slices.setdefault(k, {})[e - num_min] = cc
-        g = den_list
+        slices: dict[int, dict[int, int]] = {}
+        for k, c in num.items():
+            e = es[k]
+            slices.setdefault(k - e, {})[e - num_min] = c
+        g = [den.get(i, 0) for i in range(deg_den + 1)]
         for sl in slices.values():
-            deg = max(sl)
-            g = _int_poly_gcd(g, [sl.get(i, 0) for i in range(deg + 1)])
+            g = _int_poly_gcd(g, [sl.get(i, 0) for i in range(max(sl) + 1)])
             if len(g) <= 1:
                 return num, den
-        if len(g) <= 1:
-            return num, den
 
         def div(poly_dict, offset):
             deg = max(poly_dict)
@@ -529,64 +592,56 @@ class QScalar:
             q, _ = res
             return {offset + i: q[i] for i in range(len(q)) if q[i]}
 
-        new_den_int = div(den_int, 0)
-        if new_den_int is None:
+        # den has a nonzero constant term, so the quotient keeps one too
+        new_den = div(den, 0)
+        if new_den is None:
             return num, den
-        new_slices = {}
-        for k, sl in slices.items():
+        new_num = {}
+        for t, sl in slices.items():
             r = div(sl, num_min)
             if r is None:
                 return num, den
-            new_slices[k] = r
-        new_num: dict[int, TScalar] = {}
-        for k, sl in new_slices.items():
-            for e, cc in sl.items():
-                cur = new_num.get(e)
-                add = TScalar({k: cc})
-                new_num[e] = (cur + add) if cur is not None else add
-        new_den = {e: TScalar.integer(c) for e, c in new_den_int.items()}
-        # re-anchor (division can shift the trailing exponent)
-        shift = min(new_den)
-        if shift:
-            new_num = {e - shift: c for e, c in new_num.items()}
-            new_den = {e - shift: c for e, c in new_den.items()}
-        return _ql_trim(new_num), new_den
+            for e, c in r.items():
+                new_num[t + e] = c
+        return new_num, new_den
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._num
 
     def is_one(self) -> bool:
-        return self.num == self.den
+        return self._num == self._den
 
     def is_polynomial(self) -> bool:
-        return self.den == {0: _T_ONE}
+        return self._den is _DEN1
 
     def is_monomial(self) -> bool:
         """Single term c * q^e * t^mono over an integer denominator."""
-        return len(self.num) == 1 and len(self.den) == 1 and all(
-            len(c.terms) == 1 for c in self.num.values()
-        ) and all(c.is_constant() for c in self.den.values())
+        return len(self._num) == 1 and len(self._den) == 1 and 0 in self._den
 
     # -- arithmetic -----------------------------------------------------------
     def _aligned(self, other: "QScalar"):
-        L = self.scale if self.scale == other.scale else lcm(self.scale, other.scale)
+        L = lcm(self.scale, other.scale)
         ka, kb = L // self.scale, L // other.scale
-        return (_ql_rescale(self.num, ka), _ql_rescale(self.den, ka),
-                _ql_rescale(other.num, kb), _ql_rescale(other.den, kb), L)
+        return (_rescale(self._num, ka), _rescale(self._den, ka),
+                _rescale(other._num, kb), _rescale(other._den, kb), L)
 
     def __add__(self, other):
-        other = _coerce(other)
-        na, da, nb, db, L = self._aligned(other)
-        if da == db:
-            return QScalar._raw(_ql_add(na, nb), da, L)
-        return QScalar._raw(_ql_add(_ql_mul(na, db), _ql_mul(nb, da)),
-                            _ql_mul(da, db), L)
+        if other.__class__ is not QScalar:
+            other = _coerce(other)
+        if self.scale == other.scale:
+            na, da, nb, db, L = self._num, self._den, other._num, other._den, self.scale
+        else:
+            na, da, nb, db, L = self._aligned(other)
+        if da is db or da == db:
+            return QScalar._raw(_add(na, nb), da, L)
+        return QScalar._raw(_add(_mul(na, db), _mul(nb, da)), _mul(da, db), L)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QScalar._raw(_ql_neg(self.num), dict(self.den), self.scale)
+        return QScalar._raw({k: -c for k, c in self._num.items()}, self._den,
+                            self.scale)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -595,16 +650,26 @@ class QScalar:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        na, da, nb, db, L = self._aligned(other)
-        return QScalar._raw(_ql_mul(na, nb), _ql_mul(da, db), L)
+        if other.__class__ is not QScalar:
+            other = _coerce(other)
+        if self.scale == other.scale:
+            na, da, nb, db, L = self._num, self._den, other._num, other._den, self.scale
+        else:
+            na, da, nb, db, L = self._aligned(other)
+        num = _mul(na, nb)
+        if da is _DEN1 and db is _DEN1:
+            if L == 1 or not num:
+                return QScalar._make(num, _DEN1, L if num else 1)
+            return QScalar._make(*_reduce_scale(num, _DEN1, L))
+        return QScalar._raw(num, db if da is _DEN1 else
+                            da if db is _DEN1 else _mul(da, db), L)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return QScalar._raw(dict(self.den), dict(self.num), self.scale)
+        return QScalar._raw(self._den, self._num, self.scale)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -629,10 +694,11 @@ class QScalar:
         if not isinstance(other, (QScalar, int)):
             return NotImplemented
         other = _coerce(other)
-        if self.scale == other.scale and self.num == other.num and self.den == other.den:
+        if self.scale == other.scale and self._num == other._num \
+                and self._den == other._den:
             return True
         na, da, nb, db, _ = self._aligned(other)
-        return _ql_mul(na, db) == _ql_mul(nb, da)
+        return _mul(na, db) == _mul(nb, da)
 
     def __hash__(self):
         raise TypeError("QScalar is not hashable")
@@ -640,24 +706,32 @@ class QScalar:
     # -- involution and specializations ---------------------------------------
     def bar(self) -> "QScalar":
         """q -> q^{-1}, t fixed."""
-        return QScalar._raw(_ql_neg_exp(self.num), _ql_neg_exp(self.den), self.scale)
+        def flip(d):
+            return _checked({k - 2 * _u(k): c for k, c in d.items()})
+        return QScalar._raw(flip(self._num), flip(self._den), self.scale)
 
     def subs_t_one(self) -> "QScalar":
-        return QScalar._raw(_ql_tsub_one(self.num), _ql_tsub_one(self.den), self.scale)
+        def t_one(d):
+            out = {}
+            for k, c in d.items():
+                e = _u(k)
+                out[e] = out.get(e, 0) + c
+            return {e: c for e, c in out.items() if c}
+        return QScalar._raw(t_one(self._num), t_one(self._den), self.scale)
 
     def map_q_exponents(self, f) -> "QScalar":
         """Apply a relabeling e -> f(e) to every q-exponent (e a Fraction)."""
-        num: dict[Fraction, TScalar] = {}
-        for e, c in self.num.items():
-            e2 = Fraction(f(Fraction(e, self.scale)))
-            num[e2] = num[e2] + c if e2 in num else c
-        den: dict[Fraction, TScalar] = {}
-        for e, c in self.den.items():
-            e2 = Fraction(f(Fraction(e, self.scale)))
-            den[e2] = den[e2] + c if e2 in den else c
-        return QScalar(num, den)
+        parts = []
+        for part in (self.num, self.den):
+            out: dict[Fraction, TScalar] = {}
+            for e, c in part.items():
+                e2 = Fraction(f(Fraction(e, self.scale)))
+                out[e2] = out[e2] + c if e2 in out else c
+            parts.append(out)
+        return QScalar(*parts)
 
-    def _q1_order(self, part: dict) -> int:
+    @staticmethod
+    def _q1_order(part: dict) -> int:
         """Order of vanishing at q=1 (u=1 in integer exponents)."""
         if not part:
             raise ValueError("zero polynomial has no q=1 order")
@@ -677,21 +751,9 @@ class QScalar:
         q = 1, and ValueError if the finite limit is not an integer
         polynomial in t.
         """
-        if self.is_zero():
-            return TScalar()
-        on = self._q1_order(self.num)
-        od = self._q1_order(self.den)
-        if on < od:
-            raise QPoleError(od - on)
-        nw = {e - min(self.num): c for e, c in self.num.items()}
-        dw = {e: c for e, c in self.den.items()}
-        for _ in range(od):
-            nw = _divide_by_u_minus_1(nw)
-            dw = _divide_by_u_minus_1(dw)
-        nv = _value_at_one(nw)
-        if on > od:
-            return TScalar()
-        dv = _value_at_one(dw)
+        nv, dv = self.limit_q1_pair()
+        if nv.is_zero():
+            return nv
         if dv.is_constant():
             return nv.divide_int(dv.constant_value())
         raise ValueError(f"q=1 limit is not polynomial in t: {self.render()}")
@@ -700,17 +762,19 @@ class QScalar:
         """Exact q=1 limit as a ratio of t-polynomials (num, den)."""
         if self.is_zero():
             return TScalar(), _T_ONE
-        on = self._q1_order(self.num)
-        od = self._q1_order(self.den)
+        num, den = self.num, self.den
+        on = self._q1_order(num)
+        od = self._q1_order(den)
         if on < od:
             raise QPoleError(od - on)
-        nw = {e - min(self.num): c for e, c in self.num.items()}
-        dw = dict(self.den)
+        if on > od:
+            return TScalar(), _T_ONE
+        emin = min(num)
+        nw = {e - emin: c for e, c in num.items()}
+        dw = den
         for _ in range(od):
             nw = _divide_by_u_minus_1(nw)
             dw = _divide_by_u_minus_1(dw)
-        if on > od:
-            return TScalar(), _T_ONE
         return _value_at_one(nw), _value_at_one(dw)
 
     def divide_exact_qminus1(self) -> "QScalar":
@@ -719,8 +783,8 @@ class QScalar:
             return self
         if self._q1_order(self.num) - self._q1_order(self.den) < 1:
             raise ValueError("value does not vanish at q = 1")
-        qm1 = {self.scale: _T_ONE, 0: TScalar.integer(-1)}
-        return QScalar._raw(dict(self.num), _ql_mul(self.den, qm1), self.scale)
+        qm1 = {self.scale: 1, 0: -1}
+        return QScalar._raw(self._num, _mul(self._den, qm1), self.scale)
 
     # -- rendering -------------------------------------------------------------
     def render(self, base: str = "q") -> str:
@@ -730,9 +794,9 @@ class QScalar:
         if self.is_polynomial():
             return n
         d = _render_laurent(self.den, self.scale, base)
-        if len(self.num) > 1 or any(len(c.terms) > 1 for c in self.num.values()):
+        if len(self._num) > 1:
             n = f"({n})"
-        if len(self.den) > 1 or any(len(c.terms) > 1 for c in self.den.values()):
+        if len(self._den) > 1:
             d = f"({d})"
         return f"{n}/{d}"
 
@@ -743,38 +807,12 @@ class QScalar:
     def __repr__(self):
         return f"QScalar({self.render()})"
 
-
 class QPoleError(ArithmeticError):
     """Raised when a q=1 limit hits a pole; carries the pole order."""
 
     def __init__(self, order: int):
         super().__init__(f"pole of order {order} at q = 1")
         self.order = order
-
-
-def _to_scaled(part: dict) -> tuple[dict, int]:
-    """{Fraction or int: TScalar} -> ({int: TScalar}, scale)."""
-    L = 1
-    for e in part:
-        if isinstance(e, Fraction):
-            L = lcm(L, e.denominator)
-    if L == 1:
-        return ({int(e): c for e, c in part.items()}, 1)
-    return ({int(e * L): c for e, c in part.items()}, L)
-
-
-def _ql_neg_exp(a: dict) -> dict:
-    return {-e: c for e, c in a.items()}
-
-
-def _ql_tsub_one(a: dict) -> dict:
-    out = {}
-    for e, c in a.items():
-        v = c.coefficient_sum()
-        if v:
-            t = TScalar.integer(v)
-            out[e] = out[e] + t if e in out else t
-    return _ql_trim(out)
 
 
 def _value_at_one(part: dict) -> TScalar:

@@ -122,9 +122,6 @@ class ScatteringDiagram:
         scale = scale * d2.denominator // gcd(scale, d2.denominator)
         return (int(d1 * scale), int(d2 * scale)), scale
 
-    def wall_degree_unit(self, w: Wall) -> int:
-        return sum(a * b for a, b in zip(self.delta, w.normal))
-
     # -- pairings -----------------------------------------------------------------
     def nprime(self, n0) -> tuple[int, ...]:
         """Generator of R>=0 n0 intersect N*: the smallest c n0 with

@@ -142,12 +142,6 @@ class Seed:
         return tuple(tuple(eh[i][j] * d[j] for j in range(self.fixed.n))
                      for i in range(self.fixed.n))
 
-    def epsilon_int(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for i, row in enumerate(self.epsilon()):
-            out.append(tuple(int(x) if x.denominator == 1 else x for x in row))
-        return tuple(out)
-
     def cvector(self, k: int) -> tuple[int, ...]:
         """c_{k;s}: the k-th row of the mixed block of the extended exchange
         matrix (k unfrozen)."""
@@ -337,9 +331,14 @@ def fixed_data_to_json(fd: FixedData) -> dict:
 
 
 def fixed_data_from_json(data: dict) -> FixedData:
+    if not isinstance(data, dict):
+        raise ValueError("seed file must hold a JSON object")
+    for key in ("rank", "skew"):
+        if key not in data:
+            raise ValueError(f"seed file is missing the required key {key!r}")
     n = int(data["rank"])
     skew = data["skew"]
-    if len(skew) != n:
+    if len(skew) != n or any(len(row) != n for row in skew):
         raise ValueError("skew matrix does not match rank")
     return make_fixed_data(
         skew=[[Fraction(x) for x in row] for row in skew],

@@ -42,17 +42,8 @@ class BrokenLine:
     endpoint: tuple[Fraction, Fraction]
 
     @property
-    def initial_exponent(self):
-        return self.segments[0].exponent
-
-    @property
     def final_decoration(self) -> Segment:
         return self.segments[-1]
-
-    def total_degree(self, diagram: ScatteringDiagram) -> int:
-        d0 = degree(diagram.dvec, self.segments[0].exponent)
-        d1 = degree(diagram.dvec, self.segments[-1].exponent)
-        return (d1 - d0) // diagram.dscale
 
     def to_json(self) -> dict:
         return {

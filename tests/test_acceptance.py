@@ -35,8 +35,8 @@ from qca.words import FactoredWord, words_equal
 
 
 def _report(name: str, elapsed: float, budget: float):
-    print(f"[PASS] {name}  ({elapsed:.2f}s < {budget:.0f}s)")
     assert elapsed < budget, f"{name} exceeded its runtime budget"
+    print(f"[PASS] {name}  ({elapsed:.2f}s < {budget:.0f}s)")
 
 
 def test_criterion_1_table1():

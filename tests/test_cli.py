@@ -133,3 +133,16 @@ def test_usage_errors(seeds, capsys):
     code, _, err = run(capsys, ["table", "--seed", seeds["a2"],
                                 "--sequence", "7", "--mode", "x-classical"])
     assert code == 2
+
+
+@pytest.mark.parametrize("key", ["skew", "rank"])
+def test_seed_file_missing_key_is_a_clean_error(key, capsys, tmp_path):
+    with open(os.path.join(HERE, "..", "demos", "seeds", "a2.json")) as fh:
+        data = json.load(fh)
+    del data[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["table", "--seed", str(bad), "--mode", "x-classical"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and repr(key) in err

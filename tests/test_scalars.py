@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from qca.scalars import ONE, QPoleError, QScalar, TScalar, qpow, tpow, tvar, vpow
 
@@ -97,6 +99,7 @@ def test_divide_exact_qminus1():
 def test_t_one_specialization():
     s = tvar(0) * qpow(1) + tvar(1) * 2
     assert s.subs_t_one() == qpow(1) + 2
+    assert (tvar(0) - 1).subs_t_one().is_zero()
     assert tpow([1, -2]) == tvar(0) / (tvar(1) * tvar(1))
 
 
@@ -121,3 +124,170 @@ def test_pow():
     assert s ** 3 == s * s * s
     assert s ** 0 == ONE
     assert s ** -2 == (s * s).inverse()
+
+
+# ---------------------------------------------------------------------------
+# The gcd degree cap and the packed exponent range.
+
+def test_fraction_past_gcd_cap_stays_unreduced():
+    q = qpow(1)
+    cap = QScalar._GCD_DEGREE_CAP
+    assert cap < 98
+    x = (qpow(2) - 1) / (qpow(98) - 1)
+    # (q^98 - 1) = (q^2 - 1)(1 + q^2 + ... + q^96): reducible, but past the cap
+    assert max(x.den) == 98 and max(x.num) == 2
+    reduced = 1 / sum((qpow(2 * i) for i in range(49)), QScalar.integer(0))
+    assert max(reduced.den) == 96 and reduced.num == ONE.num
+    assert x.num != reduced.num
+    assert x == reduced and reduced == x
+    assert x != reduced * q
+    assert x.render() == "(1-q^2)/(1-q^98)"
+    again = QScalar({0: TScalar.integer(-1), 2: TScalar.integer(1)},
+                    {98: TScalar.integer(1), 0: TScalar.integer(-1)})
+    assert again.render() == x.render()
+
+
+def test_exponents_outside_the_packed_range_raise():
+    big = qpow(2 ** 17)
+    with pytest.raises(OverflowError):
+        big * big
+    with pytest.raises(OverflowError):
+        qpow(2 ** 18)
+    with pytest.raises(OverflowError):
+        tvar(0) ** 600
+    with pytest.raises(OverflowError):
+        tvar(16)
+    with pytest.raises(OverflowError):
+        qpow(Fraction(2 ** 16, 3)) * qpow(Fraction(1, 4))
+    # just inside the range
+    assert (qpow(2 ** 17 - 1) * qpow(2 ** 17)).render() == f"q^{2 ** 18 - 1}"
+    assert (tvar(0) ** 511).render() == "t1^511"
+
+
+# ---------------------------------------------------------------------------
+# Property tests against sympy as an independent oracle.
+
+S = sympy.Symbol("s")  # s = q^(1/6): every generated exponent is in (1/6)Z
+T = sympy.symbols("t1:4")
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def to_sympy(x: QScalar):
+    assert 6 % x.scale == 0
+
+    def part(d):
+        return sum((c * S ** (e * 6 // x.scale)
+                    * sympy.Mul(*(T[i] ** a for i, a in enumerate(m)))
+                    for e, ts in d.items() for m, c in ts.terms.items()),
+                   sympy.Integer(0))
+    return part(x.num) / part(x.den)
+
+
+def tscalar_to_sympy(ts: TScalar):
+    return sum((c * sympy.Mul(*(T[i] ** a for i, a in enumerate(m)))
+                for m, c in ts.terms.items()), sympy.Integer(0))
+
+
+def same(a, b) -> bool:
+    return sympy.expand(sympy.fraction(sympy.together(a - b))[0]) == 0
+
+
+def matches(x: QScalar, expr) -> bool:
+    """x equals the sympy value expr and is stored without zero terms."""
+    assert all(c for part in (x.num, x.den) for ts in part.values()
+               for c in ts.terms.values())
+    assert x.is_zero() == same(expr, 0)
+    return same(to_sympy(x), expr)
+
+
+@st.composite
+def polys(draw, nvars, emax=6):
+    terms = draw(st.lists(st.tuples(
+        st.integers(-emax, emax), st.sampled_from([1, 2, 3]),
+        st.lists(st.integers(0, 2), max_size=nvars),
+        st.integers(-3, 3).filter(bool)), min_size=1, max_size=4))
+    x, sx = QScalar.integer(0), sympy.Integer(0)
+    for num, den, texp, c in terms:
+        e = Fraction(num, den)
+        x = x + QScalar.term(e, texp, c)
+        sx += c * S ** (6 * e) * sympy.Mul(*(T[i] ** a for i, a in enumerate(texp)))
+    return x, sx
+
+
+@st.composite
+def fractions(draw, t_free_den=False, emax=6):
+    x, sx = draw(polys(3, emax))
+    if draw(st.booleans()):
+        y, sy = draw(polys(0 if t_free_den else 3, emax))
+        if not y.is_zero():
+            x, sx = x / y, sx / sy
+    return x, sx
+
+
+@PROPERTY
+@given(fractions(), fractions())
+def test_add_and_mul_match_sympy(a, b):
+    (x, sx), (y, sy) = a, b
+    assert matches(x, sx) and matches(y, sy)
+    assert matches(x + y, sx + sy)
+    assert matches(x - y, sx - sy)
+    assert matches(x * y, sx * sy)
+
+
+@PROPERTY
+@given(fractions())
+def test_inverse_bar_and_t_one_match_sympy(a):
+    x, sx = a
+    if not x.is_zero():
+        assert matches(x.inverse(), 1 / sx)
+    assert matches(x.bar(), sx.subs(S, 1 / S))
+    ones = {t: 1 for t in T}
+    num, den = (part.subs(ones) for part in sympy.fraction(sympy.together(sx)))
+    if den != 0:
+        assert matches(x.subs_t_one(), num / den)
+
+
+@PROPERTY
+@given(fractions())
+def test_limit_q1_matches_sympy(a):
+    x, sx = a
+    num, den = sympy.fraction(sympy.cancel(sympy.together(sx)))
+    pole = sympy.expand(den.subs(S, 1)) == 0
+    if pole:
+        with pytest.raises(QPoleError):
+            x.limit_q1_pair()
+        return
+    want = sympy.cancel(num.subs(S, 1) / den.subs(S, 1))
+    n1, d1 = x.limit_q1_pair()
+    assert same(tscalar_to_sympy(n1) / tscalar_to_sympy(d1), want)
+    try:
+        got = x.limit_q1()
+    except ValueError:
+        # refused only when the pair keeps a t-denominator or the limit is
+        # not an integer polynomial in t
+        assert not d1.is_constant() or not want.is_polynomial(*T) or not all(
+            c.is_integer for c in sympy.Poly(want, *T).coeffs())
+    else:
+        assert same(tscalar_to_sympy(got), want)
+
+
+@PROPERTY
+@given(*[fractions(t_free_den=True, emax=2)] * 3)
+def test_equal_values_are_structurally_equal(a, b, c):
+    # t-free denominators, with exponents small enough that every numerator
+    # and denominator stays below the gcd cap: the normal form is canonical as
+    # a function of q (the scale is reduced before the gcd is cancelled, so
+    # u = q^(1/scale) itself may differ: (1 + q^(1/2)) / (1 + q^(1/2)) keeps
+    # scale 2)
+    def in_q(w):
+        return [{Fraction(e, w.scale): ts for e, ts in part.items()}
+                for part in (w.num, w.den)]
+
+    x, y, z = a[0], b[0], c[0]
+    pairs = [((x + y) * z, x * z + y * z), ((x * y) * z, x * (y * z)),
+             (x - x, QScalar.integer(0))]
+    if not y.is_zero() and all(m == () for ts in y.num.values() for m in ts.terms):
+        pairs.append(((x * y) / y, x))
+    for u, v in pairs:
+        assert u == v
+        assert in_q(u) == in_q(v)
