@@ -54,7 +54,7 @@ def cmd_table(args) -> int:
     if any(k < 0 or k >= fd.n for k in seq):
         print("error: mutation indices are 1-based directions", file=sys.stderr)
         return 2
-    rows = apply_mutation_sequence(fd, seq, args.mode, order=args.order)
+    rows = apply_mutation_sequence(fd, seq, args.mode)
     _emit(rows, args.format, _table_text(rows))
     return 0
 
@@ -65,7 +65,7 @@ def cmd_mutate(args) -> int:
     if any(k < 0 or k >= fd.n for k in seq):
         print("error: mutation indices are 1-based directions", file=sys.stderr)
         return 2
-    rows = apply_mutation_sequence(fd, seq, args.mode, order=args.order)
+    rows = apply_mutation_sequence(fd, seq, args.mode)
     last = rows[-1]
     _emit(last, args.format, _table_text([last]))
     return 0
@@ -210,14 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--sequence", default="", help="1-based directions, e.g. 2,1,2")
     sp.add_argument("--mode", choices=MODES, required=True)
-    sp.add_argument("--order", type=int, default=12)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("mutate", help="final row after a mutation sequence")
     add_common(sp)
     sp.add_argument("--sequence", required=True)
     sp.add_argument("--mode", choices=MODES, required=True)
-    sp.add_argument("--order", type=int, default=12)
     sp.set_defaults(func=cmd_mutate)
 
     sp = sub.add_parser("scatter", help="complete a rank-2 scattering diagram")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .commutative import CPoly, CRational
 from .qtorus import QTorusElement, SkewLattice, vec
-from .scalars import ONE, QScalar, qpow, tpow
+from .scalars import ONE, QScalar, tpow
 from .seeds import FixedData, Seed
 from .words import FactoredWord
 
@@ -265,8 +265,8 @@ def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
         if ak == 0:
             return QTorusElement(alg, {vec(m): c}), 0
         mbar = tuple(x - ak * y for x, y in zip(m, fkp))
-        kappa = alg.omega(mbar, tuple(ak * y for y in fkp))
-        lead = QTorusElement(alg, {mbar: c * qpow(-kappa)})
+        kappa = alg.omega_int(mbar, tuple(ak * y for y in fkp))
+        lead = QTorusElement(alg, {mbar: c._qshift(-kappa, alg.form_den)})
         return lead, ak
 
     out_atoms = []
@@ -359,7 +359,7 @@ def _scalar_to_crational(scalar: QScalar, rank: int) -> CRational:
     return CRational(CPoly(rank, {zero: cn}), [CPoly(rank, {zero: cd})])
 
 
-def apply_mutation_sequence(fd: FixedData, sequence, mode: str, order: int = 12):
+def apply_mutation_sequence(fd: FixedData, sequence, mode: str):
     """Table rows for any mode; variables rendered deterministically."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")

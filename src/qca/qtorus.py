@@ -9,21 +9,34 @@ One :class:`SkewLattice` serves both sides of the story: for the
 Fock-Goncharov torus the stored form is {.,.} itself, for the
 Berenstein-Zelevinsky torus it is Lambda/2 -- the form is always literally
 the exponent of q in the defining relation.
+
+The form may take fractional values (symmetrizers such as d = (2, 3) give
+sixths), so each lattice also keeps it as an integer matrix
+``iform = form * form_den``, form_den being the lcm of the entries'
+denominators.  Products evaluate omega_int(n, m) = form_den * omega(n, m) in
+integers and apply q^{omega_int / form_den} to the coefficient with the fused
+shift ``QScalar._qshift``, which moves the numerator's q-exponents instead of
+multiplying by a separately built power of q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
 
 from .scalars import ONE, QScalar, qpow
-
-_F0 = Fraction(0)
 
 
 @dataclass(frozen=True)
 class SkewLattice:
-    """Lattice Z^rank with a skew form given by its matrix on basis vectors."""
+    """Lattice Z^rank with a skew form given by its matrix on basis vectors.
+
+    Besides the fields, a lattice stores ``form_den``, the lcm of the
+    denominators of the form's entries, and ``iform``, the integer matrix
+    form * form_den; equality and hashing use the fields only.
+    """
 
     rank: int
     form: tuple[tuple[Fraction, ...], ...]
@@ -38,8 +51,10 @@ class SkewLattice:
                     raise ValueError(f"form is not antisymmetric at ({i},{j})")
         if len(self.labels) != self.rank:
             raise ValueError("need one label per generator")
-        object.__setattr__(self, "zero_form",
-                           all(not x for row in self.form for x in row))
+        den = lcm(*(x.denominator for row in self.form for x in row))
+        object.__setattr__(self, "form_den", den)
+        object.__setattr__(self, "iform", tuple(
+            tuple(int(x * den) for x in row) for row in self.form))
 
     @staticmethod
     def make(form_rows, labels=None) -> "SkewLattice":
@@ -51,31 +66,24 @@ class SkewLattice:
 
     def omega(self, n, m) -> Fraction:
         """The form on a pair of lattice vectors."""
-        if self.zero_form:
-            return _F0
-        tot = Fraction(0)
-        for i, a in enumerate(n):
-            if not a:
-                continue
-            row = self.form[i]
-            for j, b in enumerate(m):
-                if b and row[j]:
-                    tot += a * b * row[j]
-        return tot
+        return Fraction(self.omega_int(n, m), self.form_den)
+
+    def omega_int(self, n, m) -> int:
+        """form_den * omega(n, m), an integer."""
+        return sum(map(mul, self.row_pairing(n), m))
+
+    def row_pairing(self, n) -> list[int]:
+        """The integer vector r with omega_int(n, m) = r . m for every m;
+        products compute it once per left-hand exponent."""
+        # iform is antisymmetric: its column j is minus its row j
+        return [-sum(map(mul, row, n)) for row in self.iform]
 
     def is_central(self, n) -> bool:
         """True iff omega(e_i, n) = 0 for every generator (generic q)."""
-        return all(self.omega(ei, n) == 0 for ei in _unit_vectors(self.rank))
+        return not any(sum(map(mul, row, n)) for row in self.iform)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
-
-
-def _unit_vectors(rank):
-    for i in range(rank):
-        v = [0] * rank
-        v[i] = 1
-        yield tuple(v)
 
 
 def vec(values) -> tuple[int, ...]:
@@ -83,7 +91,7 @@ def vec(values) -> tuple[int, ...]:
 
 
 def vec_add(a, b) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_neg(a) -> tuple[int, ...]:
@@ -174,12 +182,16 @@ class QTorusElement:
             return self.scale(other)
         self._check(other)
         alg = self.algebra
+        den = alg.form_den
         d: dict[tuple[int, ...], QScalar] = {}
         for n, cn in self.terms.items():
+            row = alg.row_pairing(n)
             for m, cm in other.terms.items():
-                w = alg.omega(n, m)
-                c = cn * cm if w == 0 else cn * cm * qpow(w)
-                k = vec_add(n, m)
+                w = sum(map(mul, row, m))
+                c = cn * cm
+                if w:
+                    c = c._qshift(w, den)
+                k = tuple(map(add, n, m))
                 c = d[k] + c if k in d else c
                 if c.is_zero():
                     d.pop(k, None)
@@ -258,11 +270,11 @@ class QTorusElement:
         for n in sorted(self.terms):
             c = self.terms[n]
             # X^n = q^{-sum_{i<j} n_i n_j w_ij} X1^{n1} ... Xr^{nr}
-            fold = Fraction(0)
+            fold = 0
             for i in range(alg.rank):
                 for j in range(i + 1, alg.rank):
-                    fold += n[i] * n[j] * alg.form[i][j]
-            disp = c * qpow(-fold) if fold else c
+                    fold += n[i] * n[j] * alg.iform[i][j]
+            disp = c._qshift(-fold, alg.form_den)
             mono = "*".join(
                 alg.labels[i] if e == 1 else f"{alg.labels[i]}^{e}"
                 for i, e in enumerate(n) if e

@@ -545,9 +545,14 @@ class QScalar:
             den = {k: c // g for k, c in den.items()}
 
         # polynomial gcd when the denominator is a nontrivial t-free poly
-        # (a key is t-free exactly when it is below _U_HALF)
+        # (a key is t-free exactly when it is below _U_HALF); cancelling can
+        # coarsen the exponents, so the scale is then reduced again
         if len(den) > 1 and max(den) < _U_HALF:
-            num, den = QScalar._cancel_poly_gcd(num, den)
+            cancelled = QScalar._cancel_poly_gcd(num, den)
+            if cancelled[1] is not den:
+                num, den = cancelled
+                if scale != 1:
+                    num, den, scale = _reduce_scale(num, den, scale)
 
         # positive lex-first coefficient of the trailing (u^0) coefficient;
         # the constant t-monomial, key 0, is lex-first when present
@@ -563,15 +568,22 @@ class QScalar:
         return num, den, scale
 
     @staticmethod
+    def _past_gcd_cap(num_exps, den: dict) -> bool:
+        """True when the gcd of a t-free denominator with a numerator whose
+        u-exponents are num_exps is not computed: either one spans more than
+        _GCD_DEGREE_CAP in u."""
+        return max(den) > QScalar._GCD_DEGREE_CAP or \
+            max(num_exps) - min(num_exps) > QScalar._GCD_DEGREE_CAP
+
+    @staticmethod
     def _cancel_poly_gcd(num: dict, den: dict):
         """Cancel the gcd of a t-free denominator (whose keys are its
         u-exponents) with every t-monomial slice of the numerator."""
-        deg_den = max(den)
         es = {k: _u(k) for k in num}
-        num_min = min(es.values())
-        if deg_den > QScalar._GCD_DEGREE_CAP or \
-                max(es.values()) - num_min > QScalar._GCD_DEGREE_CAP:
+        if QScalar._past_gcd_cap(es.values(), den):
             return num, den
+        deg_den = max(den)
+        num_min = min(es.values())
 
         # slice the numerator per t-monomial, offset by its minimal exponent
         slices: dict[int, dict[int, int]] = {}
@@ -665,6 +677,36 @@ class QScalar:
                             da if db is _DEN1 else _mul(da, db), L)
 
     __rmul__ = __mul__
+
+    def _qshift(self, w: int, d: int) -> "QScalar":
+        """self * q^(w/d), structurally equal to ``self * qpow(Fraction(w, d))``.
+
+        Multiplying by a power of q only moves numerator exponents: the
+        pair is rescaled to a common scale, the shift is added to every
+        numerator key and the scale is re-reduced.  The denominator, the
+        contents and the sign are unchanged."""
+        if not w or not self._num:
+            return self
+        g = gcd(w, d)
+        dw = d // g
+        L = lcm(self.scale, dw)
+        f = L // self.scale
+        s = w // g * (L // dw)
+        if not -_U_LIMIT <= s < _U_LIMIT:
+            raise _overflow()
+        num, den = self._num, self._den
+        if f != 1:
+            num, den = _rescale(num, f), _rescale(den, f)
+        num = _checked({k + s: c for k, c in num.items()})
+        if L == 1:
+            return QScalar._make(num, den, 1)
+        num, den, scale = _reduce_scale(num, den, L)
+        # a pair left unreduced at the gcd cap may fall under it once the
+        # scale coarsens; the full normalization then cancels the gcd
+        if scale != L and len(den) > 1 and max(den) < _U_HALF \
+                and QScalar._past_gcd_cap(list(map(_u, self._num)), self._den):
+            return QScalar._raw(num, den, scale)
+        return QScalar._make(num, den, scale)
 
     def inverse(self) -> "QScalar":
         if self.is_zero():

@@ -435,7 +435,7 @@ def _complete_degree(dg: ScatteringDiagram, k: int, test_monomials) -> None:
                         f"uncorrected discrepancy of degree {deg_paper} < {k}")
                 continue
             # left normal form coefficient: c A^{m+u} = delta q^{w(m,u)} A^m A^u
-            delta = c * qpow(-dg.torus.omega(m, u))
+            delta = c._qshift(-dg.torus.omega_int(m, u), dg.torus.form_den)
             corrections.setdefault(m, []).append((u, delta))
     for m, entries in sorted(corrections.items()):
         _insert_wall(dg, m, k, entries)
@@ -466,12 +466,14 @@ def _insert_wall(dg: ScatteringDiagram, m, k: int, entries) -> None:
     sols = []
     for u, delta in entries:
         if dg.quantum:
-            wmu = dg.torus.omega(m, vec(u))
-            if wmu == 0:
+            wint = dg.torus.omega_int(m, vec(u))
+            if wint == 0:
                 continue
+            wmu = Fraction(wint, dg.torus.form_den)
             beta = (qpow(wmu) - qpow(-wmu)) / (qpow(1) - qpow(-1))
             # crossing adds -s a beta(m,u) q^{-w(m,u)}: cancel delta exactly
-            sols.append(delta * qpow(wmu) / beta * QScalar.integer(s))
+            sols.append(delta._qshift(wint, dg.torus.form_den) / beta
+                        * QScalar.integer(s))
         else:
             p = dg.pair_nm(dg.nprime(n0), u)
             if p == 0:

@@ -14,9 +14,10 @@ functional that separates the exponents inside every inverted atom.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 
 from .qtorus import QTorusElement, SkewLattice, vec, vec_add, vec_neg
-from .scalars import ONE, QScalar, qpow
+from .scalars import ONE, QScalar
 
 
 class ExpansionError(ValueError):
@@ -24,7 +25,7 @@ class ExpansionError(ValueError):
 
 
 def degree(dvec, n) -> int:
-    return sum(a * b for a, b in zip(dvec, n))
+    return sum(map(mul, dvec, n))
 
 
 class Series:
@@ -89,7 +90,11 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         alg = self.algebra
-        m1, m2 = self.min_degree(), other.min_degree()
+        dvec = self.dvec
+        left = [(n, sum(map(mul, dvec, n)), c) for n, c in self.terms.items()]
+        right = [(m, sum(map(mul, dvec, m)), c) for m, c in other.terms.items()]
+        m1 = min(t[1] for t in left) if left else None
+        m2 = min(t[1] for t in right) if right else None
         if (m1 is None and self.cutoff is None) or (m2 is None and other.cutoff is None):
             return Series(alg, self.dvec, None, {})  # exact zero factor
         # unknown terms come from error1*known2, known1*error2, error1*error2
@@ -103,44 +108,43 @@ class Series:
             cands.append(other.cutoff + m1)
         cut = min(cands) if cands else None
         if m1 is None or m2 is None:
-            return Series(alg, self.dvec, cut, {})
-        zero_form = alg.zero_form
-        left = [(n, degree(self.dvec, n), c) for n, c in self.terms.items()]
-        right = [(m, degree(self.dvec, m), c) for m, c in other.terms.items()]
-        qcache: dict = {}
+            return Series(alg, dvec, cut, {})
+        den = alg.form_den
         d: dict[tuple, QScalar] = {}
         for n, dn, cn in left:
+            row = alg.row_pairing(n)
+            room = None if cut is None else cut - dn
             for m, dm, cm in right:
-                if cut is not None and dn + dm > cut:
+                if room is not None and dm > room:
                     continue
-                k = vec_add(n, m)
+                k = tuple(map(add, n, m))
                 c = cn * cm
-                if not zero_form:
-                    w = alg.omega(n, m)
-                    if w:
-                        qw = qcache.get(w)
-                        if qw is None:
-                            qw = qcache[w] = qpow(w)
-                        c = c * qw
+                w = sum(map(mul, row, m))
+                if w:
+                    c = c._qshift(w, den)
                 c = d[k] + c if k in d else c
                 if c.is_zero():
                     d.pop(k, None)
                 else:
                     d[k] = c
-        return Series(alg, self.dvec, cut, d)
+        # the loop keeps only nonzero terms within the cutoff
+        out = Series.__new__(Series)
+        out.algebra, out.dvec, out.cutoff, out.terms = alg, dvec, cut, d
+        return out
 
-    def inverse(self, rel_order: int, what: str = "series") -> "Series":
+    def inverse(self, rel_order: int, what="series") -> "Series":
         """Geometric-series inverse, exact to relative order ``rel_order``.
 
         Requires a unique minimal-degree term (the invertible leading
-        monomial of the completion)."""
+        monomial of the completion).  ``what`` names the inverted object in
+        an ExpansionError: a string, or an element rendered only then."""
         if not self.terms:
-            raise ExpansionError(f"cannot invert zero {what}")
+            raise ExpansionError(f"cannot invert zero {_label(what)}")
         mdeg = self.min_degree()
         anchors = [n for n in self.terms if degree(self.dvec, n) == mdeg]
         if len(anchors) > 1:
             raise ExpansionError(
-                f"no unique leading monomial in {what}: "
+                f"no unique leading monomial in {_label(what)}: "
                 f"degree-{mdeg} exponents {sorted(anchors)}")
         n0 = anchors[0]
         c0 = self.terms[n0]
@@ -154,7 +158,7 @@ class Series:
         tmin = t.min_degree()
         if tmin is not None and tmin <= 0:
             raise ExpansionError(
-                f"remainder of {what} is not positively graded (degree {tmin})")
+                f"remainder of {_label(what)} is not positively graded (degree {tmin})")
         j = 1
         while tmin is not None and j * tmin <= rel_order:
             power = (power * t).truncate(rel_order)
@@ -183,6 +187,10 @@ class Series:
 
     def __repr__(self):
         return f"Series({self.as_element().render()}; cutoff={self.cutoff})"
+
+
+def _label(what) -> str:
+    return what if isinstance(what, str) else what.render()
 
 
 def _min_cut(a, b):
@@ -290,7 +298,7 @@ class FactoredWord:
             fact = Series.from_element(p, dvec)
             fmin = fact.min_degree()
             if s == -1:
-                fact = fact.inverse(order, what=p.render())
+                fact = fact.inverse(order, what=p)
                 fmin = -fmin
             out = (out * fact).truncate(anchor + fmin + order)
             anchor += fmin
@@ -331,7 +339,8 @@ class FactoredWord:
                     pending = n
                     prefix = prefix * c
                 else:
-                    prefix = prefix * c * qpow(alg.omega(pending, n))
+                    prefix = (prefix * c)._qshift(alg.omega_int(pending, n),
+                                                  alg.form_den)
                     pending = vec_add(pending, n)
             else:
                 flush()
@@ -366,7 +375,8 @@ def _dilog_factor_word(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
     one = QTorusElement.one(alg)
     for ell in range(1, count + 1):
         e = exp_sign * (2 * ell - 1)
-        binom = one + QTorusElement.monomial(alg, w, coeff * qpow(h * e))
+        binom = one + QTorusElement.monomial(
+            alg, w, coeff._qshift(h.numerator * e, h.denominator))
         atoms.append((binom, power))
     return FactoredWord(alg, ONE, atoms)
 
@@ -393,13 +403,17 @@ def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction,
     A general p is split as X^{v0} * (X^{-v0} p) with v0 chosen so that the
     shifted part conjugates to an honest polynomial (all atom powers +1).
     """
+    # p_v = omega_int(w, v) / (form_den * h), in integers
+    row = alg.row_pairing(w)
+    top, bottom = h.denominator, alg.form_den * h.numerator
     pairings = {}
     for v in p.terms:
-        pv = alg.omega(w, v) / h
-        if pv.denominator != 1:
+        pv = sum(map(mul, row, v)) * top
+        if pv % bottom:
             raise ValueError(
-                f"non-integral dilogarithm pairing {pv} for exponent {v}")
-        pairings[v] = int(pv)
+                f"non-integral dilogarithm pairing {Fraction(pv, bottom)} "
+                f"for exponent {v}")
+        pairings[v] = pv // bottom
     if action == 1:
         v0 = min(pairings, key=lambda v: (pairings[v], v))
     else:
@@ -418,12 +432,13 @@ def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction,
     tail = QTorusElement(alg, {})
     one = QTorusElement.one(alg)
     for v, c in shifted.terms.items():
-        pv = int(alg.omega(w, v) / h)
+        pv = sum(map(mul, row, v)) * top // bottom
         assert action * pv >= 0  # anchor choice guarantees polynomial factors
         sv = 1 if pv > 0 else -1
         piece = QTorusElement.monomial(alg, v, c)
         for ell in range(1, abs(pv) + 1):
-            binom = one + QTorusElement.monomial(alg, w, coeff * qpow(h * sv * (2 * ell - 1)))
+            binom = one + QTorusElement.monomial(
+                alg, w, coeff._qshift(h.numerator * sv * (2 * ell - 1), h.denominator))
             piece = piece * binom
         tail = tail + piece
     return head * FactoredWord.from_element(tail)

@@ -275,14 +275,7 @@ def test_limit_q1_matches_sympy(a):
 @given(*[fractions(t_free_den=True, emax=2)] * 3)
 def test_equal_values_are_structurally_equal(a, b, c):
     # t-free denominators, with exponents small enough that every numerator
-    # and denominator stays below the gcd cap: the normal form is canonical as
-    # a function of q (the scale is reduced before the gcd is cancelled, so
-    # u = q^(1/scale) itself may differ: (1 + q^(1/2)) / (1 + q^(1/2)) keeps
-    # scale 2)
-    def in_q(w):
-        return [{Fraction(e, w.scale): ts for e, ts in part.items()}
-                for part in (w.num, w.den)]
-
+    # and denominator stays below the gcd cap: the normal form is canonical
     x, y, z = a[0], b[0], c[0]
     pairs = [((x + y) * z, x * z + y * z), ((x * y) * z, x * (y * z)),
              (x - x, QScalar.integer(0))]
@@ -290,4 +283,15 @@ def test_equal_values_are_structurally_equal(a, b, c):
         pairs.append(((x * y) / y, x))
     for u, v in pairs:
         assert u == v
-        assert in_q(u) == in_q(v)
+        assert (u.scale, u.num, u.den) == (v.scale, v.num, v.den)
+
+
+def test_scale_is_reduced_after_gcd_cancellation():
+    # (1 + q^(1/2)) / (1 + q^(1/2)) only coarsens to scale 1 once the gcd
+    # is cancelled
+    h = 1 + qpow(Fraction(1, 2))
+    x = h / h
+    assert (x.scale, x.num, x.den) == (ONE.scale, ONE.num, ONE.den)
+    assert x.is_one() and x.is_polynomial()
+    y = (qpow(Fraction(3, 2)) + qpow(2)) / h  # = q^(3/2)
+    assert (y.scale, y.num, y.den) == (2, {3: TScalar.integer(1)}, ONE.den)
