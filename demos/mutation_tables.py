@@ -5,20 +5,20 @@ coefficients.
 Run: python3 demos/mutation_tables.py
 """
 
+from qca.checks import A2_SEQ, q1_specializes
 from qca.fixtures import a2_tables
 from qca.mutation import (
     apply_mutation_sequence,
+    classical_x_table,
     quantum_x_table,
-    word_to_classical,
     x_torus,
 )
 from qca.words import FactoredWord, words_equal
 
 fd = a2_tables()
-SEQ = [1, 0, 1, 0, 1]  # mu_2, mu_1, mu_2, mu_1, mu_2 (0-indexed)
 
 print("=== classical X-mutation with principal coefficients ===")
-for row in apply_mutation_sequence(fd, SEQ, "x-family"):
+for row in apply_mutation_sequence(fd, A2_SEQ, "x-family"):
     mu = f"mu_{row['mutation']}" if row["mutation"] else "start"
     print(f"step {row['step']:>2} ({mu}):  eps = {row['epsilon']}  "
           f"C = {row['cvectors']}")
@@ -27,7 +27,7 @@ for row in apply_mutation_sequence(fd, SEQ, "x-family"):
 
 print()
 print("=== quantum X-mutation with coefficients ===")
-rows = quantum_x_table(fd, SEQ, with_coefficients=True)
+rows = quantum_x_table(fd, A2_SEQ, with_coefficients=True)
 for step, (seed, words) in enumerate(rows):
     print(f"step {step}:")
     for i, w in enumerate(words):
@@ -42,9 +42,5 @@ print("  X2 == X1 ?", words_equal(final[1], FactoredWord.monomial(alg, (1, 0)), 
 
 print()
 print("q = 1 turns every quantum row into the classical row:")
-from qca.mutation import classical_x_table
-
-crows = classical_x_table(fd, SEQ, with_coefficients=True)
-ok = all(word_to_classical(w) == v
-         for (s1, ws), (s2, vs) in zip(rows, crows) for w, v in zip(ws, vs))
-print("  all rows agree:", ok)
+crows = classical_x_table(fd, A2_SEQ, with_coefficients=True)
+print("  all rows agree:", q1_specializes(rows, crows))

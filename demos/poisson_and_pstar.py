@@ -13,11 +13,10 @@ Run: python3 demos/poisson_and_pstar.py
 from qca.commutative import CRational
 from qca.duality import PStarHom
 from qca.fixtures import a2_tables, a23, rank3_frozen
-from qca.mutation import mutate_a_word, mutate_word, x_torus
+from qca.mutation import x_torus
 from qca.poisson import check_poisson_map, element_q1, poisson_bracket, semiclassical_bracket
 from qca.qtorus import QTorusElement
 from qca.seeds import Seed
-from qca.words import FactoredWord, words_equal
 
 print("=== semi-classical limit ===")
 fd = a2_tables()
@@ -42,30 +41,10 @@ fd = a23()
 hom = PStarHom(fd)
 print("Lambda =", [list(r) for r in hom.Lambda])
 print("p* rows:", [list(r) for r in hom.pmap.rows])
-xalg = x_torus(fd)
-seed = Seed(fd)
-for k in fd.unfrozen:
-    nxt = seed.mutate(k)
-    for i in range(fd.n):
-        w = FactoredWord.monomial(xalg, nxt.basis[i])
-        lhs = hom.apply(mutate_word(w, k, seed))
-        aw = FactoredWord.monomial(hom.atorus, hom.pmap.apply(nxt.basis[i]))
-        rhs = mutate_a_word(aw, k, seed)
-        print(f"  mu_{k + 1}, generator {i + 1}: intertwines ->",
-              words_equal(lhs, rhs, 8))
+for k, i, ok in hom.intertwining(8):
+    print(f"  mu_{k + 1}, generator {i + 1}: intertwines ->", ok)
 
 print()
 print("same check on a rank-3 seed with a frozen direction:")
-fd = rank3_frozen()
-hom = PStarHom(fd)
-xalg = x_torus(fd)
-seed = Seed(fd)
-ok = True
-for k in fd.unfrozen:
-    nxt = seed.mutate(k)
-    for i in range(fd.n):
-        w = FactoredWord.monomial(xalg, nxt.basis[i])
-        lhs = hom.apply(mutate_word(w, k, seed))
-        aw = FactoredWord.monomial(hom.atorus, hom.pmap.apply(nxt.basis[i]))
-        ok = ok and words_equal(lhs, mutate_a_word(aw, k, seed), 8)
-print("  all generators intertwine:", ok)
+results = PStarHom(rank3_frozen()).intertwining(8)
+print("  all generators intertwine:", all(ok for _, _, ok in results))

@@ -56,7 +56,6 @@ from .duality import (
     check_compatible_pair,
     p1_star,
     principal_compatible_pair,
-    pstar_hom,
 )
 from .poisson import check_poisson_map, poisson_bracket, semiclassical_bracket
 
@@ -75,6 +74,5 @@ __all__ = [
     "theta_function",
     "CompatibilityError", "CompatiblePair", "PStarHom", "PStarMap",
     "check_compatible_pair", "p1_star", "principal_compatible_pair",
-    "pstar_hom",
     "check_poisson_map", "poisson_bracket", "semiclassical_bracket",
 ]

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qtorus import SkewLattice
 from .seeds import FixedData, Seed
-from .words import FactoredWord
+from .words import FactoredWord, words_equal
 
 
 class CompatibilityError(ValueError):
@@ -287,6 +286,22 @@ class PStarHom:
     def apply(self, w: FactoredWord) -> FactoredWord:
         return w.transport(self.atorus, self.pmap.apply, self.scalar_map)
 
+    def intertwining(self, order: int) -> list[tuple[int, int, bool]]:
+        """p* o mu_k = mu_k o p* on the generators of each adjacent seed:
+        (k, i, ok) per unfrozen k and generator X_{i;mu_k(s)}, comparing the
+        image of its X-side mutation with the A-side mutation of
+        A^{p*(e_{i;mu_k(s)})} to the given order."""
+        from .mutation import mutate_a_word, mutate_word, x_torus
 
-def pstar_hom(w: FactoredWord, hom: PStarHom) -> FactoredWord:
-    return hom.apply(w)
+        xalg = x_torus(self.fd)
+        seed = Seed(self.fd)
+        out = []
+        for k in self.fd.unfrozen:
+            nxt = seed.mutate(k)
+            for i in range(self.fd.n):
+                w = FactoredWord.monomial(xalg, nxt.basis[i])
+                lhs = self.apply(mutate_word(w, k, seed))
+                aw = FactoredWord.monomial(self.atorus, self.pmap.apply(nxt.basis[i]))
+                rhs = mutate_a_word(aw, k, seed)
+                out.append((k, i, words_equal(lhs, rhs, order)))
+        return out

@@ -150,15 +150,14 @@ class Series:
         c0 = self.terms[n0]
         # M^{-1} with M = c0 X^{n0} (the scalar is central)
         minv = Series(self.algebra, self.dvec, None, {vec_neg(n0): c0.inverse()})
+        # every term of t has positive degree: n0 is the unique lowest term
+        # and minv * c0 X^{n0} = q^{w(-n0, n0)} = 1 cancels exactly
         t = (minv * self) - Series.one(self.algebra, self.dvec)
         t = t.truncate(rel_order)
         out = Series.one(self.algebra, self.dvec, rel_order)
         power = Series.one(self.algebra, self.dvec, rel_order)
         sign = -1
         tmin = t.min_degree()
-        if tmin is not None and tmin <= 0:
-            raise ExpansionError(
-                f"remainder of {_label(what)} is not positively graded (degree {tmin})")
         j = 1
         while tmin is not None and j * tmin <= rel_order:
             power = (power * t).truncate(rel_order)

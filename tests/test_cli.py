@@ -127,6 +127,9 @@ def test_usage_errors(seeds, capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["table", "--seed", seeds["a2"], "--unknown-flag"])
+    with pytest.raises(SystemExit) as exc:  # poisson has no --rank-check
+        main(["poisson", "--seed", seeds["a2"], "--rank-check"])
+    assert exc.value.code == 2
     code, _, err = run(capsys, ["table", "--seed", "/nonexistent.json",
                                 "--mode", "x-classical"])
     assert code == 2

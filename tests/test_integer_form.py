@@ -3,7 +3,8 @@
 ``SkewLattice.omega_int`` is checked against a Fraction double sum,
 ``QScalar._qshift`` against an explicit multiplication by ``qpow``, and the
 ``Series`` product against a naive product that evaluates the form in
-Fractions, multiplies by ``qpow`` and applies the cutoff rule afterwards.
+Fractions, multiplies by ``qpow`` and applies the cutoff rule afterwards;
+``Series.inverse`` is checked to be a two-sided inverse to its order.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from qca.qtorus import QTorusElement, SkewLattice
 from qca.scalars import ONE, QScalar, qpow, tvar
-from qca.words import ExpansionError, FactoredWord, Series
+from qca.words import ExpansionError, FactoredWord, Series, degree
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -220,6 +221,32 @@ def test_series_product_of_torus_elements_matches_qtorus_product():
     got = (Series.from_element(x, (1, 1, 1)) * Series.from_element(y, (1, 1, 1)))
     assert got.cutoff is None
     assert got.as_element() == x * y
+
+
+@st.composite
+def invertible_series(draw):
+    """Exact series whose lowest-degree term is unique, under any grading."""
+    alg = draw(lattices())
+    dvec = draw(st.tuples(*[st.integers(-2, 3)] * alg.rank))
+    n0 = draw(vectors(alg.rank, 2))
+    terms = {n0: draw(scalars().filter(lambda c: not c.is_zero()))}
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(vectors(alg.rank, 2))
+        if degree(dvec, n) > degree(dvec, n0):
+            terms[n] = draw(scalars())
+    return Series(alg, dvec, None, terms)
+
+
+@PROPERTY
+@given(invertible_series(), st.integers(0, 5))
+def test_inverse_is_two_sided_to_its_relative_order(s, order):
+    # Series.inverse relies on the unique lowest term: every term of the
+    # remainder it expands then has positive degree
+    one = Series.one(s.algebra, s.dvec, order)
+    inv = s.inverse(order)
+    for prod in (s * inv, inv * s):
+        assert prod.cutoff == order
+        assert prod == one
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from qca.checks import A2_SEQ, CVECTORS, EPSILONS
 from qca.seeds import (
-    Chamber,
     Seed,
     cluster_chamber,
     fixed_data_from_json,
@@ -49,31 +49,13 @@ def test_integrality_rejected():
 
 
 def test_a2_mutation_table_data():
-    # epsilon and C along the pentagon sequence 2,1,2,1,2 (0-indexed 1,0,...)
-    fd = a2_tables()
-    seq = [1, 0, 1, 0, 1]
-    eps_expected = [
-        ((0, -1), (1, 0)),
-        ((0, 1), (-1, 0)),
-        ((0, -1), (1, 0)),
-        ((0, 1), (-1, 0)),
-        ((0, -1), (1, 0)),
-        ((0, 1), (-1, 0)),
-    ]
-    c_expected = [
-        ((1, 0), (0, 1)),
-        ((1, 0), (0, -1)),
-        ((-1, 0), (0, -1)),
-        ((-1, -1), (0, 1)),
-        ((1, 1), (-1, 0)),
-        ((0, 1), (1, 0)),
-    ]
-    s = Seed(fd)
+    # epsilon and C along the pentagon sequence 2,1,2,1,2
+    s = Seed(a2_tables())
     for step in range(6):
-        assert s.epsilon() == eps_expected[step], step
-        assert s.cvectors() == c_expected[step], step
+        assert s.epsilon() == EPSILONS[step], step
+        assert s.cvectors() == CVECTORS[step], step
         if step < 5:
-            s = s.mutate(seq[step])
+            s = s.mutate(A2_SEQ[step])
 
 
 def test_mutation_restores_epsilon_and_c():
