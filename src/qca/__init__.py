@@ -15,7 +15,6 @@ from .seeds import (
     langlands_dual,
     load_seed_file,
     make_fixed_data,
-    mutate_seed,
     save_seed_file,
 )
 from .words import ExpansionError, FactoredWord, Series, words_equal
@@ -63,7 +62,7 @@ __all__ = [
     "QPoleError", "QScalar", "TScalar", "qpow", "tpow", "tvar", "vpow",
     "QTorusElement", "SkewLattice",
     "Chamber", "FixedData", "Seed", "cluster_chamber", "langlands_dual",
-    "load_seed_file", "make_fixed_data", "mutate_seed", "save_seed_file",
+    "load_seed_file", "make_fixed_data", "save_seed_file",
     "ExpansionError", "FactoredWord", "Series", "words_equal",
     "apply_mutation_sequence", "mutate_a_classical", "mutate_a_word",
     "mutate_word", "mutate_x_classical", "mutate_x_family", "mu_prime_word",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .seeds import FixedData, Seed
+from .seeds import FixedData, Seed, row_reduce
 from .words import FactoredWord, words_equal
 
 
@@ -73,28 +73,7 @@ def p1_star_injective(fd: FixedData, pmap: PStarMap | None = None) -> bool:
     """Injectivity of p1* on the unfrozen sublattice (rank over Q)."""
     pmap = pmap or p1_star(fd)
     rows = [list(map(Fraction, pmap.rows[i])) for i in fd.unfrozen]
-    return _rank(rows) == len(fd.unfrozen)
-
-
-def _rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
+    return len(row_reduce(rows, fd.n)[1]) == len(fd.unfrozen)
 
 
 @dataclass(frozen=True)
@@ -133,7 +112,8 @@ def check_compatible_pair(Lambda, Btilde, unfrozen_cols=None) -> tuple[int, ...]
             if Lambda[i][j] != -Lambda[j][i]:
                 raise CompatibilityError((i, j), Lambda[i][j],
                                          "Lambda is not antisymmetric")
-    if _rank([[Fraction(x) for x in row] for row in _transpose(Btilde)]) != m:
+    bt_rows = [[Fraction(x) for x in row] for row in _transpose(Btilde)]
+    if len(row_reduce(bt_rows, len(Btilde))[1]) != m:
         raise CompatibilityError(None, None, "Btilde is not of full rank")
     prod = [[sum(Btilde[r][k] * Lambda[r][j] for r in range(n)) for j in range(n)]
             for k in range(m)]
@@ -228,26 +208,10 @@ def principal_compatible_pair(fd: FixedData) -> CompatiblePair:
 
 def _solve(rows, rhs):
     """Particular solution of rows * x = rhs over Q (free unknowns = 0)."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
+    m, pivots = row_reduce([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] != 0 for row in m[len(pivots):]):
+        return None
     sol = [Fraction(0)] * ncols
     for row_idx, c in enumerate(pivots):
         sol[c] = m[row_idx][ncols]

@@ -98,28 +98,70 @@ def vec_neg(a) -> tuple[int, ...]:
     return tuple(-x for x in a)
 
 
+def add_terms(d: dict, pairs) -> dict:
+    """Add the (exponent, coefficient) pairs into the term dict ``d`` in
+    place, dropping sums that cancel; returns ``d``.  The coefficients form
+    a domain, so only a sum can be zero: callers pass nonzero coefficients."""
+    for n, c in pairs:
+        if n in d:
+            c = d[n] + c
+            if c.is_zero():
+                del d[n]
+                continue
+        d[n] = c
+    return d
+
+
+def skew_product(alg: SkewLattice, left: dict, right: dict, dvec, cutoff) -> dict:
+    """The terms of (sum left) * (sum right), X^n X^m = q^{omega(n, m)} X^{n+m}.
+
+    Unless ``cutoff`` is None, only the products of degree <= cutoff under
+    the grading ``dvec`` are formed."""
+    return add_terms({}, _skew_pairs(alg, left, right, dvec, cutoff))
+
+
+def _skew_pairs(alg, left, right, dvec, cutoff):
+    """Each product term (n + m, q^{omega(n, m)} cn cm) in turn, unmerged."""
+    den = alg.form_den
+    todo = list(right.items())
+    if cutoff is not None:
+        graded = [(m, cm, sum(map(mul, dvec, m))) for m, cm in todo]
+    for n, cn in left.items():
+        row = alg.row_pairing(n)
+        if cutoff is not None:
+            room = cutoff - sum(map(mul, dvec, n))
+            todo = [(m, cm) for m, cm, dm in graded if dm <= room]
+        for m, cm in todo:
+            c = cn * cm
+            w = sum(map(mul, row, m))
+            if w:
+                c = c._qshift(w, den)
+            yield tuple(map(add, n, m)), c
+
+
 class QTorusElement:
-    """Finite sum of terms c * X^n over a SkewLattice, c a QScalar."""
+    """Finite sum of terms c * X^n over a SkewLattice, c a nonzero QScalar."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: SkewLattice, terms=None):
         self.algebra = algebra
-        d = {}
-        if terms:
-            for n, c in terms.items():
-                n = vec(n)
-                if len(n) != algebra.rank:
-                    raise ValueError(f"exponent {n} has wrong rank")
-                if n in d:
-                    c = d[n] + c
-                if isinstance(c, int):
-                    c = QScalar.integer(c)
-                if not c.is_zero():
-                    d[n] = c
-                elif n in d:
-                    del d[n]
-        self.terms = d
+        pairs = []
+        for n, c in (terms or {}).items():
+            n = vec(n)
+            if len(n) != algebra.rank:
+                raise ValueError(f"exponent {n} has wrong rank")
+            if isinstance(c, int):
+                c = QScalar.integer(c)
+            if not c.is_zero():
+                pairs.append((n, c))
+        self.terms = add_terms({}, pairs)
+
+    def _like(self, terms: dict) -> "QTorusElement":
+        """An element of this one's kind holding ``terms`` as they are."""
+        out = QTorusElement.__new__(QTorusElement)
+        out.algebra, out.terms = self.algebra, terms
+        return out
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -157,22 +199,10 @@ class QTorusElement:
 
     def __add__(self, other: "QTorusElement") -> "QTorusElement":
         self._check(other)
-        d = dict(self.terms)
-        for n, c in other.terms.items():
-            c = d[n] + c if n in d else c
-            if c.is_zero():
-                d.pop(n, None)
-            else:
-                d[n] = c
-        out = QTorusElement.__new__(QTorusElement)
-        out.algebra, out.terms = self.algebra, d
-        return out
+        return self._like(add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "QTorusElement":
-        out = QTorusElement.__new__(QTorusElement)
-        out.algebra = self.algebra
-        out.terms = {n: -c for n, c in self.terms.items()}
-        return out
+        return self._like({n: -c for n, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -181,25 +211,7 @@ class QTorusElement:
         if isinstance(other, (QScalar, int)):
             return self.scale(other)
         self._check(other)
-        alg = self.algebra
-        den = alg.form_den
-        d: dict[tuple[int, ...], QScalar] = {}
-        for n, cn in self.terms.items():
-            row = alg.row_pairing(n)
-            for m, cm in other.terms.items():
-                w = sum(map(mul, row, m))
-                c = cn * cm
-                if w:
-                    c = c._qshift(w, den)
-                k = tuple(map(add, n, m))
-                c = d[k] + c if k in d else c
-                if c.is_zero():
-                    d.pop(k, None)
-                else:
-                    d[k] = c
-        out = QTorusElement.__new__(QTorusElement)
-        out.algebra, out.terms = alg, d
-        return out
+        return self._like(skew_product(self.algebra, self.terms, other.terms, None, None))
 
     def __rmul__(self, other):
         if isinstance(other, (QScalar, int)):
@@ -209,12 +221,8 @@ class QTorusElement:
     def scale(self, c: QScalar | int) -> "QTorusElement":
         if isinstance(c, int):
             c = QScalar.integer(c)
-        out = QTorusElement.__new__(QTorusElement)
-        out.algebra = self.algebra
-        out.terms = {} if c.is_zero() else {
-            n: cc for n, cc in ((n, cv * c) for n, cv in self.terms.items()) if not cc.is_zero()
-        }
-        return out
+        return self._like({} if c.is_zero() else
+                          {n: cv * c for n, cv in self.terms.items()})
 
     def __pow__(self, k: int) -> "QTorusElement":
         if k < 0:
@@ -234,30 +242,18 @@ class QTorusElement:
         )
 
     def __hash__(self):
-        raise TypeError("QTorusElement is not hashable")
+        raise TypeError(f"{type(self).__name__} is not hashable")
 
     # -- involution -------------------------------------------------------------
     def star(self) -> "QTorusElement":
         """The *-involution: bar on coefficients, Weyl monomials fixed."""
-        out = QTorusElement.__new__(QTorusElement)
-        out.algebra = self.algebra
-        out.terms = {n: c.bar() for n, c in self.terms.items()}
-        return out
+        return self._like({n: c.bar() for n, c in self.terms.items()})
 
     # -- misc --------------------------------------------------------------------
     def map_terms(self, f) -> "QTorusElement":
         """New element with coefficients f(n, c); drops zeros."""
-        out = QTorusElement.__new__(QTorusElement)
-        out.algebra = self.algebra
-        out.terms = {}
-        for n, c in self.terms.items():
-            c2 = f(n, c)
-            if not c2.is_zero():
-                out.terms[n] = c2
-        return out
-
-    def exponents(self):
-        return self.terms.keys()
+        terms = {n: f(n, c) for n, c in self.terms.items()}
+        return self._like({n: c for n, c in terms.items() if not c.is_zero()})
 
     def render(self, base: str = "q") -> str:
         """Deterministic rendering: terms sorted lexicographically by
@@ -297,10 +293,6 @@ class QTorusElement:
 
     def __repr__(self):
         return f"QTorusElement({self.render()})"
-
-
-def is_central(algebra: SkewLattice, n) -> bool:
-    return algebra.is_central(vec(n))
 
 
 def dilog_series_coefficients(h: Fraction, order: int) -> list[QScalar]:

@@ -4,8 +4,6 @@ length, wall functions truncated to three terms."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scatter import ScatteringDiagram, Wall
 from .theta import BrokenLine
 

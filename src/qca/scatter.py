@@ -23,21 +23,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .duality import PStarMap, p1_star, p1_star_injective, principal_compatible_pair
+from .duality import p1_star, p1_star_injective, principal_compatible_pair
 from .mutation import a_torus, x_torus
-from .qtorus import QTorusElement, SkewLattice, vec, vec_neg
+from .qtorus import SkewLattice, vec, vec_neg
 from .scalars import ONE, QScalar, qpow
-from .seeds import FixedData, Seed
+from .seeds import FixedData, Seed, _primitive
 from .words import FactoredWord, Series, degree
 
 
 class ConsistencyError(ArithmeticError):
     """The order-by-order completion met an unresolvable discrepancy."""
-
-
-def _primitive2(v):
-    g = gcd(v[0], v[1])
-    return (v[0] // g, v[1] // g) if g else v
 
 
 @dataclass
@@ -360,7 +355,7 @@ def initial_diagram(fd: FixedData, side: str = "A", quantum: bool = False,
     for i in fd.unfrozen:
         n0 = (1 if i == 0 else 0, 1 if i == 1 else 0)
         direction = dg.dir_map(n0)
-        ray = _primitive2(dg.pmap.apply(n0))  # support is n0-perp in M*_R
+        ray = _primitive(dg.pmap.apply(n0))  # support is n0-perp in M*_R
         if quantum:
             h = Fraction(1, fd.d[i]) if side == "X" else Fraction(-(d // fd.d[i]), 2)
             wall = Wall(normal=n0, ray=ray, full_line=True, incoming=True,
@@ -443,9 +438,9 @@ def _complete_degree(dg: ScatteringDiagram, k: int, test_monomials) -> None:
 
 def _insert_wall(dg: ScatteringDiagram, m, k: int, entries) -> None:
     n = _normal_of_direction(dg, m)
-    n0 = _primitive2(n)
+    n0 = _primitive(n)
     j = n[0] // n0[0] if n0[0] else n[1] // n0[1]
-    ray = _primitive2(vec_neg(dg.pmap.apply(n)))  # outgoing: R>=0 (-p1*(n))
+    ray = _primitive(vec_neg(dg.pmap.apply(n)))  # outgoing: R>=0 (-p1*(n))
     wall = None
     for w in dg.walls:
         if not w.full_line and w.ray == ray and w.normal == n0:

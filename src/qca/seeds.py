@@ -234,27 +234,35 @@ class Seed:
         return f"Seed(history={list(self.history)})"
 
 
-def _mat_inverse(m):
-    """Gauss-Jordan over Fraction."""
-    n = len(m)
-    a = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def row_reduce(rows, ncols):
+    """Gauss-Jordan elimination over Fraction, pivoting only in the first
+    ``ncols`` columns: returns the reduced rows and the pivot columns, so
+    augmented [A | b] and [M | I] reduce as well."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
-            raise ArithmeticError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _mat_inverse(m):
+    n = len(m)
+    a, pivots = row_reduce([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                            for i, row in enumerate(m)], n)
+    if len(pivots) < n:
+        raise ArithmeticError("singular matrix")
     return [row[n:] for row in a]
-
-
-def mutate_seed(s: Seed, k: int) -> Seed:
-    return s.mutate(k)
 
 
 def langlands_dual(fd: FixedData) -> FixedData:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qtorus import QTorusElement, vec, vec_neg
+from .qtorus import QTorusElement, vec
 from .scalars import ONE, QScalar
 from .scatter import ScatteringDiagram, Wall, _cross2
 from .words import Series, degree

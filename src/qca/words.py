@@ -14,9 +14,9 @@ functional that separates the exponents inside every inverted atom.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
-from .qtorus import QTorusElement, SkewLattice, vec, vec_add, vec_neg
+from .qtorus import QTorusElement, SkewLattice, add_terms, skew_product, vec, vec_add, vec_neg
 from .scalars import ONE, QScalar
 
 
@@ -28,75 +28,67 @@ def degree(dvec, n) -> int:
     return sum(map(mul, dvec, n))
 
 
-class Series:
-    """Truncated element of a graded completion of the quantum torus.
+def _within(terms: dict, dvec, cutoff) -> dict:
+    return {n: c for n, c in terms.items() if degree(dvec, n) <= cutoff}
 
-    ``terms`` maps exponents to QScalar coefficients; the series is exact on
-    all degrees <= ``cutoff`` (cutoff None means the element is exact).
+
+class Series(QTorusElement):
+    """Truncated element of a graded completion of the quantum torus: a
+    torus element with a grading ``dvec`` and a ``cutoff``.
+
+    The series is exact on all degrees <= ``cutoff`` and holds no term above
+    it (cutoff None means the element is exact).  Sums and products share
+    the torus element's code; equality ignores the cutoff.
     """
 
-    __slots__ = ("algebra", "dvec", "cutoff", "terms")
+    __slots__ = ("dvec", "cutoff")
 
     def __init__(self, algebra: SkewLattice, dvec, cutoff, terms):
         self.algebra = algebra
         self.dvec = tuple(dvec)
         self.cutoff = cutoff
         if cutoff is not None:
-            terms = {n: c for n, c in terms.items() if degree(self.dvec, n) <= cutoff}
+            terms = _within(terms, self.dvec, cutoff)
         self.terms = {n: c for n, c in terms.items() if not c.is_zero()}
 
-    @staticmethod
-    def from_element(elem: QTorusElement, dvec, cutoff=None) -> "Series":
-        return Series(elem.algebra, dvec, cutoff, dict(elem.terms))
+    def _like(self, terms: dict) -> "Series":
+        return self._cut(terms, self.cutoff)
+
+    def _cut(self, terms: dict, cutoff) -> "Series":
+        """A series on this one's grading holding ``terms`` as they are."""
+        out = Series.__new__(Series)
+        out.algebra, out.dvec, out.cutoff, out.terms = self.algebra, self.dvec, cutoff, terms
+        return out
 
     @staticmethod
     def one(algebra: SkewLattice, dvec, cutoff=None) -> "Series":
         return Series(algebra, dvec, cutoff, {algebra.zero(): ONE})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def min_degree(self):
         if not self.terms:
             return None
-        return min(degree(self.dvec, n) for n in self.terms)
+        dvec = self.dvec
+        return min(sum(map(mul, dvec, n)) for n in self.terms)
 
     def truncate(self, cutoff) -> "Series":
         if self.cutoff is not None and self.cutoff <= cutoff:
             return self
-        return Series(self.algebra, self.dvec, cutoff, self.terms)
+        return self._cut(_within(self.terms, self.dvec, cutoff), cutoff)
 
     def __add__(self, other: "Series") -> "Series":
-        cut = _min_cut(self.cutoff, other.cutoff)
-        d = dict(self.terms)
-        for n, c in other.terms.items():
-            c = d[n] + c if n in d else c
-            if c.is_zero():
-                d.pop(n, None)
+        a, b, cut = self.terms, other.terms, self.cutoff
+        if cut != other.cutoff:  # drop the terms beyond the lower cutoff
+            cut = _min_cut(cut, other.cutoff)
+            if cut == other.cutoff:
+                a = _within(a, self.dvec, cut)
             else:
-                d[n] = c
-        return Series(self.algebra, self.dvec, cut, d)
-
-    def __neg__(self) -> "Series":
-        return Series(self.algebra, self.dvec, self.cutoff,
-                      {n: -c for n, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: QScalar) -> "Series":
-        return Series(self.algebra, self.dvec, self.cutoff,
-                      {n: cv * c for n, cv in self.terms.items()})
+                b = _within(b, self.dvec, cut)
+        return self._cut(add_terms(dict(a), b.items()), cut)
 
     def __mul__(self, other: "Series") -> "Series":
-        alg = self.algebra
-        dvec = self.dvec
-        left = [(n, sum(map(mul, dvec, n)), c) for n, c in self.terms.items()]
-        right = [(m, sum(map(mul, dvec, m)), c) for m, c in other.terms.items()]
-        m1 = min(t[1] for t in left) if left else None
-        m2 = min(t[1] for t in right) if right else None
+        m1, m2 = self.min_degree(), other.min_degree()
         if (m1 is None and self.cutoff is None) or (m2 is None and other.cutoff is None):
-            return Series(alg, self.dvec, None, {})  # exact zero factor
+            return self._cut({}, None)  # exact zero factor
         # unknown terms come from error1*known2, known1*error2, error1*error2
         cands = []
         if self.cutoff is not None:
@@ -107,30 +99,11 @@ class Series:
         if other.cutoff is not None and m1 is not None:
             cands.append(other.cutoff + m1)
         cut = min(cands) if cands else None
-        if m1 is None or m2 is None:
-            return Series(alg, dvec, cut, {})
-        den = alg.form_den
-        d: dict[tuple, QScalar] = {}
-        for n, dn, cn in left:
-            row = alg.row_pairing(n)
-            room = None if cut is None else cut - dn
-            for m, dm, cm in right:
-                if room is not None and dm > room:
-                    continue
-                k = tuple(map(add, n, m))
-                c = cn * cm
-                w = sum(map(mul, row, m))
-                if w:
-                    c = c._qshift(w, den)
-                c = d[k] + c if k in d else c
-                if c.is_zero():
-                    d.pop(k, None)
-                else:
-                    d[k] = c
-        # the loop keeps only nonzero terms within the cutoff
-        out = Series.__new__(Series)
-        out.algebra, out.dvec, out.cutoff, out.terms = alg, dvec, cut, d
-        return out
+        return self._cut(skew_product(self.algebra, self.terms, other.terms,
+                                      self.dvec, cut), cut)
+
+    def __pow__(self, k):  # the torus power would drop the cutoff
+        return NotImplemented
 
     def inverse(self, rel_order: int, what="series") -> "Series":
         """Geometric-series inverse, exact to relative order ``rel_order``.
@@ -168,24 +141,11 @@ class Series:
             j += 1
         return out * minv
 
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[n] == other.terms[n] for n in self.terms)
-
-    def __hash__(self):
-        raise TypeError("Series is not hashable")
-
     def coefficient(self, n) -> QScalar:
         return self.terms.get(vec(n), QScalar.integer(0))
 
-    def as_element(self) -> QTorusElement:
-        return QTorusElement(self.algebra, dict(self.terms))
-
     def __repr__(self):
-        return f"Series({self.as_element().render()}; cutoff={self.cutoff})"
+        return f"Series({self.render()}; cutoff={self.cutoff})"
 
 
 def _label(what) -> str:
@@ -294,7 +254,7 @@ class FactoredWord:
         out = Series.one(self.algebra, dvec).scale(self.prefix)
         anchor = 0
         for p, s in self.atoms:
-            fact = Series.from_element(p, dvec)
+            fact = Series(p.algebra, dvec, None, p.terms)
             fmin = fact.min_degree()
             if s == -1:
                 fact = fact.inverse(order, what=p)

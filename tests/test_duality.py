@@ -10,19 +10,11 @@ from qca.duality import (
     p1_star_injective,
     principal_compatible_pair,
 )
+from qca.fixtures import a23, rank3_frozen
 from qca.mutation import mutate_a_word, mutate_word, x_torus
 from qca.scalars import qpow
 from qca.seeds import Seed, make_fixed_data
 from qca.words import FactoredWord, words_equal
-
-
-def a23():
-    return make_fixed_data([[0, -1], [1, 0]], d=[2, 3])
-
-
-def rank3_frozen():
-    # one frozen direction; compatible pair exists
-    return make_fixed_data([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], unfrozen=[0, 1])
 
 
 def test_p1_star_a23():

@@ -3,8 +3,10 @@
 ``SkewLattice.omega_int`` is checked against a Fraction double sum,
 ``QScalar._qshift`` against an explicit multiplication by ``qpow``, and the
 ``Series`` product against a naive product that evaluates the form in
-Fractions, multiplies by ``qpow`` and applies the cutoff rule afterwards;
-``Series.inverse`` is checked to be a two-sided inverse to its order.
+Fractions, multiplies by ``qpow`` and applies the cutoff rule afterwards,
+``Series`` sums, negation, scaling and truncation against a coefficient-wise
+sum cut at the lower cutoff; ``Series.inverse`` is checked to be a two-sided
+inverse to its order.
 """
 
 import dataclasses
@@ -218,9 +220,64 @@ def test_series_product_of_torus_elements_matches_qtorus_product():
     x = QTorusElement(alg, {(1, 0, 0): qpow(Fraction(1, 3)), (0, 1, -1): 2,
                             (1, 1, 1): 1 + qpow(Fraction(1, 2))})
     y = QTorusElement(alg, {(0, 0, 1): 1, (-1, 2, 0): qpow(Fraction(-5, 6))})
-    got = (Series.from_element(x, (1, 1, 1)) * Series.from_element(y, (1, 1, 1)))
+    got = Series(alg, (1, 1, 1), None, x.terms) * Series(alg, (1, 1, 1), None, y.terms)
     assert got.cutoff is None
-    assert got.as_element() == x * y
+    assert got == x * y
+
+
+def lower(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def naive_combination(parts, cutoff):
+    """The terms of sum c * s over the (c, s) parts, added coefficient by
+    coefficient, keeping the nonzero ones of degree <= cutoff."""
+    out = {}
+    for c, s in parts:
+        for n, x in s.terms.items():
+            out[n] = out.get(n, QScalar.integer(0)) + c * x
+    dvec = parts[0][1].dvec
+    return {n: x for n, x in out.items()
+            if not x.is_zero() and (cutoff is None or degree(dvec, n) <= cutoff)}
+
+
+@st.composite
+def sum_operands(draw):
+    """A series pair where b repeats some of a's exponents, some with the
+    negated coefficient so that the sum cancels there, plus a scalar and a
+    truncation degree."""
+    a, b = draw(series_pairs())
+    terms = dict(b.terms)
+    for n, c in a.terms.items():
+        pick = draw(st.integers(0, 2))
+        if pick:
+            terms[n] = -c if pick == 1 else draw(scalars())
+    b = Series(b.algebra, b.dvec, b.cutoff, terms)
+    return a, b, draw(scalars()), draw(st.integers(-4, 8))
+
+
+@PROPERTY
+@given(sum_operands())
+def test_series_sums_keep_the_lower_cutoff(operands):
+    a, b, c, k = operands
+    one = QScalar.integer(1)
+    cases = [
+        (a + b, [(one, a), (one, b)], lower(a.cutoff, b.cutoff)),
+        (a - b, [(one, a), (-one, b)], lower(a.cutoff, b.cutoff)),
+        (-a, [(-one, a)], a.cutoff),
+        (a.scale(c), [(c, a)], a.cutoff),
+        (a.truncate(k), [(one, a)], lower(a.cutoff, k)),
+    ]
+    for got, parts, cut in cases:
+        assert type(got) is Series and got.dvec == a.dvec
+        assert got.cutoff == cut
+        assert got.terms == naive_combination(parts, cut)
+
+
+def test_series_has_no_torus_power():
+    s = Series.one(SkewLattice.make([[0, 1], [-1, 0]]), (1, 1), 2)
+    with pytest.raises(TypeError):
+        s ** 2
 
 
 @st.composite

@@ -2,6 +2,7 @@ import pytest
 
 from qca.checks import A2_SEQ, double_mutation_is_identity
 from qca.commutative import CPoly, CRational
+from qca.fixtures import a2_tables
 from qca.mutation import (
     apply_mutation_sequence,
     classical_a_table,
@@ -14,10 +15,6 @@ from qca.seeds import Seed, make_fixed_data
 from qca.words import FactoredWord, words_equal
 
 
-def a2():
-    return make_fixed_data([[0, -1], [1, 0]])
-
-
 def crat(fd, num_terms, den_terms=None):
     num = CPoly(fd.n, num_terms)
     dens = [CPoly(fd.n, den_terms)] if den_terms else []
@@ -26,7 +23,7 @@ def crat(fd, num_terms, den_terms=None):
 
 def test_mu_sharp_mu_prime_compose():
     # mu# o mu' equals the one-step mutation on generators, A2, every step
-    fd = a2()
+    fd = a2_tables()
     alg = x_torus(fd)
     seed = Seed(fd)
     for k in A2_SEQ:
@@ -42,7 +39,7 @@ def test_mu_sharp_mu_prime_compose():
 def test_mu_prime_identity_branch():
     # mu' at i=k in cluster coordinates is inversion: on the Weyl monomial
     # X^{e_{k;s'}} = X^{-e_k} it is the identity twist
-    fd = a2()
+    fd = a2_tables()
     alg = x_torus(fd)
     seed = Seed(fd)
     w = FactoredWord.monomial(alg, (0, -1))
@@ -51,13 +48,13 @@ def test_mu_prime_identity_branch():
 
 def test_involutivity_variables():
     # mutating twice restores every cluster variable (A2 rows 0 and 2)
-    assert double_mutation_is_identity(a2(), 0)
-    assert double_mutation_is_identity(a2(), 1)
+    assert double_mutation_is_identity(a2_tables(), 0)
+    assert double_mutation_is_identity(a2_tables(), 1)
 
 
 def test_star_homomorphism():
     # star o mu = mu o star on generators
-    fd = a2()
+    fd = a2_tables()
     alg = x_torus(fd)
     seed = Seed(fd)
     for k in (0, 1):
@@ -70,7 +67,7 @@ def test_star_homomorphism():
 
 def test_classical_a_table_laurent():
     # Laurent phenomenon: A-side rows have monomial denominators
-    fd = a2()
+    fd = a2_tables()
     for coeff in (False, True):
         rows = classical_a_table(fd, A2_SEQ, with_coefficients=coeff)
         for seed, vals in rows:
@@ -89,7 +86,7 @@ def test_a_classical_example():
 
 
 def test_aprin_reduces_to_a_classical_at_t1():
-    fd = a2()
+    fd = a2_tables()
     rows_t = classical_a_table(fd, A2_SEQ, with_coefficients=True)
     rows_0 = classical_a_table(fd, A2_SEQ, with_coefficients=False)
     for (s1, vt), (s2, v0) in zip(rows_t, rows_0):
@@ -98,7 +95,7 @@ def test_aprin_reduces_to_a_classical_at_t1():
 
 
 def test_apply_mutation_sequence_modes():
-    fd = a2()
+    fd = a2_tables()
     rows = apply_mutation_sequence(fd, A2_SEQ, "x-quantum-coeff")
     assert len(rows) == 6
     assert rows[5]["cvectors"] == [[0, 1], [1, 0]]
@@ -111,7 +108,7 @@ def test_apply_mutation_sequence_modes():
 
 def test_apply_sequence_involution_rows():
     # row 2 equals row 0 after mutating twice in the same direction
-    fd = a2()
+    fd = a2_tables()
     rows = apply_mutation_sequence(fd, [1, 1], "x-quantum-coeff")
     assert rows[2]["epsilon"] == rows[0]["epsilon"]
     assert rows[2]["cvectors"] == rows[0]["cvectors"]

@@ -1,9 +1,7 @@
 import random
-from fractions import Fraction
-
-import pytest
 
 from qca.commutative import CPoly, CRational
+from qca.fixtures import a2_tables
 from qca.mutation import x_torus
 from qca.poisson import (
     check_poisson_map,
@@ -12,12 +10,8 @@ from qca.poisson import (
     semiclassical_bracket,
 )
 from qca.qtorus import QTorusElement
-from qca.scalars import QScalar, TScalar
+from qca.scalars import TScalar
 from qca.seeds import Seed, make_fixed_data
-
-
-def a2():
-    return make_fixed_data([[0, -1], [1, 0]])
 
 
 def ets(n):
@@ -60,7 +54,7 @@ def test_semiclassical_jacobi():
 
 def test_bracket_routes_agree_on_monomials():
     # semiclassical bracket equals bivector bracket on monomial grids
-    fd = a2()
+    fd = a2_tables()
     alg = x_torus(fd)
     s = Seed(fd)
     for a1 in range(-3, 4):
@@ -76,7 +70,7 @@ def test_bracket_routes_agree_on_monomials():
 
 
 def test_bracket_on_products():
-    fd = a2()
+    fd = a2_tables()
     alg = x_torus(fd)
     s = Seed(fd)
     a = QTorusElement.monomial(alg, (1, 0)) + QTorusElement.monomial(alg, (0, 2))
@@ -87,7 +81,7 @@ def test_bracket_on_products():
 
 
 def test_poisson_axioms():
-    fd = a2()
+    fd = a2_tables()
     s = Seed(fd)
     rng = random.Random(13)
 
@@ -116,7 +110,7 @@ def test_poisson_axioms():
 
 
 def test_jacobi_on_laurent_monomials():
-    fd = a2()
+    fd = a2_tables()
     s = Seed(fd)
     rng = random.Random(23)
     for _ in range(12):
@@ -132,7 +126,7 @@ def test_jacobi_on_laurent_monomials():
 
 
 def test_poisson_map_a2():
-    fd = a2()
+    fd = a2_tables()
     s = Seed(fd)
     for k in (0, 1):
         report = check_poisson_map(s, k)
@@ -165,7 +159,7 @@ def test_poisson_map_degenerate_pair():
 
 def test_coefficient_bilinearity():
     # t-coefficients are Casimir-like: the bracket is TScalar-bilinear
-    fd = a2()
+    fd = a2_tables()
     s = Seed(fd)
     t1x1 = CRational(CPoly(2, {(1, 0): TScalar({(1,): 1})}))
     x2 = CRational.variable(2, 1)

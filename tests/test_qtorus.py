@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from qca.qtorus import (
     QTorusElement,
     SkewLattice,

@@ -7,6 +7,7 @@ from qca.checks import (
     grid,
     new_walls,
 )
+from qca.fixtures import a23, a2_scattering
 from qca.scalars import ONE, qpow, vpow
 from qca.scatter import (
     appendix_b_closed_form,
@@ -17,17 +18,8 @@ from qca.scatter import (
 from qca.seeds import make_fixed_data
 
 
-def a2_scat():
-    # the Fig. 1 fixture: {e1,e2} = +1, d = (1,1)
-    return make_fixed_data([[0, 1], [-1, 0]])
-
-
-def a23():
-    return make_fixed_data([[0, -1], [1, 0]], d=[2, 3])
-
-
 def test_initial_a2_walls():
-    dg = initial_diagram(a2_scat(), side="A", quantum=False)
+    dg = initial_diagram(a2_scattering(), side="A", quantum=False)
     funcs = {}
     for w in dg.walls:
         assert w.incoming and w.full_line and w.kind == "classical"
@@ -45,7 +37,7 @@ def test_initial_diagram_requires_injectivity():
 
 
 def test_classical_crossing_exponent_one():
-    dg = initial_diagram(a2_scat(), side="A", quantum=False, order=3)
+    dg = initial_diagram(a2_scattering(), side="A", quantum=False, order=3)
     wall_a2 = next(w for w in dg.walls if w.direction == (0, 1))
     got = wall_crossing(dg, wall_a2, (1, 0), 1, order=3)
     # (1 + A2) A^{f1}
@@ -61,7 +53,7 @@ def test_a2_loop_discrepancy_at_degree_two():
     # degree-2 term A2 = A^{f2-f1} A^{f1} (the driver of completion); the
     # degree-3 tail is -A1^{-1} A2.  Oracle: hand composition of the two
     # crossing operators.
-    dg = initial_diagram(a2_scat(), side="A", quantum=False, order=2)
+    dg = initial_diagram(a2_scattering(), side="A", quantum=False, order=2)
     got = dg.path_ordered_product((1, 0), 2)
     assert got.terms != {(1, 0): ONE}
     assert got.coefficient((1, 0)) == ONE
@@ -126,11 +118,11 @@ def test_x_side_quantum_a2():
 
 def test_classical_x_side_rejected():
     with pytest.raises(ValueError):
-        initial_diagram(a2_scat(), side="X", quantum=False)
+        initial_diagram(a2_scattering(), side="X", quantum=False)
 
 
 def test_json_export():
-    dg = complete_to_order(initial_diagram(a2_scat(), quantum=False, order=2), 2)
+    dg = complete_to_order(initial_diagram(a2_scattering(), quantum=False, order=2), 2)
     data = dg.to_json()
     assert len(data["walls"]) == 3
     kinds = {w["kind"] for w in data["walls"]}

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qca.checks import A2_SEQ, CVECTORS, EPSILONS
+from qca.fixtures import a23, a2_tables
 from qca.seeds import (
     Seed,
     cluster_chamber,
@@ -12,16 +13,6 @@ from qca.seeds import (
     langlands_dual,
     make_fixed_data,
 )
-
-
-def a2_tables():
-    # Table 1/2 fixture: eps = ((0,-1),(1,0))
-    return make_fixed_data([[0, -1], [1, 0]])
-
-
-def a23():
-    # eps = ((0,-3),(2,0)): {e1,e2} = -1, d = (2,3)
-    return make_fixed_data([[0, -1], [1, 0]], d=[2, 3])
 
 
 def test_make_fixed_data_a2():

@@ -3,19 +3,15 @@ from fractions import Fraction
 import pytest
 
 from qca.checks import fig3_coefficient
+from qca.fixtures import a23
 from qca.scalars import ONE, QScalar
 from qca.scatter import complete_to_order, initial_diagram
-from qca.seeds import make_fixed_data
 from qca.theta import (
     enumerate_broken_lines,
     greedy_T,
     theta_coefficient,
     theta_function,
 )
-
-
-def a23():
-    return make_fixed_data([[0, -1], [1, 0]], d=[2, 3])
 
 
 def a23_diagram(quantum=True, order=2):

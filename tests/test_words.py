@@ -1,10 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from qca.qtorus import QTorusElement, SkewLattice
-from qca.scalars import ONE, QScalar, qpow, vpow
+from qca.scalars import ONE, qpow, vpow
 from qca.words import (
     ExpansionError,
     FactoredWord,
