@@ -6,6 +6,7 @@ strings); outputs are byte-deterministic for identical invocations."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -202,13 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--sequence", default="", help="1-based directions, e.g. 2,1,2")
     sp.add_argument("--mode", choices=MODES, required=True)
-    sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("mutate", help="final row after a mutation sequence")
     add_common(sp)
     sp.add_argument("--sequence", required=True)
     sp.add_argument("--mode", choices=MODES, required=True)
-    sp.set_defaults(func=cmd_mutate)
 
     sp = sub.add_parser("scatter", help="complete a rank-2 scattering diagram")
     add_common(sp)
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--side", choices=("A", "X"), default="A")
     sp.add_argument("--emit-svg")
     sp.add_argument("--emit-json")
-    sp.set_defaults(func=cmd_scatter)
 
     sp = sub.add_parser("theta", help="broken lines and theta functions")
     add_common(sp)
@@ -229,30 +227,32 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--classical", action="store_true")
     sp.add_argument("--emit-svg")
     sp.add_argument("--emit-json")
-    sp.set_defaults(func=cmd_theta)
 
     sp = sub.add_parser("pstar", help="compatible pair and p* intertwining")
     add_common(sp)
     sp.add_argument("--check-intertwining", action="store_true")
     sp.add_argument("--order", type=int, default=8)
-    sp.set_defaults(func=cmd_pstar)
 
     sp = sub.add_parser("poisson", help="Poisson-map verification")
     add_common(sp)
     sp.add_argument("--k", type=int, help="1-based mutation direction")
-    sp.set_defaults(func=cmd_poisson)
 
     sp = sub.add_parser("check", help="run the self-check suites")
     sp.add_argument("--suite", choices=("all",) + tuple(SUITES), default="all")
-    sp.set_defaults(func=cmd_check)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up by name on each call, so a rebound cmd_<verb> takes effect
+    command = globals()[f"cmd_{args.verb}"]
     try:
-        return args.func(args)
+        return command(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

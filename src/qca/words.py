@@ -326,8 +326,8 @@ class FactoredWord:
         return f"FactoredWord({self.render()})"
 
 
-def _dilog_factor_word(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
-                       exp_sign: int, power: int, count: int) -> FactoredWord:
+def dilog_factor_word(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
+                      exp_sign: int, power: int, count: int) -> FactoredWord:
     """Product of count factors (1 + Q^{exp_sign (2l-1)} y)^{power} with
     y = coeff * X^w and Q = q^h.  The factors commute pairwise."""
     atoms = []
@@ -350,7 +350,25 @@ def dilog_conjugation_factors(alg: SkewLattice, u: int, coeff: QScalar,
     opposite q-exponent signs, the two being equal after commuting past A^m.
     """
     s = 1 if u > 0 else -1
-    return _dilog_factor_word(alg, h, coeff, vec(direction), s, s, abs(u))
+    return dilog_factor_word(alg, h, coeff, vec(direction), s, s, abs(u))
+
+
+def dilog_pairings(alg: SkewLattice, h: Fraction, w, exponents) -> dict:
+    """The integer pairing p_v = omega(w, v) / h of each exponent v with the
+    dilogarithm Psi_{q^h}(X^w), as {v: p_v}; ValueError if one is not an
+    integer."""
+    # p_v = omega_int(w, v) / (form_den * h), in integers
+    row = alg.row_pairing(w)
+    top, bottom = h.denominator, alg.form_den * h.numerator
+    out = {}
+    for v in exponents:
+        pv = sum(map(mul, row, v)) * top
+        if pv % bottom:
+            raise ValueError(
+                f"non-integral dilogarithm pairing {Fraction(pv, bottom)} "
+                f"for exponent {v}")
+        out[v] = pv // bottom
+    return out
 
 
 def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction,
@@ -362,17 +380,7 @@ def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction,
     A general p is split as X^{v0} * (X^{-v0} p) with v0 chosen so that the
     shifted part conjugates to an honest polynomial (all atom powers +1).
     """
-    # p_v = omega_int(w, v) / (form_den * h), in integers
-    row = alg.row_pairing(w)
-    top, bottom = h.denominator, alg.form_den * h.numerator
-    pairings = {}
-    for v in p.terms:
-        pv = sum(map(mul, row, v)) * top
-        if pv % bottom:
-            raise ValueError(
-                f"non-integral dilogarithm pairing {Fraction(pv, bottom)} "
-                f"for exponent {v}")
-        pairings[v] = pv // bottom
+    pairings = dilog_pairings(alg, h, w, p.terms)
     if action == 1:
         v0 = min(pairings, key=lambda v: (pairings[v], v))
     else:
@@ -380,7 +388,7 @@ def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction,
     p0 = pairings[v0]
 
     s0 = 1 if p0 > 0 else -1
-    factors = _dilog_factor_word(alg, h, coeff, w, s0, action * s0, abs(p0))
+    factors = dilog_factor_word(alg, h, coeff, w, s0, action * s0, abs(p0))
     head = FactoredWord.monomial(alg, v0) * factors
 
     shifted = QTorusElement.monomial(alg, vec_neg(v0)) * p
@@ -390,8 +398,8 @@ def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction,
             return head.scale(c)
     tail = QTorusElement(alg, {})
     one = QTorusElement.one(alg)
-    for v, c in shifted.terms.items():
-        pv = sum(map(mul, row, v)) * top // bottom
+    for v, pv in dilog_pairings(alg, h, w, shifted.terms).items():
+        c = shifted.terms[v]
         assert action * pv >= 0  # anchor choice guarantees polynomial factors
         sv = 1 if pv > 0 else -1
         piece = QTorusElement.monomial(alg, v, c)

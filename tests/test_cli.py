@@ -149,3 +149,27 @@ def test_seed_file_missing_key_is_a_clean_error(key, capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and repr(key) in err
+
+
+def test_parser_is_reused_across_calls(seeds, capsys, monkeypatch):
+    from qca import cli
+
+    # different verbs in a row on the one parser, then a usage error; no
+    # option value carries over from one call to the next
+    code, out, _ = run(capsys, ["poisson", "--seed", seeds["a2"], "--k", "1"])
+    assert code == 0 and "mu_1: ok" in out and "mu_2" not in out
+    code, out, _ = run(capsys, ["table", "--seed", seeds["a2"],
+                                "--mode", "x-classical"])
+    assert code == 0 and out.startswith("step 0 (initial)")
+    code, out, _ = run(capsys, ["poisson", "--seed", seeds["a2"]])
+    assert code == 0 and "mu_1: ok" in out and "mu_2: ok" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["poisson", "--seed", seeds["a2"], "--mode", "x-classical"])
+    assert exc.value.code == 2
+    assert cli._parser() is cli._parser()
+    # the command is looked up by name on each call, so a rebound
+    # cmd_<verb> (as the benchmark's tracer installs) is the one that runs
+    calls = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: calls.append(args.suite) or 0)
+    assert main(["check", "--suite", "tables"]) == 0
+    assert calls == ["tables"]
