@@ -116,13 +116,10 @@ def skew_product(alg: SkewLattice, left: dict, right: dict, dvec, cutoff) -> dic
     """The terms of (sum left) * (sum right), X^n X^m = q^{omega(n, m)} X^{n+m}.
 
     Unless ``cutoff`` is None, only the products of degree <= cutoff under
-    the grading ``dvec`` are formed."""
-    return add_terms({}, _skew_pairs(alg, left, right, dvec, cutoff))
-
-
-def _skew_pairs(alg, left, right, dvec, cutoff):
-    """Each product term (n + m, q^{omega(n, m)} cn cm) in turn, unmerged."""
+    the grading ``dvec`` are formed.  Terms are merged as they are formed,
+    as in :func:`add_terms`."""
     den = alg.form_den
+    out: dict = {}
     todo = list(right.items())
     if cutoff is not None:
         graded = [(m, cm, sum(map(mul, dvec, m))) for m, cm in todo]
@@ -136,7 +133,14 @@ def _skew_pairs(alg, left, right, dvec, cutoff):
             w = sum(map(mul, row, m))
             if w:
                 c = c._qshift(w, den)
-            yield tuple(map(add, n, m)), c
+            k = tuple(map(add, n, m))
+            if k in out:
+                c = out[k] + c
+                if c.is_zero():
+                    del out[k]
+                    continue
+            out[k] = c
+    return out
 
 
 class QTorusElement:

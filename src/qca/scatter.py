@@ -4,14 +4,16 @@ order-by-order consistency completion.
 
 Supports live in the plane of the M*-lattice (f-coordinates); normals are
 primitive vectors of N+.  Crossing a wall with sign s (the sign of
-<n_wall, -gamma'>) applies, per kind:
+<n_wall, -gamma'>) is a ring automorphism sending each term c X^m to
+c X^m F, where the factor F depends on m only through one integer pairing
+p with the wall (Kontsevich-Soibelman; Gross-Hacking-Keel-Kontsevich):
 
-  classical     A^u -> f^{s <n', u>} A^u, f the wall function, n' the
-                primitive N*-multiple of the normal;
-  dilog         Ad^{-s} of Psi_Q(X^v), evaluated by the exact finite
-                factor products;
-  log           x -> exp(-s g) x exp(s g) for g = sum_j a_j X^{j v}/(q-q^{-1}),
-                expanded to the requested order.
+  classical     p = <n', m>, n' the primitive N*-multiple of the normal,
+                and F = f^{s p}, f the wall function;
+  dilog         p = omega(v, m)/h for Psi_{q^h}(X^v), and F is the product
+                of |p| binomials that realizes Ad^{-s} Psi_Q(X^v);
+  log           p = form_den omega(v, m), and F = X^-m exp(-s g) X^m exp(s g)
+                for g = sum_j a_j X^{j v}/(q-q^{-1}).
 
 Generated walls are outgoing rays R>=0 (-p1*(n)); the loop is a full
 counterclockwise circle starting inside the initial chamber.
@@ -25,10 +27,10 @@ from math import gcd
 
 from .duality import p1_star, p1_star_injective, principal_compatible_pair
 from .mutation import a_torus, x_torus
-from .qtorus import SkewLattice, vec, vec_neg
+from .qtorus import QTorusElement, SkewLattice, add_terms, skew_product, vec, vec_neg
 from .scalars import ONE, QScalar, qpow
 from .seeds import FixedData, Seed, _primitive
-from .words import Series, degree, dilog_factor_word, dilog_pairings
+from .words import FactoredWord, Series, degree, dilog_factor_word, dilog_pairings
 
 
 class ConsistencyError(ArithmeticError):
@@ -97,8 +99,9 @@ class ScatteringDiagram:
         # for m = dir_map(n)
         self.dvec, self.dscale = self._torus_grading()
         self.walls: list[Wall] = []
-        # crossing factors: (wall id, power, rel) -> Series for classical
-        # walls, (wall id, sign, pairing, rel) -> Series for dilog walls
+        # (wall id, sign, p) -> the crossing factor F of every kind, and
+        # (wall id, sign) -> exp(sign g) of a log wall; each Series is kept
+        # at the highest relative order asked for and truncated on use
         self._fcache: dict = {}
         self._seq_cache: dict = {}  # (orientation, base) -> crossing list
 
@@ -135,92 +138,84 @@ class ScatteringDiagram:
         return sum(Fraction(a * b, d) for a, b, d in zip(n, m, self.fd.d))
 
     # -- crossing operators -----------------------------------------------------------
-    def cross(self, wall: Wall, series: Series, sign: int, cutoff=None) -> Series:
+    def cross(self, wall: Wall, series: Series, sign: int, cutoff: int) -> Series:
+        """Cross ``wall`` with sign ``sign``: each term c X^m becomes
+        (c X^m F).truncate(cutoff), F the wall's factor for the integer
+        pairing p of m with the wall."""
         if sign == 0:
             raise ValueError("tangential wall crossing")
-        if wall.kind == "classical":
-            return self._cross_classical(wall, series, sign, cutoff)
-        if wall.kind == "dilog":
-            return self._cross_dilog(wall, series, sign, cutoff)
-        return self._cross_log(wall, series, sign, cutoff)
-
-    def _function_series(self, wall: Wall, power: int, cutoff: int) -> Series:
-        base = Series(self.torus, self.dvec, cutoff, {
-            self.torus.zero(): ONE,
-            **{tuple(j * x for x in wall.direction): c
-               for j, c in wall.function.items()},
-        })
-        if power >= 0:
-            out = Series.one(self.torus, self.dvec, cutoff)
-            for _ in range(power):
-                out = out * base
-            return out
-        inv = base.inverse(cutoff)
-        out = Series.one(self.torus, self.dvec, cutoff)
-        for _ in range(-power):
-            out = out * inv
-        return out
-
-    def _cross_classical(self, wall, series, sign, cutoff):
-        cutoff = cutoff if cutoff is not None else series.cutoff
-        npr = self.nprime(wall.normal)
-        mdeg = series.min_degree()
-        rel = cutoff - mdeg if (cutoff is not None and mdeg is not None) \
-            else self.order * self.dscale
-        rel = max(rel, 0)
-        out = Series(self.torus, self.dvec, cutoff, {})
+        torus, dvec = self.torus, self.dvec
+        pairings = self._pairings(wall, series.terms)
+        terms: dict = {}
         for m, c in series.terms.items():
+            rel = cutoff - degree(dvec, m)
+            if rel >= 0:
+                factor = self._factor(wall, sign, pairings[m], rel)
+                add_terms(terms, skew_product(torus, {m: c}, factor.terms,
+                                              dvec, cutoff).items())
+        return Series(torus, dvec, cutoff, terms)
+
+    def _pairings(self, wall: Wall, exponents) -> dict:
+        """{m: p}, the integer pairing of each exponent m with the wall."""
+        if wall.kind == "dilog":
+            return dilog_pairings(self.torus, wall.dilog[0], wall.direction, exponents)
+        if wall.kind == "log":
+            return {m: self.torus.omega_int(wall.direction, m) for m in exponents}
+        npr = self.nprime(wall.normal)
+        out = {}
+        for m in exponents:
             p = self.pair_nm(npr, m)
             if p.denominator != 1:
                 raise ArithmeticError("non-integral classical crossing exponent")
-            p = sign * int(p)
-            key = (id(wall), p, rel)
-            power = self._fcache.get(key)
-            if power is None:
-                power = self._fcache[key] = self._function_series(wall, p, rel)
-            mono = Series(self.torus, self.dvec, None, {m: c})
-            out = out + (power * mono).truncate(cutoff)
+            out[m] = int(p)
         return out
 
-    def _cross_dilog(self, wall, series, sign, cutoff):
-        """c X^m -> c X^m F with F the expanded product of |p_m| dilogarithm
-        binomials, cached per (wall, sign, p_m, relative order)."""
-        cutoff = cutoff if cutoff is not None else series.cutoff
-        h, coeff = wall.dilog
-        pairings = dilog_pairings(self.torus, h, wall.direction, series.terms)
-        out = Series(self.torus, self.dvec, cutoff, {})
-        for m, c in series.terms.items():
-            p = pairings[m]
-            rel = (cutoff - degree(self.dvec, m)) if cutoff is not None \
-                else self.order * self.dscale
-            rel = max(rel, 0)
-            key = (id(wall), sign, p, rel)
-            factor = self._fcache.get(key)
-            if factor is None:
-                s0 = 1 if p > 0 else -1
-                word = dilog_factor_word(self.torus, h, coeff, wall.direction,
-                                         s0, -sign * s0, abs(p))
-                factor = self._fcache[key] = word.expand(self.dvec, rel).truncate(rel)
-            mono = Series(self.torus, self.dvec, None, {m: c})
-            out = out + (mono * factor).truncate(cutoff)
-        return out
+    def _factor(self, wall: Wall, sign: int, p: int, rel: int) -> Series:
+        """The crossing factor F for pairing p, exact to relative order
+        ``rel``: cached at the highest order asked for."""
+        key = (id(wall), sign, p)
+        factor = self._fcache.get(key)
+        if factor is None or factor.cutoff < rel:
+            factor = self._fcache[key] = self._build_factor(wall, sign, p, rel)
+        return factor
 
-    def _cross_log(self, wall, series, sign, cutoff):
-        cutoff = cutoff if cutoff is not None else series.cutoff
-        smin = series.min_degree()
-        if smin is None or cutoff is None:
-            return series
-        g_terms = {}
-        qq = (qpow(1) - qpow(-1)).inverse()
-        for j, a in wall.log_coeffs.items():
-            g_terms[tuple(j * x for x in wall.direction)] = a * qq
-        g = Series(self.torus, self.dvec, None, g_terms)
-        ecut = cutoff - min(smin, 0)
-        expp = _exp_series(g, ecut, self.torus, self.dvec)
-        expm = _exp_series(g.scale(QScalar.integer(-1)), ecut, self.torus, self.dvec)
-        if sign > 0:
-            return (expm * series * expp).truncate(cutoff)
-        return (expp * series * expm).truncate(cutoff)
+    def _build_factor(self, wall: Wall, sign: int, p: int, rel: int) -> Series:
+        torus, dvec = self.torus, self.dvec
+        if wall.kind == "log":
+            # X^-m X^{jv} X^m = q^{2 j p / form_den} X^{jv}
+            v = wall.direction
+            i = 0 if v[0] else 1
+            down = self._exp(wall, -sign, rel)
+            down = Series(torus, dvec, rel, {
+                n: c._qshift(2 * p * (n[i] // v[i]), torus.form_den)
+                for n, c in down.terms.items()})
+            return down * self._exp(wall, sign, rel)
+        if wall.kind == "dilog":
+            h, coeff = wall.dilog
+            s0 = 1 if p > 0 else -1
+            word = dilog_factor_word(torus, h, coeff, wall.direction, s0, -sign * s0, abs(p))
+        else:
+            f = QTorusElement(torus, {
+                torus.zero(): ONE,
+                **{tuple(j * x for x in wall.direction): c for j, c in wall.function.items()},
+            })
+            word = FactoredWord(torus, ONE, ((f, 1 if sign * p > 0 else -1),) * abs(p))
+        return word.expand(dvec, rel).truncate(rel)
+
+    def _exp(self, wall: Wall, sign: int, rel: int) -> Series:
+        """exp(sign g) of a log wall, g = sum_j a_j X^{jv}/(q - q^{-1}), exact
+        to degree ``rel`` or beyond: cached at the highest order asked for."""
+        key = (id(wall), sign)
+        out = self._fcache.get(key)
+        if out is None or out.cutoff < rel:
+            qq = (qpow(1) - qpow(-1)).inverse()
+            g = Series(self.torus, self.dvec, None, {
+                tuple(j * x for x in wall.direction): a * qq
+                for j, a in wall.log_coeffs.items()})
+            if sign < 0:
+                g = g.scale(QScalar.integer(-1))
+            out = self._fcache[key] = _exp_series(g, rel, self.torus, self.dvec)
+        return out
 
     # -- geometry of the standard loop ---------------------------------------------
     def base_direction(self) -> tuple[int, int]:
@@ -320,8 +315,6 @@ class ScatteringDiagram:
 
 
 def _exp_series(g: Series, cutoff: int, torus, dvec) -> Series:
-    if cutoff is None:
-        raise ValueError("exponentials need an explicit truncation order")
     out = Series.one(torus, dvec, cutoff)
     term = Series.one(torus, dvec, cutoff)
     k = 1

@@ -397,15 +397,11 @@ def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction,
         if n == alg.zero():
             return head.scale(c)
     tail = QTorusElement(alg, {})
-    one = QTorusElement.one(alg)
     for v, pv in dilog_pairings(alg, h, w, shifted.terms).items():
-        c = shifted.terms[v]
         assert action * pv >= 0  # anchor choice guarantees polynomial factors
-        sv = 1 if pv > 0 else -1
-        piece = QTorusElement.monomial(alg, v, c)
-        for ell in range(1, abs(pv) + 1):
-            binom = one + QTorusElement.monomial(
-                alg, w, coeff._qshift(h.numerator * sv * (2 * ell - 1), h.denominator))
+        piece = QTorusElement.monomial(alg, v, shifted.terms[v])
+        for binom, _ in dilog_factor_word(alg, h, coeff, w, 1 if pv > 0 else -1,
+                                          1, abs(pv)).atoms:
             piece = piece * binom
         tail = tail + piece
     return head * FactoredWord.from_element(tail)

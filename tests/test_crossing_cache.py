@@ -1,20 +1,31 @@
-"""The cached dilogarithm crossing factors against the word path.
+"""The cached crossing factors of every wall kind against whole-series
+oracles.
 
-Crossing a dilogarithm wall sends c X^m to c X^m F, with F the expanded
-product of |p_m| binomials; ``ScatteringDiagram._cross_dilog`` keeps F per
-(wall, sign, p_m, relative order).  The oracle conjugates each term as a
-factored word and expands it, as the crossing did before the cache.
+Crossing a wall sends each term c X^m to c X^m F, with F fixed by one
+integer pairing p of m with the wall; ``ScatteringDiagram.cross`` keeps F
+per (wall, sign, p) at the highest relative order asked for, and
+exp(+-g) of a log wall per (wall, sign).  The oracles compute each crossing
+without the cache: per term f^{s p} on classical walls, each term
+conjugated as a factored word and expanded on dilogarithm walls (as the
+crossing did before the cache), and exp(-s g) S exp(s g) on the whole series
+on log walls.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from qca.fixtures import a23
-from qca.scalars import QScalar, qpow
-from qca.scatter import _complete_degree, initial_diagram
+from qca.scalars import ONE, QScalar, qpow
+from qca.scatter import _complete_degree, complete_to_order, initial_diagram
 from qca.seeds import make_fixed_data
-from qca.words import FactoredWord, Series, degree, dilog_pairings
+from qca.words import FactoredWord, Series, degree
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def completed(fd, quantum, order):
+    return complete_to_order(initial_diagram(fd, side="A", quantum=quantum,
+                                             order=order), order)
+
 
 # one diagram per case, shared by every example so that later examples hit
 # entries cached by earlier ones
@@ -22,6 +33,8 @@ DIAGRAMS = {
     "a23-A": initial_diagram(a23(), side="A", quantum=True, order=3),
     "a2-X": initial_diagram(make_fixed_data([[0, 1], [-1, 0]]), side="X",
                             quantum=True, order=3),
+    "a23-classical": completed(a23(), False, 4),   # a two-term wall function
+    "a23-quantum": completed(a23(), True, 4),      # log walls, one with a_1, a_2
 }
 BOX = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
 
@@ -37,11 +50,66 @@ def word_path(dg, wall, series, sign, cutoff) -> Series:
     return out
 
 
+def function_power(dg, wall, power, rel) -> Series:
+    """f^power for the wall function f, exact to degree rel."""
+    f = Series(dg.torus, dg.dvec, rel, {
+        dg.torus.zero(): ONE,
+        **{tuple(j * x for x in wall.direction): c for j, c in wall.function.items()},
+    })
+    if power < 0:
+        f, power = f.inverse(rel), -power
+    out = Series.one(dg.torus, dg.dvec, rel)
+    for _ in range(power):
+        out = out * f
+    return out
+
+
+def classical_path(dg, wall, series, sign, cutoff) -> Series:
+    """c A^m -> f^{s <n', m>} c A^m, term by term."""
+    npr = dg.nprime(wall.normal)
+    out = Series(dg.torus, dg.dvec, cutoff, {})
+    for m, c in series.terms.items():
+        p = dg.pair_nm(npr, m)
+        assert p.denominator == 1
+        rel = max(cutoff - degree(dg.dvec, m), 0)
+        mono = Series(dg.torus, dg.dvec, None, {m: c})
+        out = out + (function_power(dg, wall, sign * int(p), rel) * mono).truncate(cutoff)
+    return out
+
+
+def exp_series(g: Series, cutoff) -> Series:
+    """sum_k g^k / k! to degree cutoff, g of positive degree."""
+    out = term = Series.one(g.algebra, g.dvec, cutoff)
+    k = 1
+    while k * g.min_degree() <= cutoff:
+        term = (term * g).truncate(cutoff).scale(QScalar.rational(1, k))
+        out = out + term
+        k += 1
+    return out
+
+
+def log_path(dg, wall, series, sign, cutoff) -> Series:
+    """exp(-s g) S exp(s g) on the whole series."""
+    qq = (qpow(1) - qpow(-1)).inverse()
+    g = Series(dg.torus, dg.dvec, None, {
+        tuple(j * x for x in wall.direction): QScalar.integer(sign) * a * qq
+        for j, a in wall.log_coeffs.items()})
+    ecut = cutoff - min(series.min_degree(), 0)
+    exact = Series(dg.torus, dg.dvec, None, series.terms)
+    return (exp_series(-g, ecut) * exact * exp_series(g, ecut)).truncate(cutoff)
+
+
+ORACLES = {"classical": classical_path, "dilog": word_path, "log": log_path}
+
+
+def oracle(dg, wall, series, sign, cutoff) -> Series:
+    return ORACLES[wall.kind](dg, wall, series, sign, cutoff)
+
+
 def pools(dg, wall):
     """The exponents of BOX with a positive, zero and negative pairing."""
     out = {1: [], 0: [], -1: []}
-    pairings = dilog_pairings(dg.torus, wall.dilog[0], wall.direction, BOX)
-    for m, p in pairings.items():
+    for m, p in dg._pairings(wall, BOX).items():
         out[(p > 0) - (p < 0)].append(m)
     return out
 
@@ -53,7 +121,7 @@ def crossings(draw):
     dg = DIAGRAMS[draw(st.sampled_from(sorted(DIAGRAMS)))]
     wall = draw(st.sampled_from(dg.walls))
     by_sign = pools(dg, wall)
-    exps = {draw(st.sampled_from(by_sign[s])) for s in (1, 0, -1)}
+    exps = {draw(st.sampled_from(by_sign[s])) for s in (1, 0, -1) if by_sign[s]}
     exps |= set(draw(st.lists(st.sampled_from(BOX), max_size=3)))
     terms = {}
     for m in sorted(exps):
@@ -71,38 +139,88 @@ def assert_same(got: Series, want: Series):
 
 @PROPERTY
 @given(crossings())
-def test_cached_crossing_matches_word_path(case):
+def test_cached_crossing_matches_oracle(case):
     dg, wall, series, cutoff = case
-    # both signs and two cutoffs on one cache: a key that dropped the sign
-    # or the relative order would hand one of these calls a wrong factor
+    # both signs and two cutoffs on one cache: a key that dropped the sign,
+    # or an entry served below the order asked for, would hand one of these
+    # calls a wrong factor
     for cut in (cutoff, cutoff + dg.dscale):
         for sign in (1, -1):
-            got = dg._cross_dilog(wall, series, sign, cut)
-            assert_same(got, word_path(dg, wall, series, sign, cut))
+            got = dg.cross(wall, series, sign, cut)
+            assert_same(got, oracle(dg, wall, series, sign, cut))
+
+
+def fresh(name):
+    """A new diagram of the same case, with an empty cache."""
+    dg = {
+        "a23-A": lambda: initial_diagram(a23(), side="A", quantum=True, order=3),
+        "a23-classical": lambda: completed(a23(), False, 4),
+        "a23-quantum": lambda: completed(a23(), True, 4),
+    }[name]()
+    dg._fcache.clear()
+    return dg
+
+
+CASES = [("a23-A", 0), ("a23-classical", 2), ("a23-quantum", 2)]
+
+
+def sample(dg, cutoff):
+    terms = {m: QScalar.integer(1) for m in ((1, 0), (0, 1), (-1, 2), (2, -1))}
+    return Series(dg.torus, dg.dvec, cutoff, terms)
 
 
 def test_cache_miss_then_hit():
-    dg = initial_diagram(a23(), side="A", quantum=True, order=3)
-    wall = dg.walls[0]
-    terms = {m: QScalar.integer(1) for m in ((1, 0), (0, 1), (-1, 2), (2, -1))}
-    cutoff = 3 * dg.dscale
-    series = Series(dg.torus, dg.dvec, cutoff, terms)
-    assert dg._fcache == {}
-    first = dg._cross_dilog(wall, series, 1, cutoff)       # misses fill it
-    entries = dict(dg._fcache)
-    assert entries and all(key[:2] == (id(wall), 1) for key in entries)
-    second = dg._cross_dilog(wall, series, 1, cutoff)      # hits reuse it
-    assert dg._fcache.keys() == entries.keys()
-    assert all(dg._fcache[k] is v for k, v in entries.items())
-    assert_same(second, first)
-    assert_same(first, word_path(dg, wall, series, 1, cutoff))
+    for name, index in CASES:
+        dg = fresh(name)
+        wall = dg.walls[index]
+        cutoff = 3 * dg.dscale
+        series = sample(dg, cutoff)
+        first = dg.cross(wall, series, 1, cutoff)       # misses fill it
+        entries = dict(dg._fcache)
+        assert entries and all(key[:2] == (id(wall), 1) for key in entries
+                               if len(key) == 3)
+        if wall.kind == "log":  # exp(-g) and exp(g), one entry each
+            assert {key for key in entries if len(key) == 2} == {
+                (id(wall), 1), (id(wall), -1)}
+        else:
+            assert all(len(key) == 3 for key in entries)
+        second = dg.cross(wall, series, 1, cutoff)      # hits reuse it
+        assert dg._fcache.keys() == entries.keys()
+        assert all(dg._fcache[k] is v for k, v in entries.items())
+        assert_same(second, first)
+        assert_same(first, oracle(dg, wall, series, 1, cutoff))
+
+
+def test_lower_order_is_served_by_a_higher_entry():
+    for name, index in CASES:
+        dg = fresh(name)
+        wall = dg.walls[index]
+        high, low = 4 * dg.dscale, 2 * dg.dscale
+        dg.cross(wall, sample(dg, high), -1, high)
+        entries = dict(dg._fcache)
+        series = sample(dg, low)
+        got = dg.cross(wall, series, -1, low)
+        # no entry rebuilt or added, none cut down to the lower order
+        assert dg._fcache.keys() == entries.keys()
+        assert all(dg._fcache[k] is v for k, v in entries.items())
+        assert_same(got, oracle(dg, wall, series, -1, low))
+        # a higher order than stored rebuilds the entries it needs
+        top = 6 * dg.dscale
+        series = sample(dg, top)
+        got = dg.cross(wall, series, -1, top)
+        assert any(dg._fcache[k] is not v for k, v in entries.items())
+        assert max(f.cutoff for f in dg._fcache.values()) > max(
+            f.cutoff for f in entries.values())
+        assert_same(got, oracle(dg, wall, series, -1, top))
 
 
 def test_wall_insertion_clears_the_cache():
-    dg = initial_diagram(a23(), side="A", quantum=True, order=2)
+    dg = initial_diagram(a23(), side="A", quantum=True, order=3)
+    _complete_degree(dg, 2)  # inserts the first log wall
     before = len(dg.walls)
-    dg.path_ordered_product((1, 0), 2)
-    assert dg._fcache
-    _complete_degree(dg, 2)  # inserts the degree-2 wall
-    assert len(dg.walls) == before + 1
+    dg.path_ordered_product((1, 0), 3)
+    assert any(len(key) == 2 for key in dg._fcache)  # exp(+-g) entries
+    assert any(len(key) == 3 for key in dg._fcache)  # crossing factors
+    _complete_degree(dg, 3)  # inserts the degree-3 walls
+    assert len(dg.walls) > before
     assert dg._fcache == {}
