@@ -112,22 +112,30 @@ def add_terms(d: dict, pairs) -> dict:
     return d
 
 
-def skew_product(alg: SkewLattice, left: dict, right: dict, dvec, cutoff) -> dict:
+def skew_product(alg: SkewLattice, left: dict, right: dict, dvec, cutoff,
+                 ldeg=None, rdeg=None) -> dict:
     """The terms of (sum left) * (sum right), X^n X^m = q^{omega(n, m)} X^{n+m}.
 
     Unless ``cutoff`` is None, only the products of degree <= cutoff under
-    the grading ``dvec`` are formed.  Terms are merged as they are formed,
-    as in :func:`add_terms`."""
+    the grading ``dvec`` are formed; a caller that has the degrees of the
+    terms already passes them as ``ldeg`` and ``rdeg``, lists in the order
+    of ``left`` and ``right``.  Terms are merged as they are formed, as in
+    :func:`add_terms`."""
     den = alg.form_den
     out: dict = {}
-    todo = list(right.items())
-    if cutoff is not None:
-        graded = [(m, cm, sum(map(mul, dvec, m))) for m, cm in todo]
-    for n, cn in left.items():
+    items = list(right.items())
+    if cutoff is None:
+        rows = ((n, cn, items) for n, cn in left.items())
+    else:
+        if ldeg is None:
+            ldeg = [sum(map(mul, dvec, n)) for n in left]
+        if rdeg is None:
+            rdeg = [sum(map(mul, dvec, m)) for m in right]
+        graded = list(zip(items, rdeg))
+        rows = ((n, cn, [mc for mc, dm in graded if dm <= cutoff - dn])
+                for (n, cn), dn in zip(left.items(), ldeg))
+    for n, cn, todo in rows:
         row = alg.row_pairing(n)
-        if cutoff is not None:
-            room = cutoff - sum(map(mul, dvec, n))
-            todo = [(m, cm) for m, cm, dm in graded if dm <= room]
         for m, cm in todo:
             c = cn * cm
             w = sum(map(mul, row, m))

@@ -7,14 +7,16 @@ conjugation by quantum dilogarithms (the finite-product formulas), which is
 everything quantum mutation needs.
 
 Equality of words is decided by expanding w1 * w2^{-1} as a truncated series
-in a graded completion and comparing with 1; the grading is any integer
-functional that separates the exponents inside every inverted atom.
+in a graded completion and comparing with 1.  The expansion divides each
+inverted atom out exactly (:meth:`Series.over`) rather than forming its
+inverse, so the grading is any integer functional under which every inverted
+atom has a unique lowest term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .qtorus import QTorusElement, SkewLattice, add_terms, skew_product, vec, vec_add, vec_neg
 from .scalars import ONE, QScalar
@@ -86,60 +88,98 @@ class Series(QTorusElement):
         return self._cut(add_terms(dict(a), b.items()), cut)
 
     def __mul__(self, other: "Series") -> "Series":
-        m1, m2 = self.min_degree(), other.min_degree()
+        dvec = self.dvec
+        ldeg = [sum(map(mul, dvec, n)) for n in self.terms]
+        rdeg = [sum(map(mul, dvec, n)) for n in other.terms]
+        m1 = min(ldeg, default=None)
+        m2 = min(rdeg, default=None)
         if (m1 is None and self.cutoff is None) or (m2 is None and other.cutoff is None):
             return self._cut({}, None)  # exact zero factor
-        # unknown terms come from error1*known2, known1*error2, error1*error2
-        cands = []
-        if self.cutoff is not None:
-            if m2 is not None:
-                cands.append(self.cutoff + m2)
-            if other.cutoff is not None:
-                cands.append(self.cutoff + other.cutoff)
-        if other.cutoff is not None and m1 is not None:
-            cands.append(other.cutoff + m1)
-        cut = min(cands) if cands else None
+        cut = _product_cut(m1, self.cutoff, m2, other.cutoff)
         return self._cut(skew_product(self.algebra, self.terms, other.terms,
-                                      self.dvec, cut), cut)
+                                      dvec, cut, ldeg, rdeg), cut)
 
     def __pow__(self, k):  # the torus power would drop the cutoff
         return NotImplemented
 
-    def inverse(self, rel_order: int, what="series") -> "Series":
-        """Geometric-series inverse, exact to relative order ``rel_order``.
+    def over(self, p_terms: dict, rel_order: int, what="series") -> "Series":
+        """self * P^{-1} with P = sum of ``p_terms``, by exact right division.
 
-        Requires a unique minimal-degree term (the invertible leading
-        monomial of the completion).  ``what`` names the inverted object in
-        an ExpansionError: a string, or an element rendered only then."""
-        if not self.terms:
+        The result has the cutoff of the product self * P^{-1} with P^{-1}
+        exact to relative order ``rel_order``, but P^{-1} is never formed.
+        P needs a unique lowest-degree term L (the invertible leading
+        monomial of the completion).  The residual self - Q * P is swept in
+        degree buckets, lowest first: each residual term r X^m gives the
+        quotient term r X^m * L^{-1}, whose product with P - L (all of
+        higher degree) is subtracted back.  ``what`` names P in an
+        ExpansionError: a string, or an element rendered only then."""
+        if not p_terms:
             raise ExpansionError(f"cannot invert zero {_label(what)}")
-        mdeg = self.min_degree()
-        anchors = [n for n in self.terms if degree(self.dvec, n) == mdeg]
+        dvec = self.dvec
+        pdeg = {n: sum(map(mul, dvec, n)) for n in p_terms}
+        mdeg = min(pdeg.values())
+        anchors = [n for n, d in pdeg.items() if d == mdeg]
         if len(anchors) > 1:
             raise ExpansionError(
                 f"no unique leading monomial in {_label(what)}: "
                 f"degree-{mdeg} exponents {sorted(anchors)}")
+        sdeg = [sum(map(mul, dvec, n)) for n in self.terms]
+        m1 = min(sdeg, default=None)
+        if m1 is None and self.cutoff is None:
+            return self._cut({}, None)  # exact zero dividend
+        # P^{-1} has cutoff rel_order - mdeg and, unless that cuts all of
+        # it, lowest degree -mdeg
+        cut = _product_cut(m1, self.cutoff, -mdeg if rel_order >= 0 else None,
+                           rel_order - mdeg)
+        top = cut + mdeg  # residual terms above it give quotients above cut
+        alg = self.algebra
+        den = alg.form_den
         n0 = anchors[0]
-        c0 = self.terms[n0]
-        # M^{-1} with M = c0 X^{n0} (the scalar is central)
-        minv = Series(self.algebra, self.dvec, None, {vec_neg(n0): c0.inverse()})
-        # every term of t has positive degree: n0 is the unique lowest term
-        # and minv * c0 X^{n0} = q^{w(-n0, n0)} = 1 cancels exactly
-        t = (minv * self) - Series.one(self.algebra, self.dvec)
-        t = t.truncate(rel_order)
-        out = Series.one(self.algebra, self.dvec, rel_order)
-        power = Series.one(self.algebra, self.dvec, rel_order)
-        sign = -1
-        tmin = t.min_degree()
-        j = 1
-        while tmin is not None and j * tmin <= rel_order:
-            power = (power * t).truncate(rel_order)
-            if power.is_zero():
-                break
-            out = out + (power.scale(QScalar.integer(sign)) if sign < 0 else power)
-            sign = -sign
-            j += 1
-        return out * minv
+        linv = p_terms[n0].inverse()
+        lrow = alg.row_pairing(n0)  # X^m L^{-1} carries q^{omega(n0, m)}
+        neg_n0 = vec_neg(n0)
+        # -(P - L) by degree above L; all those degrees are positive
+        rest = sorted(((k, -c, pdeg[k] - mdeg) for k, c in p_terms.items() if k != n0),
+                      key=lambda t: t[2])
+        buckets: dict = {}
+        for (m, r), d in zip(self.terms.items(), sdeg):
+            if d <= top:
+                buckets.setdefault(d, {})[m] = r
+        out = {}
+        while buckets:
+            d = min(buckets)
+            room = top - d
+            for m, r in buckets.pop(d).items():
+                c = r * linv
+                w = sum(map(mul, lrow, m))
+                if w:
+                    c = c._qshift(w, den)
+                mq = tuple(map(add, m, neg_n0))
+                out[mq] = c
+                row = alg.row_pairing(mq)
+                for k, ck, dk in rest:
+                    if dk > room:
+                        break
+                    t = c * ck
+                    w = sum(map(mul, row, k))
+                    if w:
+                        t = t._qshift(w, den)
+                    bucket = buckets.get(d + dk)
+                    if bucket is None:
+                        bucket = buckets[d + dk] = {}
+                    key = tuple(map(add, mq, k))
+                    if key in bucket:
+                        t = bucket[key] + t
+                        if t.is_zero():
+                            del bucket[key]
+                            continue
+                    bucket[key] = t
+        return self._cut(out, cut)
+
+    def inverse(self, rel_order: int, what="series") -> "Series":
+        """P^{-1} exact to relative order ``rel_order``: one divided by the
+        terms of this series (its cutoff is not used); see :meth:`over`."""
+        return Series.one(self.algebra, self.dvec).over(self.terms, rel_order, what)
 
     def coefficient(self, n) -> QScalar:
         return self.terms.get(vec(n), QScalar.integer(0))
@@ -150,6 +190,22 @@ class Series(QTorusElement):
 
 def _label(what) -> str:
     return what if isinstance(what, str) else what.render()
+
+
+def _product_cut(m1, c1, m2, c2):
+    """The cutoff of a product of two series with lowest degrees m1, m2
+    (None when a series holds no terms) and cutoffs c1, c2: the lowest
+    degree an unknown term can reach.  Unknown terms come from error1 *
+    known2, known1 * error2 and error1 * error2."""
+    cands = []
+    if c1 is not None:
+        if m2 is not None:
+            cands.append(c1 + m2)
+        if c2 is not None:
+            cands.append(c1 + c2)
+    if c2 is not None and m1 is not None:
+        cands.append(c2 + m1)
+    return min(cands) if cands else None
 
 
 def _min_cut(a, b):
@@ -250,30 +306,20 @@ class FactoredWord:
 
     # -- expansion ----------------------------------------------------------------
     def expand(self, dvec, order: int) -> Series:
-        """Truncated series expansion, exact to relative order ``order``."""
+        """Truncated series expansion, exact to relative order ``order``;
+        inverted atoms are divided out (:meth:`Series.over`)."""
         out = Series.one(self.algebra, dvec).scale(self.prefix)
         anchor = 0
         for p, s in self.atoms:
-            fact = Series(p.algebra, dvec, None, p.terms)
-            fmin = fact.min_degree()
-            if s == -1:
-                fact = fact.inverse(order, what=p)
-                fmin = -fmin
-            out = (out * fact).truncate(anchor + fmin + order)
-            anchor += fmin
+            pmin = min(degree(dvec, n) for n in p.terms)
+            if s == 1:
+                out = out * out._cut(p.terms, None)
+            else:
+                out = out.over(p.terms, order, what=p)
+                pmin = -pmin
+            out = out.truncate(anchor + pmin + order)
+            anchor += pmin
         return out
-
-    def inversion_difference_vectors(self):
-        """Exponent differences inside inverted atoms; any valid grading must
-        be nonzero on these (and positive on remainder directions)."""
-        diffs = []
-        for p, s in self.atoms:
-            if s == -1 and len(p.terms) > 1:
-                exps = sorted(p.terms)
-                base = exps[0]
-                for e in exps[1:]:
-                    diffs.append(tuple(a - b for a, b in zip(e, base)))
-        return diffs
 
     def tidy(self) -> "FactoredWord":
         """Merge adjacent single-term atoms into one monomial per run and
@@ -407,21 +453,25 @@ def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction,
     return head * FactoredWord.from_element(tail)
 
 
+def _unique_lowest(dvec, exponents) -> bool:
+    degs = sorted(degree(dvec, n) for n in exponents)
+    return degs[0] != degs[1]
+
+
 def choose_grading(words, rank: int) -> tuple[int, ...]:
-    """Deterministically pick an integer grading that is nonzero on every
-    exponent difference appearing inside an inverted atom."""
-    diffs = []
-    for w in words:
-        diffs.extend(w.inversion_difference_vectors())
-    diffs = [d for d in diffs if any(d)]
+    """Deterministically pick an integer grading under which every inverted
+    atom of more than one term has a unique lowest-degree term, which is
+    what :meth:`FactoredWord.expand` needs to divide it out."""
+    inverted = [tuple(p.terms) for w in words for p, s in w.atoms
+                if s == -1 and len(p.terms) > 1]
     candidates = [tuple(1 for _ in range(rank))]
     for k in (2, 3, 5, 7, 11, 17, 29):
         for i in range(rank):
             candidates.append(tuple(k if j == i else 1 for j in range(rank)))
-    # last resort: geometric weights are nonzero on any nonzero small vector
+    # last resort: geometric weights give distinct small exponents distinct degrees
     candidates.append(tuple(97 ** i for i in range(rank)))
     for cand in candidates:
-        if all(degree(cand, d) != 0 for d in diffs):
+        if all(_unique_lowest(cand, exps) for exps in inverted):
             return cand
     raise ExpansionError("could not find a separating grading")
 

@@ -1,0 +1,291 @@
+"""Exact right division ``Series.over`` against the geometric-series inverse.
+
+The oracle is the inverse the engine used to form: P^{-1} = M^{-1} sum_j
+(-t)^j with M the unique lowest term of P and t = M^{-1} P - 1, multiplied
+onto the dividend afterwards.  A truncated quotient is unique, so the kernel
+must agree with it structurally: the same exponents, cutoff and coefficient
+representations (``scale``, ``_num``, ``_den``).
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qca.qtorus import QTorusElement, SkewLattice, vec_neg
+from qca.scalars import ONE, QScalar, qpow, tvar
+from qca.words import ExpansionError, FactoredWord, Series, degree
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def geometric_inverse(p: Series, rel_order: int) -> Series:
+    """P^{-1} exact to relative order ``rel_order`` by the geometric series."""
+    if not p.terms:
+        raise ExpansionError("cannot invert zero series")
+    mdeg = min(degree(p.dvec, n) for n in p.terms)
+    anchors = [n for n in p.terms if degree(p.dvec, n) == mdeg]
+    if len(anchors) > 1:
+        raise ExpansionError("no unique leading monomial")
+    n0 = anchors[0]
+    minv = Series(p.algebra, p.dvec, None, {vec_neg(n0): p.terms[n0].inverse()})
+    t = ((minv * p) - Series.one(p.algebra, p.dvec)).truncate(rel_order)
+    out = Series.one(p.algebra, p.dvec, rel_order)
+    power = Series.one(p.algebra, p.dvec, rel_order)
+    sign = -1
+    tmin = t.min_degree()
+    j = 1
+    while tmin is not None and j * tmin <= rel_order:
+        power = (power * t).truncate(rel_order)
+        if power.is_zero():
+            break
+        out = out + (power.scale(QScalar.integer(sign)) if sign < 0 else power)
+        sign = -sign
+        j += 1
+    return out * minv
+
+
+def oracle_expand(word: FactoredWord, dvec, order: int) -> Series:
+    """FactoredWord.expand with each inverted atom multiplied by its
+    geometric-series inverse."""
+    out = Series.one(word.algebra, dvec).scale(word.prefix)
+    anchor = 0
+    for p, s in word.atoms:
+        fact = Series(p.algebra, dvec, None, p.terms)
+        fmin = fact.min_degree()
+        if s == -1:
+            fact = geometric_inverse(fact, order)
+            fmin = -fmin
+        out = (out * fact).truncate(anchor + fmin + order)
+        anchor += fmin
+    return out
+
+
+def canonical(c: QScalar) -> bool:
+    """True when the normal form of c is unique: its denominator is a
+    monomial, or t-free with the gcd computed (under the degree cap).  Past
+    the cap, or over a t-dependent sum, equal values may be stored as
+    different fractions."""
+    den = c.den
+    if len(den) == 1 and len(next(iter(den.values())).terms) == 1:
+        return True
+    return all(ts.is_constant() for ts in den.values()) \
+        and not QScalar._past_gcd_cap(list(c.num), den)
+
+
+def assert_structurally_equal(got: Series, want: Series):
+    assert type(got) is Series and got.dvec == want.dvec
+    assert got.cutoff == want.cutoff and got.terms.keys() == want.terms.keys()
+    for n, c in got.terms.items():
+        w = want.terms[n]
+        if canonical(c) and canonical(w):
+            assert (c.scale, c._num, c._den) == (w.scale, w._num, w._den)
+        else:
+            assert c == w
+
+
+# ---------------------------------------------------------------------------
+# Strategies: forms with denominators, gradings with negative and zero
+# weights, coefficients with denominators.
+
+@st.composite
+def lattices(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    form = [[Fraction(0)] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
+            form[i][j], form[j][i] = x, -x
+    return SkewLattice.make(form)
+
+
+def vectors(rank, bound=2):
+    return st.tuples(*[st.integers(-bound, bound)] * rank)
+
+
+def monomials():
+    """A nonzero c q^e t1^a with e in (1/6)Z."""
+    return st.builds(lambda c, e, k, a: QScalar.term(Fraction(e, k), (a,), c),
+                     st.sampled_from([-2, -1, 1, 2]), st.integers(-3, 3),
+                     st.integers(1, 6), st.integers(0, 1))
+
+
+@st.composite
+def coefficients(draw):
+    """A nonzero sum of one or two such monomials, sometimes divided by
+    1 + q^{1/k}."""
+    c = QScalar.integer(0)
+    while c.is_zero():
+        for _ in range(draw(st.integers(1, 2))):
+            c = c + draw(monomials())
+    if draw(st.integers(0, 3)) == 0:
+        c = c / (1 + qpow(Fraction(1, draw(st.integers(1, 3)))))
+    return c
+
+
+@st.composite
+def leads(draw):
+    """A monomial, sometimes times or over 1 + q^{1/k}: the lowest
+    coefficient of a divisor, whose powers make every quotient's
+    denominator.  A t-dependent sum there is left to
+    test_lowest_coefficient_with_a_t_variable: such fractions are not
+    reduced, and their growth made 60 examples take minutes."""
+    c = draw(monomials())
+    pick = draw(st.integers(0, 3))
+    if pick < 2:
+        f = 1 + qpow(Fraction(1, draw(st.integers(1, 3))))
+        c = c * f if pick else c / f
+    return c
+
+
+def gradings(rank):
+    return st.tuples(*[st.integers(-1, 2)] * rank).filter(any)
+
+
+@st.composite
+def divisors(draw, alg, dvec, max_terms=3, lead=leads(), coeffs=coefficients()):
+    """An exact series with a unique lowest-degree term: of the drawn
+    exponents, those tied at the lowest degree are dropped but the first."""
+    exps = draw(st.lists(vectors(alg.rank, 1), min_size=1, max_size=max_terms,
+                         unique=True))
+    low = min(degree(dvec, n) for n in exps)
+    first = next(n for n in exps if degree(dvec, n) == low)
+    return Series(alg, dvec, None, {n: draw(lead if n == first else coeffs)
+                                    for n in exps if n == first or degree(dvec, n) > low})
+
+
+@st.composite
+def dividends(draw, alg, dvec):
+    """A series of up to four terms, exact or truncated at or near a term's
+    degree; sometimes with no terms at all (an exact or truncated zero)."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        terms[draw(vectors(alg.rank))] = draw(coefficients())
+    cutoff = draw(st.one_of(st.none(), st.integers(-2, 8), st.sampled_from(
+        [degree(dvec, n) + off for n in terms for off in (-1, 0, 1)] or [None])))
+    return Series(alg, dvec, cutoff, terms)
+
+
+@st.composite
+def division_cases(draw):
+    alg = draw(lattices())
+    dvec = draw(gradings(alg.rank))
+    return (draw(dividends(alg, dvec)), draw(divisors(alg, dvec)),
+            draw(st.integers(0, 6)))
+
+
+# ---------------------------------------------------------------------------
+# The kernel.
+
+@PROPERTY
+@given(division_cases())
+def test_over_matches_the_geometric_series_oracle(case):
+    s, p, k = case
+    got = s.over(p.terms, k)
+    assert_structurally_equal(got, s * geometric_inverse(p, k))
+    # the quotient times P gives back the dividend to the quotient's cutoff
+    if got.cutoff is not None:
+        mdeg = min(degree(p.dvec, n) for n in p.terms)
+        back = got * p
+        assert back.cutoff == got.cutoff + mdeg
+        assert back == s.truncate(back.cutoff)
+
+
+@PROPERTY
+@given(st.data())
+def test_inverse_matches_the_geometric_series_oracle(data):
+    alg = data.draw(lattices())
+    dvec = data.draw(gradings(alg.rank))
+    p = data.draw(divisors(alg, dvec, max_terms=4))
+    k = data.draw(st.integers(-1, 6))
+    assert_structurally_equal(p.inverse(k), geometric_inverse(p, k))
+
+
+def test_zero_dividend():
+    alg = SkewLattice.make([[0, 1], [-1, 0]])
+    p = Series(alg, (1, 2), None, {(0, 0): ONE, (1, 0): qpow(1), (0, 1): ONE})
+    exact = Series(alg, (1, 2), None, {})
+    got = exact.over(p.terms, 4)
+    assert got.terms == {} and got.cutoff is None
+    assert_structurally_equal(got, exact * geometric_inverse(p, 4))
+    truncated = Series(alg, (1, 2), 3, {})
+    got = truncated.over(p.terms, 4)
+    assert got.terms == {} and got.cutoff == 3
+    assert_structurally_equal(got, truncated * geometric_inverse(p, 4))
+    # a zero prefix still checks the inverted atom
+    word = FactoredWord(alg, QScalar.integer(0), ((QTorusElement(alg, p.terms), -1),))
+    assert_structurally_equal(word.expand((1, 2), 4), oracle_expand(word, (1, 2), 4))
+    tie = QTorusElement(alg, {(1, 0): ONE, (0, 1): ONE})
+    with pytest.raises(ExpansionError):
+        FactoredWord(alg, QScalar.integer(0), ((tie, -1),)).expand((1, 1), 4)
+
+
+def test_monomial_divisor():
+    alg = SkewLattice.make([[0, Fraction(1, 3)], [Fraction(-1, 3), 0]])
+    c = qpow(Fraction(1, 2)) + tvar(0)
+    p = Series(alg, (1, 1), None, {(2, -1): c})
+    s = Series(alg, (1, 1), 5, {(0, 0): ONE, (1, 2): qpow(Fraction(-1, 6)),
+                                (3, 0): 2 + qpow(1)})
+    got = s.over(p.terms, 3)
+    # the cutoff is min(5, 0 + 3) less the divisor's degree 1
+    assert got.cutoff == 2 and len(got.terms) == 3
+    assert_structurally_equal(got, s * geometric_inverse(p, 3))
+    # X^m L^{-1} = c^{-1} q^{omega(n0, m)} X^{m - n0}
+    assert got.terms[(-2, 1)] == c.inverse()
+    assert got.terms[(-1, 3)] == qpow(Fraction(-1, 6)) * c.inverse() \
+        * qpow(alg.omega((2, -1), (1, 2)))
+
+
+def test_division_raises_past_the_packed_range():
+    alg = SkewLattice.make([[0, 1], [-1, 0]])
+    one = Series.one(alg, (0, 1))
+    # q^{10^5 j} leaves the u-exponent range at j = 3
+    p = {(0, 0): ONE, (0, 1): qpow(10 ** 5)}
+    assert one.over(p, 2).coefficient((0, 2)) == qpow(2 * 10 ** 5)
+    with pytest.raises(OverflowError):
+        one.over(p, 3)
+    with pytest.raises(OverflowError):
+        geometric_inverse(Series(alg, (0, 1), None, p), 3)
+    # t1^{200 j} carries out of its 9-bit field at j = 3
+    p = {(0, 0): ONE, (0, 1): QScalar.t_monomial((200,))}
+    assert one.over(p, 2).coefficient((0, 2)) == QScalar.t_monomial((400,))
+    with pytest.raises(OverflowError):
+        one.over(p, 3)
+
+
+# ---------------------------------------------------------------------------
+# Expansion of words.
+
+@st.composite
+def words(draw):
+    """Words of one to three atoms with monomial coefficients, as the
+    engine's binomials have, and a prefix that may be zero."""
+    alg = draw(lattices())
+    dvec = draw(gradings(alg.rank))
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(divisors(alg, dvec, lead=monomials(), coeffs=monomials()))
+        atoms.append((QTorusElement(alg, p.terms), draw(st.sampled_from([1, -1]))))
+    prefix = draw(st.one_of(coefficients(), st.just(QScalar.integer(0))))
+    return FactoredWord(alg, prefix, atoms), dvec, draw(st.integers(0, 4))
+
+
+@PROPERTY
+@given(words())
+def test_expand_matches_the_oracle_path(case):
+    word, dvec, order = case
+    assert_structurally_equal(word.expand(dvec, order), oracle_expand(word, dvec, order))
+
+
+
+def test_lowest_coefficient_with_a_t_variable():
+    # a t-dependent denominator is not reduced to a unique normal form, so
+    # the two paths may store the X2 coefficient as different fractions
+    alg = SkewLattice.make([[0, 1], [-1, 0]])
+    two = QScalar.integer(2)
+    s = Series(alg, (0, 1), None, {(0, 0): -two, (0, 1): -two})
+    p = Series(alg, (0, 1), None, {(0, 0): -two - two * tvar(0), (0, 1): -two})
+    got = s.over(p.terms, 1)
+    assert_structurally_equal(got, s * geometric_inverse(p, 1))
+    t = tvar(0)
+    assert got.terms[(0, 1)] == t / ((1 + t) * (1 + t))

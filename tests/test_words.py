@@ -90,6 +90,19 @@ def test_choose_grading_separates():
     assert dvec[0] != dvec[1]
 
 
+def test_choose_grading_gives_every_inverted_atom_a_unique_lowest_term():
+    # under (1, 1) the atom is nonzero on the differences (1, -2), (2, -3)
+    # from its lex-first exponent, but its two lowest terms tie at degree -1
+    alg = x_lattice(1)
+    p = QTorusElement(alg, {(0, 0): ONE, (1, -2): qpow(2), (2, -3): qpow(6)})
+    w = FactoredWord.from_element(p, -1)
+    with pytest.raises(ExpansionError):
+        w.expand((1, 1), 4)
+    assert choose_grading([w], 2) == (1, 2)
+    assert words_equal(w, w, 4)
+    assert not words_equal(w, w.scale(qpow(1)), 4)
+
+
 def conjugation_oracle(alg, word, h, coeff, direction, action, dvec, order):
     """Series-level conjugation Psi^{action} . x . Psi^{-action}.
 
