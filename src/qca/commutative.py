@@ -9,33 +9,36 @@ formulas' telescoping cancellations actually cancel.
 
 from __future__ import annotations
 
-from .scalars import TScalar, tmono
+from .qtorus import add_terms, vec, vec_add, vec_neg
+from .scalars import TScalar
 
 _T_ONE = TScalar.integer(1)
 
 
 class CPoly:
-    """Laurent polynomial: map {integer exponent tuple: TScalar}."""
+    """Laurent polynomial: map {integer exponent tuple: TScalar}.  Sums and
+    products merge terms with the torus elements' ``add_terms``."""
 
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms=None):
         self.rank = rank
-        d = {}
-        if terms:
-            for e, c in terms.items():
-                e = tuple(int(x) for x in e)
-                if len(e) != rank:
-                    raise ValueError("exponent rank mismatch")
-                if isinstance(c, int):
-                    c = TScalar.integer(c)
-                if e in d:
-                    c = d[e] + c
-                if c.terms:
-                    d[e] = c
-                elif e in d:
-                    del d[e]
-        self.terms = d
+        pairs = []
+        for e, c in (terms or {}).items():
+            e = vec(e)
+            if len(e) != rank:
+                raise ValueError("exponent rank mismatch")
+            if isinstance(c, int):
+                c = TScalar.integer(c)
+            if not c.is_zero():
+                pairs.append((e, c))
+        self.terms = add_terms({}, pairs)
+
+    def _like(self, terms: dict) -> "CPoly":
+        """A polynomial of this one's rank holding ``terms`` as they are."""
+        out = CPoly.__new__(CPoly)
+        out.rank, out.terms = self.rank, terms
+        return out
 
     @staticmethod
     def monomial(rank, e, coeff=1) -> "CPoly":
@@ -55,55 +58,30 @@ class CPoly:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(0,) * self.rank: _T_ONE} or (
-            len(self.terms) == 1 and self.terms.get((0,) * self.rank) == _T_ONE)
+        return self.terms == {(0,) * self.rank: _T_ONE}
 
     def is_monomial(self):
         return len(self.terms) == 1
 
     def __add__(self, other):
-        d = dict(self.terms)
-        for e, c in other.terms.items():
-            v = d[e] + c if e in d else c
-            if v.terms:
-                d[e] = v
-            elif e in d:
-                del d[e]
-        out = CPoly.__new__(CPoly)
-        out.rank, out.terms = self.rank, d
-        return out
+        return self._like(add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        out = CPoly.__new__(CPoly)
-        out.rank = self.rank
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        d = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                if e in d:
-                    c = d[e] + c
-                if c.terms:
-                    d[e] = c
-                elif e in d:
-                    del d[e]
-        out = CPoly.__new__(CPoly)
-        out.rank, out.terms = self.rank, d
-        return out
+        right = other.terms.items()
+        return self._like(add_terms({}, (
+            (vec_add(e1, e2), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in right)))
 
     def scale(self, c: TScalar) -> "CPoly":
-        out = CPoly.__new__(CPoly)
-        out.rank = self.rank
-        out.terms = {e: cc for e, cc in ((e, cv * c) for e, cv in self.terms.items())
-                     if cc.terms}
-        return out
+        if c.is_zero():
+            return self._like({})
+        return self._like({e: cv * c for e, cv in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, CPoly) and self.rank == other.rank \
@@ -113,12 +91,7 @@ class CPoly:
         raise TypeError("CPoly is not hashable")
 
     def shift(self, e) -> "CPoly":
-        e = tuple(e)
-        out = CPoly.__new__(CPoly)
-        out.rank = self.rank
-        out.terms = {tuple(a + b for a, b in zip(k, e)): c
-                     for k, c in self.terms.items()}
-        return out
+        return self._like({vec_add(k, e): c for k, c in self.terms.items()})
 
     def min_exponents(self) -> tuple[int, ...]:
         if not self.terms:
@@ -132,19 +105,10 @@ class CPoly:
                 e2 = list(e)
                 e2[i] -= 1
                 d[tuple(e2)] = c.scale(e[i])
-        out = CPoly.__new__(CPoly)
-        out.rank, out.terms = self.rank, d
-        return out
+        return self._like(d)
 
     def subs_t_one(self) -> "CPoly":
-        d = {}
-        for e, c in self.terms.items():
-            v = c.coefficient_sum()
-            if v:
-                d[e] = TScalar.integer(v)
-        out = CPoly.__new__(CPoly)
-        out.rank, out.terms = self.rank, d
-        return out
+        return CPoly(self.rank, {e: c.coefficient_sum() for e, c in self.terms.items()})
 
     def exact_divide(self, g: "CPoly"):
         """self / g if g divides exactly (None otherwise).  Works on the
@@ -152,8 +116,8 @@ class CPoly:
         if g.is_zero():
             return None
         sh_self, sh_g = self.min_exponents(), g.min_exponents()
-        a = self.shift(tuple(-x for x in sh_self))
-        b = g.shift(tuple(-x for x in sh_g))
+        a = self.shift(vec_neg(sh_self))
+        b = g.shift(vec_neg(sh_g))
         quot: dict[tuple, TScalar] = {}
         # leading term of b under lex
         lead = max(b.terms)
@@ -161,23 +125,16 @@ class CPoly:
         work = dict(a.terms)
         while work:
             e = max(work)
-            c = work[e]
             diff = tuple(x - y for x, y in zip(e, lead))
             if any(x < 0 for x in diff):
                 return None
-            q = _tdiv(c, lead_c)
+            q = _tdiv(work[e], lead_c)
             if q is None:
                 return None
             quot[diff] = q
-            for be, bc in b.terms.items():
-                ke = tuple(x + y for x, y in zip(diff, be))
-                v = work.get(ke, TScalar()) - (bc * q)
-                if v.terms:
-                    work[ke] = v
-                elif ke in work:
-                    del work[ke]
-        res = CPoly(self.rank, quot)
-        return res.shift(tuple(x - y for x, y in zip(sh_self, sh_g)))
+            add_terms(work, ((vec_add(diff, be), -(bc * q))
+                             for be, bc in b.terms.items()))
+        return CPoly(self.rank, quot).shift(tuple(x - y for x, y in zip(sh_self, sh_g)))
 
     def render(self, labels=None) -> str:
         if not self.terms:
@@ -211,37 +168,19 @@ class CPoly:
 
 
 def _tdiv(a: TScalar, b: TScalar):
-    """a / b for TScalars when exact (None otherwise); b a single term or
-    constant covers everything the division algorithm meets here."""
-    if b.is_constant():
-        bc = b.constant_value()
-        try:
-            return a.divide_int(bc)
-        except ValueError:
-            return None
+    """a / b for TScalars when exact (None otherwise)."""
     if len(b.terms) == 1:
-        (mono, bc), = b.terms.items()
-        shifted = {}
-        for k, c in a.terms.items():
-            n = max(len(k), len(mono))
-            kk = k + (0,) * (n - len(k))
-            mm = mono + (0,) * (n - len(mono))
-            diff = tuple(x - y for x, y in zip(kk, mm))
-            if any(x < 0 for x in diff) or c % bc:
-                return None
-            shifted[tmono(diff)] = c // bc
-        return TScalar(shifted)
+        return a.divide_term(b)
     # multi-term coefficient divisor: fall back to full polynomial division
-    # in the t variables via the recursive CPoly machinery
-    ra = max((len(k) for k in a.terms), default=0)
-    rb = max(len(k) for k in b.terms)
-    r = max(ra, rb)
-    pa = CPoly(r, {k + (0,) * (r - len(k)): TScalar.integer(c) for k, c in a.terms.items()})
-    pb = CPoly(r, {k + (0,) * (r - len(k)): TScalar.integer(c) for k, c in b.terms.items()})
+    # in the t variables, each t_i taken as the variable X_i of a CPoly
+    ma, mb = a.monomials(), b.monomials()
+    r = max(map(len, (*ma, *mb)))
+    pa, pb = (CPoly(r, {m + (0,) * (r - len(m)): c for m, c in d.items()})
+              for d in (ma, mb))
     q = pa.exact_divide(pb)
     if q is None:
         return None
-    return TScalar({tmono(e): c.constant_value() for e, c in q.terms.items()})
+    return TScalar({e: c.constant_value() for e, c in q.terms.items()})
 
 
 class CRational:
@@ -349,22 +288,21 @@ class CRational:
 
     def substitute(self, values: list["CRational"]) -> "CRational":
         """Evaluate at X_i := values[i]."""
-        out = CRational(CPoly(self.rank, {}))
-        for e, c in self.num.terms.items():
-            term = CRational(CPoly(self.rank, {(0,) * self.rank: c}))
-            for i, p in enumerate(e):
-                if p:
-                    term = term * values[i] ** p
-            out = out + term
+        zero = (0,) * self.rank
+
+        def value(p: CPoly) -> CRational:
+            out = CRational(CPoly(self.rank, {}))
+            for e, c in p.terms.items():
+                term = CRational(CPoly(self.rank, {zero: c}))
+                for i, k in enumerate(e):
+                    if k:
+                        term = term * values[i] ** k
+                out = out + term
+            return out
+
+        out = value(self.num)
         for f in self.den:
-            fe = CRational(CPoly(self.rank, {}))
-            for e, c in f.terms.items():
-                term = CRational(CPoly(self.rank, {(0,) * self.rank: c}))
-                for i, p in enumerate(e):
-                    if p:
-                        term = term * values[i] ** p
-                fe = fe + term
-            out = out * fe.inverse()
+            out = out * value(f).inverse()
         return out
 
     def is_laurent_polynomial(self) -> bool:
@@ -397,8 +335,8 @@ def _reduce(num: CPoly, factors: list[CPoly]):
             break
         if f.is_monomial():
             (e, c), = f.terms.items()
-            if len(c.terms) == 1 and c.lex_leading() == ((), 1):
-                num = num.shift(tuple(-x for x in e))
+            if c == _T_ONE:
+                num = num.shift(vec_neg(e))
                 continue
             q = _monomial_divide(num, e, c)
             if q is not None:

@@ -11,15 +11,17 @@ need).  Each polynomial is one flat dict {packed key: int}, where the key is
 a single int holding the u-exponent and the whole t-exponent vector (packed
 exponent vectors in the manner of Monagan and Pearce), so a product of two
 terms is one int addition and one int multiplication.  :class:`TScalar`,
-the integer polynomials in t keyed by exponent tuples, remains the
+the integer polynomials in t, is the same kind of dict restricted to keys
+with u-exponent 0 and shares the kernel's sum and product; it is the
 coefficient type of the commutative layer, of q = 1 limits and of the
-decoded ``QScalar.num`` / ``QScalar.den`` views.
+decoded ``QScalar.num`` / ``QScalar.den`` views, which are key shifts of the
+flat pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -37,96 +39,63 @@ def tmono(exponents) -> tuple[int, ...]:
     return e
 
 
-def _tmono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # the sum of two canonical monomials is canonical: the last entry of the
-    # longer one is positive, so no trailing zero can appear
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-
-
 class TScalar:
     """Integer polynomial in the coefficient variables t1, t2, ...
 
-    Stored as a map from canonical t-monomials to nonzero integers.
+    Stored as a flat packed polynomial (see below) whose keys all have
+    u-exponent 0, so sums and products are the kernel's ``_add`` and
+    ``_mul``.  The constructor takes {t-monomial tuple: int};
+    :meth:`monomials` decodes back to that form.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         d = {}
-        if terms:
-            for mono, c in terms.items():
-                c = int(c)
-                if c:
-                    key = tmono(mono)
-                    d[key] = d.get(key, 0) + c
-                    if not d[key]:
-                        del d[key]
+        for mono, c in (terms or {}).items():
+            c = int(c)
+            if c:
+                d = _add(d, {_pack(0, tmono(mono)): c})
         self.terms = d
+
+    @staticmethod
+    def _of(d: dict) -> "TScalar":
+        out = TScalar.__new__(TScalar)
+        out.terms = d
+        return out
 
     # -- constructors -----------------------------------------------------
     @staticmethod
     def integer(n: int) -> "TScalar":
-        return TScalar({(): n})
+        return TScalar._of({0: n} if n else {})
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
+        return self.terms.keys() <= {0}
 
     def constant_value(self) -> int:
-        if not self.terms:
-            return 0
-        if set(self.terms) != {()}:
+        if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self.terms[()]
+        return self.terms.get(0, 0)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "TScalar") -> "TScalar":
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            v = d.get(k, 0) + c
-            if v:
-                d[k] = v
-            elif k in d:
-                del d[k]
-        out = TScalar.__new__(TScalar)
-        out.terms = d
-        return out
+        return TScalar._of(_add(self.terms, other.terms))
 
     def __neg__(self) -> "TScalar":
-        out = TScalar.__new__(TScalar)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return TScalar._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "TScalar") -> "TScalar":
         return self + (-other)
 
     def __mul__(self, other: "TScalar") -> "TScalar":
-        d = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = _tmono_mul(ka, kb)
-                v = d.get(k, 0) + ca * cb
-                if v:
-                    d[k] = v
-                elif k in d:
-                    del d[k]
-        out = TScalar.__new__(TScalar)
-        out.terms = d
-        return out
+        return TScalar._of(_mul(self.terms, other.terms))
 
     def scale(self, n: int) -> "TScalar":
-        if not n:
-            return TScalar()
-        out = TScalar.__new__(TScalar)
-        out.terms = {k: c * n for k, c in self.terms.items()}
-        return out
+        return TScalar._of({k: c * n for k, c in self.terms.items()} if n else {})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TScalar) and self.terms == other.terms
@@ -135,22 +104,35 @@ class TScalar:
         return hash(frozenset(self.terms.items()))
 
     # -- structure -----------------------------------------------------------
+    def monomials(self) -> dict[tuple[int, ...], int]:
+        """The terms as {canonical t-monomial tuple: int}."""
+        return {_t_mono(k >> _U_BITS): c for k, c in self.terms.items()}
+
     def coefficient_sum(self) -> int:
         """Value at t = 1."""
         return sum(self.terms.values())
 
     def divide_int(self, n: int) -> "TScalar":
-        out = TScalar.__new__(TScalar)
-        out.terms = {}
+        out = {}
         for k, c in self.terms.items():
             if c % n:
                 raise ValueError(f"{n} does not divide coefficient {c}")
-            out.terms[k] = c // n
-        return out
+            out[k] = c // n
+        return TScalar._of(out)
 
-    def lex_leading(self) -> tuple[tuple[int, ...], int]:
-        key = min(self.terms)
-        return key, self.terms[key]
+    def divide_term(self, b: "TScalar"):
+        """self / b for a single-term b when the quotient is a polynomial
+        with integer coefficients, else None."""
+        (kb, cb), = b.terms.items()
+        out = {}
+        for k, c in self.terms.items():
+            # a packed difference is a stored key again exactly when no
+            # t-field borrows from the next one
+            d = k - kb
+            if (d + _U_LIMIT) & _GUARD or c % cb:
+                return None
+            out[d] = c // cb
+        return TScalar._of(out)
 
     def __repr__(self):
         return f"TScalar({self.render()})"
@@ -159,8 +141,7 @@ class TScalar:
         if not self.terms:
             return "0"
         parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
+        for k, c in sorted(self.monomials().items()):
             mono = "*".join(
                 f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}"
                 for i, e in enumerate(k) if e
@@ -177,10 +158,6 @@ class TScalar:
         for p in parts[1:]:
             s += p if p.startswith("-") else "+" + p
         return s
-
-
-_T_ZERO = TScalar()
-_T_ONE = TScalar.integer(1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +186,7 @@ _T_VARS = 16
 _GUARD = _U_HALF | sum(_T_LIMIT << (_U_BITS + _T_BITS * i) for i in range(_T_VARS))
 
 _DEN1 = {0: 1}  # the shared denominator of every polynomial QScalar
+_T_ONE = TScalar.integer(1)
 
 
 def _overflow() -> OverflowError:
@@ -261,20 +239,21 @@ def _checked(d: dict) -> dict:
 
 
 def _encode(part: dict, mult: int = 1) -> dict:
-    """{exponent: TScalar} -> flat, the u-exponent being exponent * mult."""
-    return {_pack(int(e * mult), m): c
-            for e, ts in part.items() for m, c in ts.terms.items()}
+    """{exponent: TScalar} -> flat: each TScalar key is shifted by its
+    u-exponent, exponent * mult."""
+    return {k + _pack(int(e * mult), ()): c
+            for e, ts in part.items() for k, c in ts.terms.items()}
 
 
 def _decode(d: dict) -> dict[int, TScalar]:
-    """Flat -> {u-exponent: TScalar}."""
+    """Flat -> {u-exponent: TScalar}, each key shifted back to u-exponent 0."""
     out: dict[int, TScalar] = {}
     for k, c in d.items():
         e = _u(k)
         ts = out.get(e)
         if ts is None:
             ts = out[e] = TScalar()
-        ts.terms[_t_mono((k - e) >> _U_BITS)] = c
+        ts.terms[k - e] = c
     return out
 
 
@@ -772,20 +751,6 @@ class QScalar:
             parts.append(out)
         return QScalar(*parts)
 
-    @staticmethod
-    def _q1_order(part: dict) -> int:
-        """Order of vanishing at q=1 (u=1 in integer exponents)."""
-        if not part:
-            raise ValueError("zero polynomial has no q=1 order")
-        emin = min(part)
-        work = {e - emin: c for e, c in part.items()}
-        order = 0
-        while True:
-            if not _value_at_one(work).is_zero():
-                return order
-            work = _divide_by_u_minus_1(work)
-            order += 1
-
     def limit_q1(self) -> TScalar:
         """Exact evaluation at q = 1 (every q-power goes to 1).
 
@@ -804,26 +769,19 @@ class QScalar:
         """Exact q=1 limit as a ratio of t-polynomials (num, den)."""
         if self.is_zero():
             return TScalar(), _T_ONE
-        num, den = self.num, self.den
-        on = self._q1_order(num)
-        od = self._q1_order(den)
+        on, nv = _q1_expansion(self._num)
+        od, dv = _q1_expansion(self._den)
         if on < od:
             raise QPoleError(od - on)
         if on > od:
             return TScalar(), _T_ONE
-        emin = min(num)
-        nw = {e - emin: c for e, c in num.items()}
-        dw = den
-        for _ in range(od):
-            nw = _divide_by_u_minus_1(nw)
-            dw = _divide_by_u_minus_1(dw)
-        return _value_at_one(nw), _value_at_one(dw)
+        return nv, dv
 
     def divide_exact_qminus1(self) -> "QScalar":
         """Return self / (q - 1); requires self to vanish at q = 1."""
         if self.is_zero():
             return self
-        if self._q1_order(self.num) - self._q1_order(self.den) < 1:
+        if _q1_expansion(self._num)[0] <= _q1_expansion(self._den)[0]:
             raise ValueError("value does not vanish at q = 1")
         qm1 = {self.scale: 1, 0: -1}
         return QScalar._raw(self._num, _mul(self._den, qm1), self.scale)
@@ -857,23 +815,24 @@ class QPoleError(ArithmeticError):
         self.order = order
 
 
-def _value_at_one(part: dict) -> TScalar:
-    v = _T_ZERO
-    for c in part.values():
-        v = v + c
-    return v
-
-
-def _divide_by_u_minus_1(part: dict[int, TScalar]) -> dict[int, TScalar]:
-    """Synthetic division of sum c_i u^i by (u - 1); assumes exact."""
-    deg = max(part)
-    quot: dict[int, TScalar] = {}
-    carry = _T_ZERO
-    for i in range(deg, 0, -1):
-        carry = carry + part.get(i, _T_ZERO)
-        if carry.terms:
-            quot[i - 1] = carry
-    return quot
+def _q1_expansion(d: dict) -> tuple[int, TScalar]:
+    """The order k at u = 1 of a nonzero flat polynomial d and g(1), where
+    d = u^e_min (u - 1)^k g: by Taylor's formula at u = 1, g(1) is the sum of
+    c_i * C(i - e_min, k) over the terms c_i u^i, the first such sum that is
+    not zero."""
+    es = [(k, _u(k), c) for k, c in d.items()]
+    emin = min(e for _, e, _ in es)
+    order = 0
+    while True:
+        value = {}
+        for k, e, c in es:
+            b = comb(e - emin, order)
+            if b:
+                value[k - e] = value.get(k - e, 0) + b * c
+        value = {k: c for k, c in value.items() if c}
+        if value:
+            return order, TScalar._of(value)
+        order += 1
 
 
 def _render_laurent(part: dict, scale: int, base: str) -> str:

@@ -29,7 +29,7 @@ from .duality import p1_star, p1_star_injective, principal_compatible_pair
 from .mutation import a_torus, x_torus
 from .qtorus import QTorusElement, SkewLattice, add_terms, skew_product, vec, vec_neg
 from .scalars import ONE, QScalar, qpow
-from .seeds import FixedData, Seed, _primitive
+from .seeds import FixedData, Seed, primitive
 from .words import FactoredWord, Series, degree, dilog_factor_word, dilog_pairings
 
 
@@ -240,7 +240,7 @@ class ScatteringDiagram:
             for r in w.rays():
                 items.append((r, w))
         for r, w in items:
-            if _cross2(base, r) == 0:
+            if cross2(base, r) == 0:
                 raise ValueError("loop base point lies on a wall; move it")
 
         def angle_key(rw):
@@ -332,7 +332,8 @@ def _exp_series(g: Series, cutoff: int, torus, dvec) -> Series:
     return out
 
 
-def _cross2(a, b) -> int:
+def cross2(a, b) -> int:
+    """The determinant of the rank-2 vectors a, b."""
     return a[0] * b[1] - a[1] * b[0]
 
 
@@ -340,14 +341,14 @@ def _ccw_key(base, r):
     """Sort key: counterclockwise angle of r measured from just after base.
     Exact; r must not be collinear with base (the loop base point sits in a
     chamber interior)."""
-    c = _cross2(base, r)
+    c = cross2(base, r)
     if c == 0:
         raise ValueError("ray collinear with the loop base direction")
     if c > 0:
         start, half = base, 0
     else:
         start, half = (-base[0], -base[1]), 1
-    cc = _cross2(start, r)
+    cc = cross2(start, r)
     dd = start[0] * r[0] + start[1] * r[1]
     # angle from start lies in [0, pi); it increases as cot = dd/cc decreases
     return (half, Fraction(-dd, cc))
@@ -361,7 +362,7 @@ def initial_diagram(fd: FixedData, side: str = "A", quantum: bool = False,
     for i in fd.unfrozen:
         n0 = (1 if i == 0 else 0, 1 if i == 1 else 0)
         direction = dg.dir_map(n0)
-        ray = _primitive(dg.pmap.apply(n0))  # support is n0-perp in M*_R
+        ray = primitive(dg.pmap.apply(n0))  # support is n0-perp in M*_R
         if quantum:
             h = Fraction(1, fd.d[i]) if side == "X" else Fraction(-(d // fd.d[i]), 2)
             wall = Wall(normal=n0, ray=ray, full_line=True, incoming=True,
@@ -438,9 +439,9 @@ def _complete_degree(dg: ScatteringDiagram, k: int) -> None:
 
 def _insert_wall(dg: ScatteringDiagram, m, k: int, entries) -> None:
     n = _normal_of_direction(dg, m)
-    n0 = _primitive(n)
+    n0 = primitive(n)
     j = n[0] // n0[0] if n0[0] else n[1] // n0[1]
-    ray = _primitive(vec_neg(dg.pmap.apply(n)))  # outgoing: R>=0 (-p1*(n))
+    ray = primitive(vec_neg(dg.pmap.apply(n)))  # outgoing: R>=0 (-p1*(n))
     wall = None
     for w in dg.walls:
         if not w.full_line and w.ray == ray and w.normal == n0:

@@ -60,15 +60,6 @@ class FixedData:
     def d_lcm(self) -> int:
         return lcm(*self.d) if self.n else 1
 
-    @property
-    def session_denominator(self) -> int:
-        """All q-exponents of the engine lie in (1/D) Z for this D."""
-        den = 1
-        for row in self.skew:
-            for x in row:
-                den = lcm(den, x.denominator)
-        return 2 * self.d_lcm * den
-
     def with_coefficients(self, mode: str) -> "FixedData":
         return FixedData(self.n, self.unfrozen, self.skew, self.d, self.labels, mode)
 
@@ -206,30 +197,6 @@ class Seed:
             s = s.mutate(k)
         return s
 
-    # -- chamber-level (unordered cluster) equality ----------------------------------
-    def cluster_key(self):
-        """Canonical form of (C, eps) under permutations of the unfrozen
-        directions: chambers of the g-vector fan are unordered clusters."""
-        from itertools import permutations
-
-        fd = self.fixed
-        uf = fd.unfrozen
-        frozen = [i for i in range(fd.n) if i not in uf]
-        eps = self.epsilon()
-        best = None
-        for perm in permutations(range(len(uf))):
-            order = [uf[p] for p in perm] + frozen
-            cs = tuple(self.cvector(uf[p]) for p in perm)
-            es = tuple(tuple(eps[i][j] for j in order) for i in order)
-            key = (cs, es)
-            if best is None or key < best:
-                best = key
-        return best
-
-    def same_chamber(self, other: "Seed") -> bool:
-        """Same unordered cluster data (the chamber of the g-vector fan)."""
-        return self.fixed == other.fixed and self.cluster_key() == other.cluster_key()
-
     def __repr__(self):
         return f"Seed(history={list(self.history)})"
 
@@ -287,7 +254,8 @@ class Chamber:
     dual_generators: tuple[tuple[int, int], tuple[int, int]]
 
 
-def _primitive(v):
+def primitive(v):
+    """The primitive integer vector on the ray of the rank-2 vector v."""
     g = gcd(v[0], v[1])
     return (v[0] // g, v[1] // g) if g else v
 
@@ -313,7 +281,7 @@ def cluster_chamber(s: Seed) -> Chamber:
     for own, other in ((c1, c2), (c2, c1)):
         # g is orthogonal to the other c-vector, positive against its own
         cand = (other[1] * fd.d[0], -other[0] * fd.d[1])
-        cand = _primitive(cand)
+        cand = primitive(cand)
         if pair(own, cand) < 0:
             cand = (-cand[0], -cand[1])
         gvecs.append(cand)

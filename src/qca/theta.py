@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .qtorus import QTorusElement, vec
 from .scalars import ONE, QScalar
-from .scatter import ScatteringDiagram, Wall, _cross2
+from .scatter import ScatteringDiagram, Wall, cross2
 from .words import Series, degree
 
 
@@ -59,7 +59,7 @@ class BrokenLine:
 def _on_any_wall(diagram: ScatteringDiagram, Q) -> bool:
     for w in diagram.walls:
         for r in w.rays():
-            if _cross2(r, Q) == 0 and (Q[0] * r[0] + Q[1] * r[1]) > 0:
+            if cross2(r, Q) == 0 and (Q[0] * r[0] + Q[1] * r[1]) > 0:
                 return True
     return False
 
@@ -104,11 +104,11 @@ def enumerate_broken_lines(m0, Q, diagram: ScatteringDiagram, order: int,
 
     def anchor(mJ, wvec):
         """Solve Q = x1 w - t mJ for (x1, t); None if infeasible."""
-        det = _cross2(wvec, mJ)
+        det = cross2(wvec, mJ)
         if det == 0:
             return None
-        x1 = Fraction(_cross2(Q, mJ), det)
-        t = Fraction(_cross2(Q, wvec), det)
+        x1 = Fraction(cross2(Q, mJ), det)
+        t = Fraction(cross2(Q, wvec), det)
         if x1 <= 0 or t <= 0:
             return None
         return x1, t
@@ -135,11 +135,11 @@ def enumerate_broken_lines(m0, Q, diagram: ScatteringDiagram, order: int,
         for r, wall in rays:
             if bends:
                 # reach ray r from the current anchored direction
-                det = _cross2(r, m)
+                det = cross2(r, m)
                 if det == 0:
                     continue
-                alpha = Fraction(_cross2(wvec, m), det)
-                beta = Fraction(_cross2(wvec, r), _cross2(m, r))
+                alpha = Fraction(cross2(wvec, m), det)
+                beta = Fraction(cross2(wvec, r), cross2(m, r))
                 if alpha <= 0 or beta <= 0:
                     continue
                 new_w = (alpha * r[0], alpha * r[1])
@@ -147,7 +147,7 @@ def enumerate_broken_lines(m0, Q, diagram: ScatteringDiagram, order: int,
                 new_w = (Fraction(r[0]), Fraction(r[1]))
                 # the incoming straight segment must genuinely cross: skip
                 # rays parallel to the travel direction
-                if _cross2(r, m) == 0:
+                if cross2(r, m) == 0:
                     continue
             for m2, c2, cost in _bend_options(diagram, wall, m, coeff, budget):
                 if cost > budget:

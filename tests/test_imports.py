@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read somewhere in it."""
+"""Every name a module of the package imports is read somewhere in it, and
+no module imports another module's private (underscore) names."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,19 @@ def unread_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unread_imports(path) == []
+
+
+def private_imports(path: Path) -> list[str]:
+    """Underscore names imported from another module of the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        f"{alias.name} from {'.' * node.level}{node.module or ''} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "qca")
+        for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported(path):
+    assert private_imports(path) == []

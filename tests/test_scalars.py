@@ -178,14 +178,14 @@ def to_sympy(x: QScalar):
     def part(d):
         return sum((c * S ** (e * 6 // x.scale)
                     * sympy.Mul(*(T[i] ** a for i, a in enumerate(m)))
-                    for e, ts in d.items() for m, c in ts.terms.items()),
+                    for e, ts in d.items() for m, c in ts.monomials().items()),
                    sympy.Integer(0))
     return part(x.num) / part(x.den)
 
 
 def tscalar_to_sympy(ts: TScalar):
     return sum((c * sympy.Mul(*(T[i] ** a for i, a in enumerate(m)))
-                for m, c in ts.terms.items()), sympy.Integer(0))
+                for m, c in ts.monomials().items()), sympy.Integer(0))
 
 
 def same(a, b) -> bool:
@@ -247,16 +247,42 @@ def test_inverse_bar_and_t_one_match_sympy(a):
         assert matches(x.subs_t_one(), num / den)
 
 
+def order_at_one(p) -> int:
+    """The order of vanishing of the polynomial p at s = 1."""
+    k = 0
+    while sympy.expand(sympy.diff(p, S, k).subs(S, 1)) == 0:
+        k += 1
+    return k
+
+
+def check_divide_exact_qminus1(y: QScalar, sy):
+    """y vanishes at q = 1; so does sy, its sympy value."""
+    assert matches(y.divide_exact_qminus1(), sy / (S ** 6 - 1))
+
+
 @PROPERTY
 @given(fractions())
 def test_limit_q1_matches_sympy(a):
     x, sx = a
     num, den = sympy.fraction(sympy.cancel(sympy.together(sx)))
-    pole = sympy.expand(den.subs(S, 1)) == 0
+    pole = order_at_one(den)
+    q = qpow(1)
     if pole:
-        with pytest.raises(QPoleError):
+        with pytest.raises(QPoleError) as exc:
             x.limit_q1_pair()
+        assert exc.value.order == pole
+        # times (q - 1)^(pole + 1) the value vanishes at q = 1
+        check_divide_exact_qminus1(x * (q - 1) ** (pole + 1),
+                                   sx * (S ** 6 - 1) ** (pole + 1))
         return
+    # x - bar(x) and x * (q^(1/2) - 1) vanish at q = 1
+    check_divide_exact_qminus1(x - x.bar(), sx - sx.subs(S, 1 / S))
+    check_divide_exact_qminus1(x * (qpow(Fraction(1, 2)) - 1), sx * (S ** 3 - 1))
+    if x.is_zero() or order_at_one(num):
+        check_divide_exact_qminus1(x, sx)
+    else:
+        with pytest.raises(ValueError):
+            x.divide_exact_qminus1()
     want = sympy.cancel(num.subs(S, 1) / den.subs(S, 1))
     n1, d1 = x.limit_q1_pair()
     assert same(tscalar_to_sympy(n1) / tscalar_to_sympy(d1), want)
@@ -279,7 +305,7 @@ def test_equal_values_are_structurally_equal(a, b, c):
     x, y, z = a[0], b[0], c[0]
     pairs = [((x + y) * z, x * z + y * z), ((x * y) * z, x * (y * z)),
              (x - x, QScalar.integer(0))]
-    if not y.is_zero() and all(m == () for ts in y.num.values() for m in ts.terms):
+    if not y.is_zero() and all(ts.is_constant() for ts in y.num.values()):
         pairs.append(((x * y) / y, x))
     for u, v in pairs:
         assert u == v
