@@ -112,9 +112,12 @@ class CPoly:
 
     def exact_divide(self, g: "CPoly"):
         """self / g if g divides exactly (None otherwise).  Works on the
-        polynomial parts after clearing Laurent monomial shifts."""
+        polynomial parts after clearing Laurent monomial shifts; a monomial
+        g with coefficient 1 is such a shift itself."""
         if g.is_zero():
             return None
+        if g.is_monomial() and _T_ONE in g.terms.values():
+            return self.shift(vec_neg(next(iter(g.terms))))
         sh_self, sh_g = self.min_exponents(), g.min_exponents()
         a = self.shift(vec_neg(sh_self))
         b = g.shift(vec_neg(sh_g))
@@ -128,7 +131,7 @@ class CPoly:
             diff = tuple(x - y for x, y in zip(e, lead))
             if any(x < 0 for x in diff):
                 return None
-            q = _tdiv(work[e], lead_c)
+            q = work[e].divide(lead_c)
             if q is None:
                 return None
             quot[diff] = q
@@ -165,22 +168,6 @@ class CPoly:
 
     def __repr__(self):
         return f"CPoly({self.render()})"
-
-
-def _tdiv(a: TScalar, b: TScalar):
-    """a / b for TScalars when exact (None otherwise)."""
-    if len(b.terms) == 1:
-        return a.divide_term(b)
-    # multi-term coefficient divisor: fall back to full polynomial division
-    # in the t variables, each t_i taken as the variable X_i of a CPoly
-    ma, mb = a.monomials(), b.monomials()
-    r = max(map(len, (*ma, *mb)))
-    pa, pb = (CPoly(r, {m + (0,) * (r - len(m)): c for m, c in d.items()})
-              for d in (ma, mb))
-    q = pa.exact_divide(pb)
-    if q is None:
-        return None
-    return TScalar({e: c.constant_value() for e, c in q.terms.items()})
 
 
 class CRational:
@@ -313,10 +300,10 @@ class CRational:
         n = self.num.render(labels)
         if not self.den:
             return n
-        d = self.den_poly().render(labels)
+        dp = self.den_poly()
+        d = dp.render(labels)
         if len(self.num.terms) > 1:
             n = f"({n})"
-        dp = self.den_poly()
         if len(dp.terms) > 1:
             d = f"({d})"
         return f"{n}/{d}"
@@ -327,23 +314,11 @@ class CRational:
 
 def _reduce(num: CPoly, factors: list[CPoly]):
     """Cancel denominator factors into the numerator where they divide
-    exactly; pull the monomial content of the denominator into the numerator
-    as a Laurent shift."""
+    exactly (a monomial factor with coefficient 1 as a Laurent shift)."""
     out = []
     for f in factors:
         if num.is_zero():
             break
-        if f.is_monomial():
-            (e, c), = f.terms.items()
-            if c == _T_ONE:
-                num = num.shift(vec_neg(e))
-                continue
-            q = _monomial_divide(num, e, c)
-            if q is not None:
-                num = q
-                continue
-            out.append(f)
-            continue
         q = num.exact_divide(f)
         if q is not None:
             num = q
@@ -352,13 +327,3 @@ def _reduce(num: CPoly, factors: list[CPoly]):
     if num.is_zero():
         return num, []
     return num, out
-
-
-def _monomial_divide(num: CPoly, e, c: TScalar):
-    d = {}
-    for k, cc in num.terms.items():
-        q = _tdiv(cc, c)
-        if q is None:
-            return None
-        d[tuple(a - b for a, b in zip(k, e))] = q
-    return CPoly(num.rank, d)

@@ -236,8 +236,10 @@ def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
     """BZ quantum A-mutation applied to a word.
 
     Monomials decompose over the mutated chart's f-basis; the only moving
-    generator contributes powers of the two-term element.  Polynomial atoms
-    must have a uniform coordinate along the mutated direction.
+    generator contributes powers of the two-term element B.  A polynomial
+    atom whose monomials have different coordinates a_m along the mutated
+    direction keeps the common power B^amin as separate atoms and expands
+    the rest.
     """
     fd = seed.fixed
     if k not in fd.unfrozen:
@@ -272,17 +274,13 @@ def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
     out_atoms = []
     prefix = w.prefix
     for p, s in w.atoms:
-        coords = {a_coord(m) for m in p.terms}
-        if len(coords) != 1:
-            raise ValueError(
-                "A-mutation of a polynomial atom with mixed coordinates "
-                "along the mutated direction is not supported")
-        ak = coords.pop()
+        # sum_m lead_m B^(a_m) = (sum_m lead_m B^(a_m - amin)) B^amin
+        images = [mono_image(m, c) for m, c in p.terms.items()]
+        amin = min(ak for _, ak in images)
         mapped = QTorusElement(alg, {})
-        for m, c in p.terms.items():
-            lead, _ = mono_image(m, c)
-            mapped = mapped + lead
-        piece = FactoredWord.from_element(mapped) * _power_word(binom, ak)
+        for lead, ak in images:
+            mapped = mapped + (lead if ak == amin else lead * binom ** (ak - amin))
+        piece = FactoredWord.from_element(mapped) * _power_word(binom, amin)
         if s == -1:
             piece = piece.inverse()
         prefix = prefix * piece.prefix
@@ -335,6 +333,27 @@ def quantum_x_table(fd: FixedData, sequence, with_coefficients: bool):
     return rows
 
 
+def quantum_a_table(fd: FixedData, sequence):
+    """Rows of (seed, [A-variable words in the initial chart]) on the
+    quantum A-torus of the principal compatible pair."""
+    from .duality import principal_compatible_pair
+
+    alg = a_torus(fd, principal_compatible_pair(fd).Lambda)
+    seeds = [Seed(fd)]
+    for k in sequence:
+        seeds.append(seeds[-1].mutate(k))
+    rows = []
+    for step, s in enumerate(seeds):
+        out = []
+        for i in range(fd.n):
+            w = FactoredWord.monomial(alg, s.f_basis()[i])
+            for j in range(step - 1, -1, -1):
+                w = mutate_a_word(w, sequence[j], seeds[j], True)
+            out.append(w)
+        rows.append((s, out))
+    return rows
+
+
 def word_to_classical(w: FactoredWord) -> CRational:
     """Exact q=1 specialization of a word into the commutative torus.
 
@@ -377,24 +396,7 @@ def apply_mutation_sequence(fd: FixedData, sequence, mode: str):
     elif mode in ("x-quantum", "x-quantum-coeff"):
         data = quantum_x_table(fd, sequence, mode == "x-quantum-coeff")
     else:  # a-quantum
-        from .duality import principal_compatible_pair
-
-        pair = principal_compatible_pair(fd)
-        alg = a_torus(fd, pair.Lambda)
-        seed = Seed(fd)
-        seeds = [seed]
-        for k in sequence:
-            seeds.append(seeds[-1].mutate(k))
-        data = []
-        for step in range(len(sequence) + 1):
-            s = seeds[step]
-            out = []
-            for i in range(fd.n):
-                w = FactoredWord.monomial(alg, s.f_basis()[i])
-                for j in range(step - 1, -1, -1):
-                    w = mutate_a_word(w, sequence[j], seeds[j], True)
-                out.append(w)
-            data.append((s, out))
+        data = quantum_a_table(fd, sequence)
     for step, (seed, variables) in enumerate(data):
         rows.append({
             "step": step,

@@ -10,12 +10,14 @@ u = q^{1/scale} (scale supplies the fractional powers q^{1/d} the formulas
 need).  Each polynomial is one flat dict {packed key: int}, where the key is
 a single int holding the u-exponent and the whole t-exponent vector (packed
 exponent vectors in the manner of Monagan and Pearce), so a product of two
-terms is one int addition and one int multiplication.  :class:`TScalar`,
-the integer polynomials in t, is the same kind of dict restricted to keys
-with u-exponent 0 and shares the kernel's sum and product; it is the
-coefficient type of the commutative layer, of q = 1 limits and of the
-decoded ``QScalar.num`` / ``QScalar.den`` views, which are key shifts of the
-flat pair.
+terms is one int addition and one int multiplication.  ``_divide`` is the
+kernel's one division: by leading terms under the key order, it serves exact
+t-polynomial quotients, the gcd cancellation and q = 1 limits.
+:class:`TScalar`, the integer polynomials in t, is the same kind of dict
+restricted to keys with u-exponent 0 and shares the kernel's sum, product
+and division; it is the coefficient type of the commutative layer, of q = 1
+limits and of the decoded ``QScalar.num`` / ``QScalar.den`` views, which are
+key shifts of the flat pair.
 """
 
 from __future__ import annotations
@@ -112,27 +114,11 @@ class TScalar:
         """Value at t = 1."""
         return sum(self.terms.values())
 
-    def divide_int(self, n: int) -> "TScalar":
-        out = {}
-        for k, c in self.terms.items():
-            if c % n:
-                raise ValueError(f"{n} does not divide coefficient {c}")
-            out[k] = c // n
-        return TScalar._of(out)
-
-    def divide_term(self, b: "TScalar"):
-        """self / b for a single-term b when the quotient is a polynomial
-        with integer coefficients, else None."""
-        (kb, cb), = b.terms.items()
-        out = {}
-        for k, c in self.terms.items():
-            # a packed difference is a stored key again exactly when no
-            # t-field borrows from the next one
-            d = k - kb
-            if (d + _U_LIMIT) & _GUARD or c % cb:
-                return None
-            out[d] = c // cb
-        return TScalar._of(out)
+    def divide(self, b: "TScalar"):
+        """self / b when the quotient is a polynomial with integer
+        coefficients, else None."""
+        q = _divide(self.terms, b.terms)
+        return None if q is None else TScalar._of(q)
 
     def __repr__(self):
         return f"TScalar({self.render()})"
@@ -297,6 +283,44 @@ def _mul(a: dict, b: dict) -> dict:
     return d
 
 
+def _divide(a: dict, b: dict):
+    """a / b for flat polynomials with nonnegative exponents, by leading
+    terms under the key order (lex, highest field first): the quotient when
+    it has nonnegative exponents and integer coefficients, else None.  The
+    kernel's one division; a working key out of range raises OverflowError."""
+    if not b:
+        raise ZeroDivisionError("division by zero")
+    kb = max(b)
+    cb = b[kb]
+    rest = [(k - kb, c) for k, c in b.items() if k != kb]
+    work = dict(a)
+    get = work.get
+    q = {}
+    while work:
+        k = max(work)
+        c = work.pop(k)
+        # a quotient key is a stored key with nonnegative exponents exactly
+        # when no t-field borrows and its u-exponent is not negative
+        d = k - kb
+        if (d + _U_LIMIT) & _GUARD or _u(d) < 0 or c % cb:
+            return None
+        f = q[d] = c // cb
+        for r, cr in rest:
+            kr = k + r
+            v = get(kr)
+            if v is None:
+                if (kr + _U_LIMIT) & _GUARD:
+                    raise _overflow()
+                work[kr] = -f * cr
+            else:
+                v -= f * cr
+                if v:
+                    work[kr] = v
+                else:
+                    del work[kr]
+    return q
+
+
 def _rescale(d: dict, f: int) -> dict:
     """u -> u^f (a finer scale)."""
     if f == 1 or d is _DEN1:
@@ -332,7 +356,7 @@ def _divide_u(d: dict, g: int) -> dict:
     return out
 
 
-# -- integer univariate helpers for gcd cancellation.
+# -- integer univariate gcd for gcd cancellation.
 
 def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
     """gcd in Z[x] via primitive pseudo-remainder sequences.
@@ -383,26 +407,6 @@ def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
         r = primitive(pseudo_rem(a, b))
         a, b = b, r
     return primitive(a)
-
-
-def _int_poly_divmod(a: list[int], b: list[int]):
-    """Exact-division-oriented divmod in Z[x]; returns (quot, rem) or None if
-    a leading coefficient fails to divide."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        la = a[-1]
-        if la % lb:
-            return None
-        f = la // lb
-        q[len(a) - 1 - db] = f
-        for i, c in enumerate(b):
-            a[len(a) - 1 - db + i] -= f * c
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
 
 
 class QScalar:
@@ -561,7 +565,6 @@ class QScalar:
         es = {k: _u(k) for k in num}
         if QScalar._past_gcd_cap(es.values(), den):
             return num, den
-        deg_den = max(den)
         num_min = min(es.values())
 
         # slice the numerator per t-monomial, offset by its minimal exponent
@@ -569,32 +572,19 @@ class QScalar:
         for k, c in num.items():
             e = es[k]
             slices.setdefault(k - e, {})[e - num_min] = c
-        g = [den.get(i, 0) for i in range(deg_den + 1)]
+        g = [den.get(i, 0) for i in range(max(den) + 1)]
         for sl in slices.values():
             g = _int_poly_gcd(g, [sl.get(i, 0) for i in range(max(sl) + 1)])
             if len(g) <= 1:
                 return num, den
-
-        def div(poly_dict, offset):
-            deg = max(poly_dict)
-            res = _int_poly_divmod([poly_dict.get(i, 0) for i in range(deg + 1)], g)
-            if res is None or res[1]:
-                return None
-            q, _ = res
-            return {offset + i: q[i] for i in range(len(q)) if q[i]}
-
-        # den has a nonzero constant term, so the quotient keeps one too
-        new_den = div(den, 0)
-        if new_den is None:
+        g = {i: c for i, c in enumerate(g) if c}
+        # den has a nonzero constant term, so the quotient keeps one too;
+        # the numerator is divided shifted to u-exponents >= 0
+        new_den = _divide(den, g)
+        new_num = _divide({k - num_min: c for k, c in num.items()}, g)
+        if new_den is None or new_num is None:
             return num, den
-        new_num = {}
-        for t, sl in slices.items():
-            r = div(sl, num_min)
-            if r is None:
-                return num, den
-            for e, c in r.items():
-                new_num[t + e] = c
-        return new_num, new_den
+        return {k + num_min: c for k, c in new_num.items()}, new_den
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -759,10 +749,9 @@ class QScalar:
         polynomial in t.
         """
         nv, dv = self.limit_q1_pair()
-        if nv.is_zero():
-            return nv
-        if dv.is_constant():
-            return nv.divide_int(dv.constant_value())
+        out = nv.divide(dv)
+        if out is not None:
+            return out
         raise ValueError(f"q=1 limit is not polynomial in t: {self.render()}")
 
     def limit_q1_pair(self) -> tuple[TScalar, TScalar]:

@@ -25,8 +25,8 @@ SEEDS = os.path.join(os.path.dirname(HERE), "demos", "seeds")
 
 # Short sequences keep the quantum words (which grow exponentially with
 # depth) small enough that the whole file runs in a few seconds.
-# A-quantum mutation of a word supports one direction only (a mixed
-# sequence is a documented exit-2 error, recorded once below).
+# A-quantum words grow fastest, so each seed pins them on a one-step
+# sequence; one mixed-direction A2 table is recorded once below.
 TABLE_SEQ = {"a2": "2,1,2,1,2", "a23": "1,2,1", "a2_scat": "1,2,1",
              "rank3": "1,3,2", "rank3_frozen": "2,1"}
 MUTATE_SEQ = {"a2": "1,2,1", "a23": "2,1", "a2_scat": "2,1", "rank3": "2,3",

@@ -1,3 +1,4 @@
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -52,9 +53,26 @@ def test_tscalar_views():
     assert not x.is_constant() and ts({(0, 0): 5}).is_constant()
     assert ts({(0, 0): 5}).constant_value() == 5 and TScalar().constant_value() == 0
     assert x.coefficient_sum() == 5
-    divides = x.divide_term(ts({(1,): 1})) is not None
+    divides = x.divide(ts({(1,): 1})) is not None
     assert not divides
-    assert (x * ts({(0, 1): -2})).divide_term(ts({(0, 1): -2})) == x
+    assert (x * ts({(0, 1): -2})).divide(ts({(0, 1): -2})) == x
+
+
+def test_monomial_factor_whose_coefficient_quotient_is_laurent_stays():
+    # (1 + t1) X1 / ((t1 + t1^2) X1) is t1^-1: no polynomial quotient in t,
+    # so the factor is kept
+    one_t1 = ts({(): 1, (1,): 1})
+    r = CRational(CPoly(2, {(1, 0): one_t1}),
+                  [CPoly(2, {(1, 0): ts({(1,): 1, (2,): 1})})])
+    assert len(r.den) == 1
+    assert r * CRational(CPoly(2, {(0, 0): ts({(1,): 1})})) == CRational.one(2)
+
+
+def test_divide_raises_overflow_past_the_packed_range():
+    # t2^2 / (t2 + t1^300): the third working term is t1^600, past the
+    # packed t-exponent range
+    with pytest.raises(OverflowError):
+        ts({(0, 2): 1}).divide(ts({(0, 1): 1, (300,): 1}))
 
 
 def tscalar_to_sympy(x: TScalar):
@@ -76,3 +94,33 @@ def test_tscalar_arithmetic_matches_sympy(x, y):
         assert all(got.monomials().values())
         assert sympy.expand(tscalar_to_sympy(got) - want) == 0
     assert (x + y == y + x) and (x * y == y * x)
+
+
+tmonomials = st.lists(st.integers(0, 2), max_size=3).map(
+    lambda e: TScalar({tuple(e): 1}))
+
+
+def sympy_quotient(x: TScalar, y: TScalar):
+    """x / y as a sympy integer polynomial in t, or None when it is not one."""
+    r = sympy.cancel(tscalar_to_sympy(x) / tscalar_to_sympy(y))
+    if sympy.fraction(r)[1].free_symbols:
+        return None
+    if not all(c.is_integer for c in sympy.Poly(r, *T).coeffs()):
+        return None
+    return r
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tscalars, tscalars.filter(lambda b: not b.is_zero()), tmonomials)
+def test_divide_matches_sympy(a, b, m):
+    # random quotients, exact ones, and ones that would need a negative
+    # t-exponent: None exactly when sympy's quotient is no integer polynomial
+    for x, y in ((a, b), (a * b, b), (a * m, b), (a * b * m, b), (a * b, b * m)):
+        want = sympy_quotient(x, y)
+        got = x.divide(y)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and all(got.monomials().values())
+            assert sympy.expand(tscalar_to_sympy(got) - want) == 0
+    assert (a * b).divide(b) == a

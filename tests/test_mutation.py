@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from qca.checks import A2_SEQ, double_mutation_is_identity
@@ -9,9 +11,11 @@ from qca.mutation import (
     mu_prime_word,
     mu_sharp_word,
     mutate_word,
+    quantum_a_table,
+    word_to_classical,
     x_torus,
 )
-from qca.seeds import Seed, make_fixed_data
+from qca.seeds import Seed, load_seed_file, make_fixed_data
 from qca.words import FactoredWord, words_equal
 
 
@@ -113,3 +117,35 @@ def test_apply_sequence_involution_rows():
     assert rows[2]["epsilon"] == rows[0]["epsilon"]
     assert rows[2]["cvectors"] == rows[0]["cvectors"]
     assert double_mutation_is_identity(fd, 1, order=12)
+
+
+SEEDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "demos", "seeds")
+
+
+def _seed_and_sequence(name, seq):
+    """A demo seed and a 1-based CLI sequence, as the table commands read them."""
+    fd = load_seed_file(os.path.join(SEEDS, f"{name}.json"))
+    return fd, [int(k) - 1 for k in seq.split(",")]
+
+
+@pytest.mark.parametrize("name,seq", [
+    ("a2", "2,1,2,1,2"), ("a23", "1,2,1,2"), ("a23", "2,2,1"),
+    ("a2_scat", "1,2,1,2,1"), ("rank3_frozen", "2,1,2")])
+def test_a_quantum_table_at_q1_is_the_a_prin_table(name, seq):
+    # mixed-direction sequences: atoms whose monomials sit at different
+    # coordinates along the mutated direction
+    fd, seq = _seed_and_sequence(name, seq)
+    quantum = quantum_a_table(fd, seq)
+    classical = classical_a_table(fd, seq, with_coefficients=True)
+    assert len(quantum) == len(classical) == len(seq) + 1
+    for (_, words), (_, variables) in zip(quantum, classical):
+        assert [word_to_classical(w) for w in words] == variables
+
+
+def test_a2_quantum_pentagon_ends_in_the_swapped_initial_cluster():
+    fd, seq = _seed_and_sequence("a2", "2,1,2,1,2")
+    _, words = quantum_a_table(fd, seq)[-1]
+    alg = words[0].algebra
+    for w, e in zip(words, ((0, 1), (1, 0))):
+        assert words_equal(w, FactoredWord.monomial(alg, e), 6)

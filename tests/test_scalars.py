@@ -5,7 +5,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from qca.scalars import ONE, QPoleError, QScalar, TScalar, qpow, tpow, tvar, vpow
+from qca.scalars import (
+    ONE, QPoleError, QScalar, TScalar, _divide, _pack, qpow, tpow, tvar, vpow)
 
 
 def rand_scalar(rng, allow_fraction=True):
@@ -295,6 +296,29 @@ def test_limit_q1_matches_sympy(a):
             c.is_integer for c in sympy.Poly(want, *T).coeffs())
     else:
         assert same(tscalar_to_sympy(got), want)
+
+
+def test_kernel_division_keeps_u_exponents_nonnegative():
+    # flat polynomials in u = q^(1/scale) and t1; TScalar only ever divides
+    # u-free ones
+    u, t1 = _pack(1, ()), _pack(0, (1,))
+    assert _divide({2 * u: 1, 0: -1}, {u: 1, 0: -1}) == {u: 1, 0: 1}
+    assert _divide({t1 + u: 2, t1: 2}, {u: 1, 0: 1}) == {t1: 2}
+    # (1 + u) / u and t1 / u are Laurent in u
+    assert _divide({u: 1, 0: 1}, {u: 1}) is None
+    assert _divide({t1: 1}, {u: 1}) is None
+    # t1^2 / (t1 + u^200000): the third working term is u^400000
+    with pytest.raises(OverflowError):
+        _divide({2 * t1: 1}, {t1: 1, 200000 * u: 1})
+
+
+def test_limit_q1_divides_by_a_t_dependent_denominator():
+    # (t1 + t1^2) / (1 + t1) is kept unreduced (its denominator depends on
+    # t); its q = 1 value is the polynomial t1
+    t1 = tvar(0)
+    assert ((t1 + t1 ** 2) / (1 + t1)).limit_q1() == TScalar({(1,): 1})
+    with pytest.raises(ValueError):
+        (t1 / (1 + t1)).limit_q1()
 
 
 @PROPERTY
