@@ -23,10 +23,10 @@ from .mutation import (
 )
 from .poisson import check_poisson_map
 from .qtorus import QTorusElement
-from .scalars import ONE, TScalar, qpow, tvar, vpow
+from .scalars import ONE, QScalar, TScalar, qpow, tvar, vpow
 from .scatter import appendix_b_closed_form, complete_to_order, initial_diagram
 from .seeds import Seed
-from .theta import enumerate_broken_lines, greedy_T, theta_coefficient
+from .theta import enumerate_broken_lines, greedy_T
 from .words import FactoredWord, words_equal
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def check_theta():
                                            order=2), 2)
     Q = (Fraction(1), Fraction(1))
     lines = enumerate_broken_lines((-3, 5), Q, dg, 4, final_exponent=(1, -1))
-    coeff = theta_coefficient((-3, 5), Q, dg, 4, (1, -1))
+    coeff = sum((bl.final_decoration.coeff for bl in lines), QScalar.integer(0))
     return [
         ("theta: exactly one contributing broken line", len(lines) == 1, ""),
         ("theta: coefficient of A^{f1-f2} is v^-2 - 1 + v^2",

@@ -17,7 +17,7 @@ from .mutation import MODES, apply_mutation_sequence
 from .render import broken_line_svg, diagram_svg
 from .scatter import complete_to_order, initial_diagram
 from .seeds import Seed, load_seed_file
-from .theta import enumerate_broken_lines, theta_function
+from .theta import enumerate_broken_lines, theta_of_lines
 # unused here; bench/test_bench.py checks that its tracer rebinds this alias
 from .words import words_equal  # noqa: F401
 
@@ -43,7 +43,8 @@ def _table_text(rows):
     for row in rows:
         mut = f"mu_{row['mutation']}" if row["mutation"] else "initial"
         out.append(f"step {row['step']} ({mut})")
-        out.append(f"  epsilon  {row['epsilon']}")
+        # JSON spelling: non-integral entries are exact strings such as "1/2"
+        out.append(f"  epsilon  {json.dumps(row['epsilon'])}")
         out.append(f"  cvectors {row['cvectors']}")
         for i, v in enumerate(row["variables"]):
             out.append(f"  X{i + 1} = {v}")
@@ -105,8 +106,11 @@ def cmd_theta(args) -> int:
     m0 = tuple(_parse_ints(args.gvector))
     Q = tuple(_parse_fracs(args.basepoint))
     filt = tuple(_parse_ints(args.filter_exponent)) if args.filter_exponent else None
-    lines = enumerate_broken_lines(m0, Q, dg, args.order, final_exponent=filt)
-    theta = theta_function(m0, Q, dg, args.order)
+    # one search serves both: the filter only selects lines for display
+    lines = enumerate_broken_lines(m0, Q, dg, args.order)
+    theta = theta_of_lines(dg.torus, lines)
+    if filt is not None:
+        lines = [bl for bl in lines if bl.final_decoration.exponent == filt]
     data = {
         "gvector": list(m0),
         "basepoint": [str(x) for x in Q],

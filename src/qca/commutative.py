@@ -304,7 +304,8 @@ class CRational:
         d = dp.render(labels)
         if len(self.num.terms) > 1:
             n = f"({n})"
-        if len(dp.terms) > 1:
+        # a one-term denominator such as (1+t1)*X1 or X1*X2 is a product too
+        if len(dp.terms) > 1 or "*" in d:
             d = f"({d})"
         return f"{n}/{d}"
 

@@ -37,7 +37,6 @@ class PStarMap:
     """Rows are p*(e_i) in (initial) f-coordinates of M*."""
 
     rows: tuple[tuple[int, ...], ...]
-    flavor: str  # "full" | "p1"
 
     def apply(self, n) -> tuple[int, ...]:
         rank = len(self.rows[0])
@@ -66,7 +65,7 @@ def p1_star(fd: FixedData) -> PStarMap:
                     f"p* row {i + 1} is not integral: {{e{i + 1},e{j + 1}}}d{j + 1} = {v}")
             row.append(int(v))
         rows.append(tuple(row))
-    return PStarMap(tuple(rows), "full")
+    return PStarMap(tuple(rows))
 
 
 def p1_star_injective(fd: FixedData, pmap: PStarMap | None = None) -> bool:

@@ -137,20 +137,8 @@ def mu_prime_word(w: FactoredWord, k: int, seed: Seed,
     ek = seed.basis[k]
     dk = fd.d[k]
 
-    def pair(v) -> int:
-        tot = Fraction(0)
-        for i, a in enumerate(v):
-            if a:
-                row = fd.skew[i]
-                for j, b in enumerate(ek):
-                    if b:
-                        tot += a * b * row[j]
-        tot *= dk
-        assert tot.denominator == 1
-        return int(tot)
-
     def twist(v, coeff):
-        m = -pair(v)
+        m = -fd.integral(fd.form_int(v, ek) * dk, "coefficient twist exponent")
         if m == 0:
             return coeff
         return coeff * tpow([m * x for x in cm])
@@ -251,19 +239,10 @@ def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
     dk = fd.d[k]
     binom = a_mutation_binomial(alg, k, seed, with_coefficients)
 
-    def a_coord(m) -> int:
-        # <d_k e_{k;s'}, m> with <e_i0, f_j0> = delta_ij / d_i
-        tot = Fraction(0)
-        for i, a in enumerate(ekp):
-            if a and m[i]:
-                tot += Fraction(a * m[i], fd.d[i])
-        tot *= dk
-        assert tot.denominator == 1
-        return int(tot)
-
     def mono_image(m, c):
         """Image of c A^m as (element, list of binomial powers)."""
-        ak = a_coord(m)
+        # <d_k e_{k;s'}, m>, the coordinate of m along the mutated direction
+        ak = fd.integral(fd.pair_int(ekp, m) * dk, "A-mutation coordinate")
         if ak == 0:
             return QTorusElement(alg, {vec(m): c}), 0
         mbar = tuple(x - ak * y for x, y in zip(m, fkp))
@@ -401,7 +380,8 @@ def apply_mutation_sequence(fd: FixedData, sequence, mode: str):
         rows.append({
             "step": step,
             "mutation": seed.history[-1] + 1 if seed.history else None,
-            "epsilon": [list(map(int, r)) for r in seed.epsilon()],
+            "epsilon": [[int(x) if x.denominator == 1 else str(x) for x in r]
+                        for r in seed.epsilon()],
             "cvectors": [list(c) for c in seed.cvectors()],
             "variables": [
                 v.render(fd.labels) if isinstance(v, CRational) else v.render()

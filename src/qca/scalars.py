@@ -75,14 +75,6 @@ class TScalar:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return self.terms.keys() <= {0}
-
-    def constant_value(self) -> int:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.terms.get(0, 0)
-
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "TScalar") -> "TScalar":
         return TScalar._of(_add(self.terms, other.terms))

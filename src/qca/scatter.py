@@ -133,10 +133,6 @@ class ScatteringDiagram:
                 c = c * need // gcd(c, need)
         return tuple(c * a for a in n0)
 
-    def pair_nm(self, n, m) -> Fraction:
-        """<n, m> with n in e-coords, m in f-coords: sum n_i m_i / d_i."""
-        return sum(Fraction(a * b, d) for a, b, d in zip(n, m, self.fd.d))
-
     # -- crossing operators -----------------------------------------------------------
     def cross(self, wall: Wall, series: Series, sign: int, cutoff: int) -> Series:
         """Cross ``wall`` with sign ``sign``: each term c X^m becomes
@@ -161,14 +157,9 @@ class ScatteringDiagram:
             return dilog_pairings(self.torus, wall.dilog[0], wall.direction, exponents)
         if wall.kind == "log":
             return {m: self.torus.omega_int(wall.direction, m) for m in exponents}
-        npr = self.nprime(wall.normal)
-        out = {}
-        for m in exponents:
-            p = self.pair_nm(npr, m)
-            if p.denominator != 1:
-                raise ArithmeticError("non-integral classical crossing exponent")
-            out[m] = int(p)
-        return out
+        npr, fd = self.nprime(wall.normal), self.fd
+        return {m: fd.integral(fd.pair_int(npr, m), "classical crossing exponent")
+                for m in exponents}
 
     def _factor(self, wall: Wall, sign: int, p: int, rel: int) -> Series:
         """The crossing factor F for pairing p, exact to relative order
@@ -251,7 +242,7 @@ class ScatteringDiagram:
         out = []
         for r, w in items:
             mdir = (r[1], -r[0])  # -gamma' for the ccw loop at this ray
-            s = self.pair_nm(w.normal, mdir)
+            s = self.fd.pair_int(w.normal, mdir)
             if s == 0:
                 raise ConsistencyError("loop is tangent to a wall")
             out.append((r, w, 1 if s > 0 else -1))
@@ -455,7 +446,7 @@ def _insert_wall(dg: ScatteringDiagram, m, k: int, entries) -> None:
         created = True
     # crossing sign of the standard loop at this ray
     mdir = (ray[1], -ray[0])
-    sgn_val = dg.pair_nm(n0, mdir)
+    sgn_val = dg.fd.pair_int(n0, mdir)
     if sgn_val == 0:
         raise ConsistencyError("outgoing ray tangent to the loop")
     s = 1 if sgn_val > 0 else -1
@@ -471,11 +462,12 @@ def _insert_wall(dg: ScatteringDiagram, m, k: int, entries) -> None:
             sols.append(delta._qshift(wint, dg.torus.form_den) / beta
                         * QScalar.integer(s))
         else:
-            p = dg.pair_nm(dg.nprime(n0), u)
+            p = dg.fd.integral(dg.fd.pair_int(dg.nprime(n0), u),
+                               "classical crossing exponent")
             if p == 0:
                 continue
             # crossing adds s c <n', u>: cancel delta exactly
-            sols.append(delta * QScalar.integer(-s) / QScalar.integer(int(p)))
+            sols.append(delta * QScalar.integer(-s) / QScalar.integer(p))
     if not sols:
         raise ConsistencyError(f"no test monomial determines the wall at {m}")
     first = sols[0]

@@ -12,11 +12,19 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 @dataclass(frozen=True)
 class FixedData:
-    """Directions, skew form {e_i, e_j}, unfrozen subset, and d_i weights."""
+    """Directions, skew form {e_i, e_j}, unfrozen subset, and d_i weights.
+
+    Besides the fields, fixed data stores the principal form on N + M*, in
+    e- and f-coordinates with <e_i, f_j> = delta_ij / d_i, as the integer
+    matrix ``prin`` = form * form_den; ``form_den`` is the lcm of the d_i and
+    of the skew entries' denominators.  Equality and hashing use the fields
+    only.
+    """
 
     n: int
     unfrozen: tuple[int, ...]
@@ -26,11 +34,14 @@ class FixedData:
     coefficients: str = "principal"  # "principal" | "none"
 
     def __post_init__(self):
+        n = self.n
         uf = set(self.unfrozen)
-        if not uf <= set(range(self.n)):
+        if not uf <= set(range(n)):
             raise ValueError("unfrozen indices out of range")
-        for i in range(self.n):
-            for j in range(self.n):
+        if len(self.d) != n:
+            raise ValueError(f"need one d_i per direction, got {len(self.d)} for rank {n}")
+        for i in range(n):
+            for j in range(n):
                 if self.skew[i][j] != -self.skew[j][i]:
                     raise ValueError(f"skew form not antisymmetric at ({i},{j})")
         if any(di <= 0 for di in self.d):
@@ -40,15 +51,21 @@ class FixedData:
             g = gcd(g, di)
         if g != 1:
             raise ValueError(f"gcd of d is {g}, must be 1")
+        den = lcm(*self.d, *(x.denominator for row in self.skew for x in row))
+        prin = [[int(x * den) for x in row] + [0] * n for row in self.skew]
+        prin += [[0] * (2 * n) for _ in range(n)]
+        for i, di in enumerate(self.d):
+            prin[i][n + i], prin[n + i][i] = den // di, -(den // di)
+        object.__setattr__(self, "form_den", den)
+        object.__setattr__(self, "prin", tuple(map(tuple, prin)))
         # integrality: {e_i, d_j e_j} in Z whenever i or j is unfrozen
-        for i in range(self.n):
-            for j in range(self.n):
-                if i in uf or j in uf:
-                    v = self.skew[i][j] * self.d[j]
-                    if v.denominator != 1:
-                        raise ValueError(
-                            f"integrality fails at ({i},{j}): "
-                            f"{{e{i + 1},e{j + 1}}}*d{j + 1} = {v}")
+        for i in range(n):
+            for j in range(n):
+                v = prin[i][j] * self.d[j]
+                if (i in uf or j in uf) and v % den:
+                    raise ValueError(
+                        f"integrality fails at ({i},{j}): "
+                        f"{{e{i + 1},e{j + 1}}}*d{j + 1} = {Fraction(v, den)}")
         if self.coefficients not in ("principal", "none"):
             raise ValueError(f"unknown coefficients mode {self.coefficients!r}")
 
@@ -59,6 +76,25 @@ class FixedData:
     @property
     def d_lcm(self) -> int:
         return lcm(*self.d) if self.n else 1
+
+    def form_int(self, a, b) -> int:
+        """form_den * {a, b}_prin for a, b in N + M* (e- then f-coordinates);
+        a vector of length n lies in N."""
+        return sum(x * sum(map(mul, self.prin[i], b)) for i, x in enumerate(a) if x)
+
+    def pair_int(self, n, m) -> int:
+        """form_den * <n, m> for n in N (e-coordinates) and m in M*
+        (f-coordinates)."""
+        rank = self.n
+        return sum(a * b * self.prin[i][rank + i] for i, (a, b) in enumerate(zip(n, m)))
+
+    def integral(self, value: int, what: str) -> int:
+        """value / form_den, which must be an integer: the checked division
+        behind every integer read off ``form_int`` or ``pair_int``."""
+        q, r = divmod(value, self.form_den)
+        if r:
+            raise ArithmeticError(f"non-integral {what}: {Fraction(value, self.form_den)}")
+        return q
 
     def with_coefficients(self, mode: str) -> "FixedData":
         return FixedData(self.n, self.unfrozen, self.skew, self.d, self.labels, mode)
@@ -81,39 +117,25 @@ def make_fixed_data(skew, d=None, unfrozen=None, labels=None,
 
 class Seed:
     """A seed of the fixed data: the current basis of N and of the principal
-    extension, the exchange matrices, c-vectors, and the mutation history."""
+    extension, the exchange matrices, c-vectors, and the mutation history.
 
-    __slots__ = ("fixed", "ext", "history")
+    ``gram`` holds form_den * {e~_i, e~_j}_prin over the basis rows ``ext``;
+    the exchange matrices and c-vectors are read off it."""
 
-    def __init__(self, fixed: FixedData, ext=None, history=()):
+    __slots__ = ("fixed", "ext", "history", "gram")
+
+    def __init__(self, fixed: FixedData, ext=None, history=(), gram=None):
         self.fixed = fixed
-        n = fixed.n
         if ext is None:
+            n = fixed.n
             ext = tuple(tuple(1 if i == j else 0 for j in range(2 * n))
                         for i in range(2 * n))
+            gram = fixed.prin
+        elif gram is None:
+            gram = tuple(tuple(fixed.form_int(a, b) for b in ext) for a in ext)
         self.ext = ext
         self.history = tuple(history)
-
-    # -- the principal form on the doubled lattice ---------------------------
-    def _prin_form(self, a, b) -> Fraction:
-        """{(n1,m1),(n2,m2)}_prin with n in e-coords, m in f-coords and
-        <e_i, f_j> = delta_ij / d_i."""
-        fd = self.fixed
-        n = fd.n
-        tot = Fraction(0)
-        for i in range(n):
-            ai = a[i]
-            if ai:
-                row = fd.skew[i]
-                for j in range(n):
-                    if b[j]:
-                        tot += ai * b[j] * row[j]
-                if b[n + i]:
-                    tot += Fraction(ai * b[n + i], fd.d[i])
-        for i in range(n):
-            if a[n + i] and b[i]:
-                tot -= Fraction(b[i] * a[n + i], fd.d[i])
-        return tot
+        self.gram = gram
 
     # -- views ------------------------------------------------------------------
     @property
@@ -123,28 +145,21 @@ class Seed:
         return tuple(tuple(self.ext[i][:n]) for i in range(n))
 
     def epsilon_hat(self) -> tuple[tuple[Fraction, ...], ...]:
-        n = self.fixed.n
-        return tuple(tuple(self._prin_form(self.ext[i], self.ext[j])
-                           for j in range(n)) for i in range(n))
+        fd = self.fixed
+        return tuple(tuple(Fraction(x, fd.form_den) for x in row[:fd.n])
+                     for row in self.gram[:fd.n])
 
     def epsilon(self) -> tuple[tuple[Fraction, ...], ...]:
-        eh = self.epsilon_hat()
-        d = self.fixed.d
-        return tuple(tuple(eh[i][j] * d[j] for j in range(self.fixed.n))
-                     for i in range(self.fixed.n))
+        fd = self.fixed
+        return tuple(tuple(Fraction(x * dj, fd.form_den) for x, dj in zip(row, fd.d))
+                     for row in self.gram[:fd.n])
 
     def cvector(self, k: int) -> tuple[int, ...]:
         """c_{k;s}: the k-th row of the mixed block of the extended exchange
         matrix (k unfrozen)."""
         fd = self.fixed
-        n = fd.n
-        out = []
-        for j in range(n):
-            v = self._prin_form(self.ext[k], self.ext[n + j]) * fd.d[j]
-            if v.denominator != 1:
-                raise ArithmeticError(f"non-integral c-vector entry {v}")
-            out.append(int(v))
-        return tuple(out)
+        return tuple(fd.integral(x * dj, "c-vector entry")
+                     for x, dj in zip(self.gram[k][fd.n:], fd.d))
 
     def cvectors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.cvector(k) for k in self.fixed.unfrozen)
@@ -173,23 +188,20 @@ class Seed:
         fd = self.fixed
         if k not in fd.unfrozen:
             raise ValueError(f"direction {k} is frozen")
-        n = fd.n
-        ek = self.ext[k]
-        new_rows = []
-        for i in range(2 * n):
-            if i == k:
-                new_rows.append(tuple(-x for x in ek))
-                continue
-            # [eps~_{ik}]_+ with eps~_{ik} = {e~_i, e~_k}_prin d_k
-            v = self._prin_form(self.ext[i], ek) * fd.d[k]
-            if v.denominator != 1:
-                raise ArithmeticError("non-integral extended exchange entry")
-            c = max(int(v), 0)
-            if c:
-                new_rows.append(tuple(x + c * y for x, y in zip(self.ext[i], ek)))
-            else:
-                new_rows.append(self.ext[i])
-        return Seed(fd, tuple(new_rows), self.history + (k,))
+        # e~_i -> e~_i + a_i e~_k (i != k), e~_k -> -e~_k with
+        # a_i = [eps~_ik]_+ = [{e~_i, e~_k}_prin d_k]_+ (a_k = 0)
+        g, gk, ek = self.gram, self.gram[k], self.ext[k]
+        a = [max(fd.integral(row[k] * fd.d[k], "extended exchange entry"), 0)
+             for row in g]
+        ext = tuple(tuple(-x for x in ek) if i == k
+                    else tuple(x + ai * y for x, y in zip(row, ek)) if ai else row
+                    for i, (row, ai) in enumerate(zip(self.ext, a)))
+        # by antisymmetry G_ik = -G_ki, so off row and column k the Gram
+        # matrix becomes G_ij + a_j G_ik + a_i G_kj; row and column k flip
+        gram = tuple(tuple(-x if (i == k) != (j == k) else x - aj * gk[i] + ai * gk[j]
+                           for j, (x, aj) in enumerate(zip(row, a)))
+                     for i, (row, ai) in enumerate(zip(g, a)))
+        return Seed(fd, ext, self.history + (k,), gram)
 
     def mutate_sequence(self, ks) -> "Seed":
         s = self
@@ -274,20 +286,17 @@ def cluster_chamber(s: Seed) -> Chamber:
     if det == 0:
         raise ValueError("degenerate c-vector cone (collinear rows)")
 
-    def pair(n, m):
-        return Fraction(n[0] * m[0], fd.d[0]) + Fraction(n[1] * m[1], fd.d[1])
-
     gvecs = []
     for own, other in ((c1, c2), (c2, c1)):
         # g is orthogonal to the other c-vector, positive against its own
         cand = (other[1] * fd.d[0], -other[0] * fd.d[1])
         cand = primitive(cand)
-        if pair(own, cand) < 0:
+        if fd.pair_int(own, cand) < 0:
             cand = (-cand[0], -cand[1])
         gvecs.append(cand)
     for c in (c1, c2):
         for g in gvecs:
-            if pair(c, g) < 0:
+            if fd.pair_int(c, g) < 0:
                 raise AssertionError("chamber duality violated")
     return Chamber((gvecs[0], gvecs[1]), (tuple(c1), tuple(c2)))
 

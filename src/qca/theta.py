@@ -69,7 +69,7 @@ def _bend_options(diagram: ScatteringDiagram, wall: Wall, m, coeff, budget: int)
 
     The sign convention matches the path-ordered product: the travel
     velocity is -m, so -gamma' = m and s = sgn <n_wall, m>."""
-    s = diagram.pair_nm(wall.normal, m)
+    s = diagram.fd.pair_int(wall.normal, m)
     if s == 0:
         return []
     s = 1 if s > 0 else -1
@@ -164,11 +164,15 @@ def enumerate_broken_lines(m0, Q, diagram: ScatteringDiagram, order: int,
 def theta_function(m0, Q, diagram: ScatteringDiagram, order: int) -> QTorusElement:
     """Sum of final decorations over all broken lines of total bend degree
     <= order."""
-    lines = enumerate_broken_lines(m0, Q, diagram, order)
-    out = QTorusElement(diagram.torus, {})
+    return theta_of_lines(diagram.torus, enumerate_broken_lines(m0, Q, diagram, order))
+
+
+def theta_of_lines(torus, lines) -> QTorusElement:
+    """The sum of the final decorations of ``lines``."""
+    out = QTorusElement(torus, {})
     for bl in lines:
         seg = bl.final_decoration
-        out = out + QTorusElement(diagram.torus, {seg.exponent: seg.coeff})
+        out = out + QTorusElement(torus, {seg.exponent: seg.coeff})
     return out
 
 

@@ -1,10 +1,11 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from qca.cli import main
-from qca.seeds import save_seed_file
+from qca.seeds import make_fixed_data, save_seed_file
 from qca import fixtures
 
 HERE = os.path.dirname(__file__)
@@ -43,6 +44,22 @@ def test_table_text_and_json(seeds, capsys):
     assert rows[5]["cvectors"] == [[0, 1], [1, 0]]
     # (1 + t1 X1 + t1 t2 X1 X2)/X2 as a Laurent polynomial
     assert rows[2]["variables"][1] == "X2^-1+t1*X1*X2^-1+t1*t2*X1"
+
+
+def test_table_prints_non_integral_epsilon_exactly(capsys, tmp_path):
+    # only entries with an unfrozen index must be integers: the frozen pair
+    # (2,3) carries {e2,e3} d3 = 1/2
+    half = Fraction(1, 2)
+    path = tmp_path / "half.json"
+    save_seed_file(make_fixed_data([[0, 1, 0], [-1, 0, half], [0, -half, 0]],
+                                   unfrozen=[0]), path)
+    argv = ["table", "--seed", str(path), "--sequence", "1", "--mode", "x-classical"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert '  epsilon  [[0, -1, 0], [1, 0, "1/2"], [0, "-1/2", 0]]' in out
+    code, js, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert json.loads(js)[0]["epsilon"] == [[0, 1, 0], [-1, 0, "1/2"], [0, "-1/2", 0]]
 
 
 def test_table_determinism(seeds, capsys):

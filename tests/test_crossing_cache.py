@@ -11,6 +11,8 @@ crossing did before the cache), and exp(-s g) S exp(s g) on the whole series
 on log walls.
 """
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from qca.fixtures import a23
@@ -69,7 +71,7 @@ def classical_path(dg, wall, series, sign, cutoff) -> Series:
     npr = dg.nprime(wall.normal)
     out = Series(dg.torus, dg.dvec, cutoff, {})
     for m, c in series.terms.items():
-        p = dg.pair_nm(npr, m)
+        p = sum(Fraction(a * b, d) for a, b, d in zip(npr, m, dg.fd.d))
         assert p.denominator == 1
         rel = max(cutoff - degree(dg.dvec, m), 0)
         mono = Series(dg.torus, dg.dvec, None, {m: c})

@@ -69,7 +69,7 @@ def canonical(c: QScalar) -> bool:
     den = c.den
     if len(den) == 1 and len(next(iter(den.values())).terms) == 1:
         return True
-    return all(ts.is_constant() for ts in den.values()) \
+    return all(ts.monomials().keys() <= {()} for ts in den.values()) \
         and not QScalar._past_gcd_cap(list(c.num), den)
 
 

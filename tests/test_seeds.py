@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qca.checks import A2_SEQ, CVECTORS, EPSILONS
 from qca.fixtures import a23, a2_tables
@@ -164,3 +166,89 @@ def test_f_basis_dual():
             # <d_i e_{i;s}, f_{j;s}> = delta_ij with <e_a, f_b> = delta/d_a
             val = sum(Fraction(fd.d[i] * e[i][a] * f[j][a], fd.d[a]) for a in range(2))
             assert val == (1 if i == j else 0)
+
+
+def test_d_length_rejected():
+    with pytest.raises(ValueError, match="one d_i per direction"):
+        make_fixed_data([[0, -1], [1, 0]], d=[1])
+
+
+def test_integral_names_the_value():
+    fd = make_fixed_data([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]], unfrozen=[])
+    assert fd.form_den == 2 and fd.integral(-6, "probe") == -3
+    with pytest.raises(ArithmeticError, match="non-integral probe: 1/2"):
+        fd.integral(1, "probe")
+
+
+# -- the integer principal form against the Fraction formula ------------------
+
+
+@st.composite
+def fixed_data(draw):
+    """Rank 2-4 fixed data with random symmetrizers and frozen sets; pairs
+    with an unfrozen index take {e_i, e_j} in Z/gcd(d_i, d_j), as integrality
+    allows, and frozen pairs take any fraction."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    if gcd(*d) != 1:
+        d[draw(st.integers(0, n - 1))] = 1
+    unfrozen = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            den = (gcd(d[i], d[j]) if i in unfrozen or j in unfrozen
+                   else draw(st.integers(1, 3)))
+            skew[i][j] = Fraction(draw(st.integers(-2, 2)), den)
+            skew[j][i] = -skew[i][j]
+    return make_fixed_data(skew, d=d, unfrozen=unfrozen)
+
+
+def reference_form(fd, a, b) -> Fraction:
+    """{(n1,m1),(n2,m2)} = {n1,n2} + <n1,m2> - <n2,m1>, <e_i, f_j> = delta_ij/d_i."""
+    n = fd.n
+    tot = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            tot += a[i] * b[j] * fd.skew[i][j]
+        tot += Fraction(a[i] * b[n + i] - b[i] * a[n + i], fd.d[i])
+    return tot
+
+
+def reference_mutate(fd, ext, k):
+    ek = ext[k]
+    out = []
+    for i, row in enumerate(ext):
+        c = max(reference_form(fd, row, ek) * fd.d[k], 0)
+        assert c.denominator == 1
+        out.append(tuple(-x for x in ek) if i == k
+                   else tuple(x + int(c) * y for x, y in zip(row, ek)))
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fixed_data(), st.data())
+def test_seed_data_matches_the_fraction_form(fd, data):
+    n = fd.n
+    seq = data.draw(st.lists(st.sampled_from(fd.unfrozen), max_size=5))
+    s = Seed(fd)
+    ext = s.ext
+    for step in range(len(seq) + 1):
+        if step:
+            s, ext = s.mutate(seq[step - 1]), reference_mutate(fd, ext, seq[step - 1])
+        eh = [[reference_form(fd, ext[i], ext[j]) for j in range(n)] for i in range(n)]
+        assert s.basis == tuple(row[:n] for row in ext[:n])
+        assert s.epsilon_hat() == tuple(map(tuple, eh))
+        assert s.epsilon() == tuple(tuple(x * dj for x, dj in zip(row, fd.d)) for row in eh)
+        assert s.cvectors() == tuple(
+            tuple(reference_form(fd, ext[k], ext[n + j]) * fd.d[j] for j in range(n))
+            for k in fd.unfrozen)
+        # the Gram matrix of an explicit basis agrees with the mutated one
+        assert Seed(fd, s.ext).gram == s.gram
+        for k in fd.unfrozen:
+            assert s.mutate(k).mutate(k).gram == s.gram
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    nv, mv = data.draw(vectors), data.draw(vectors)
+    assert Fraction(fd.pair_int(nv, mv), fd.form_den) == \
+        sum(Fraction(a * b, di) for a, b, di in zip(nv, mv, fd.d))
+    a, b = data.draw(vectors) + mv, nv + data.draw(vectors)
+    assert Fraction(fd.form_int(a, b), fd.form_den) == reference_form(fd, a, b)
