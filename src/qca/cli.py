@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,10 @@ from .seeds import Seed, load_seed_file
 from .theta import enumerate_broken_lines, theta_of_lines
 # unused here; bench/test_bench.py checks that its tracer rebinds this alias
 from .words import words_equal  # noqa: F401
+
+
+# 128 + SIGPIPE, what a shell reports for a program stopped by a closed pipe
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_ints(text: str):
@@ -256,7 +261,16 @@ def main(argv=None) -> int:
     # looked up by name on each call, so a rebound cmd_<verb> takes effect
     command = globals()[f"cmd_{args.verb}"]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (qca ... | head): send what is still
+        # buffered to devnull, so that the exit flush reports nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

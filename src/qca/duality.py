@@ -49,23 +49,19 @@ class PStarMap:
 
 
 def p1_star(fd: FixedData) -> PStarMap:
-    """The default full extension n -> {n, .}: row i is ({e_i,e_j} d_j)_j.
+    """The default full extension n -> {n, .}: row i is ({e_i,e_j} d_j)_j,
+    read off the integer principal form as prin_ij d_j / form_den.
 
     Restricted to the unfrozen sublattice this is p1*; the full rows are
     integral whenever {N, N*} pairs integrally (true for every shipped
-    fixture; an error names the failing pair otherwise).
+    fixture).  An entry between two frozen directions may fail that, and
+    ``FixedData.integral`` then raises an ArithmeticError naming it.
     """
-    rows = []
-    for i in range(fd.n):
-        row = []
-        for j in range(fd.n):
-            v = fd.skew[i][j] * fd.d[j]
-            if v.denominator != 1:
-                raise ValueError(
-                    f"p* row {i + 1} is not integral: {{e{i + 1},e{j + 1}}}d{j + 1} = {v}")
-            row.append(int(v))
-        rows.append(tuple(row))
-    return PStarMap(tuple(rows))
+    return PStarMap(tuple(
+        tuple(fd.integral(fd.prin[i][j] * fd.d[j],
+                          f"p* entry {{e{i + 1},e{j + 1}}}d{j + 1}")
+              for j in range(fd.n))
+        for i in range(fd.n)))
 
 
 def p1_star_injective(fd: FixedData, pmap: PStarMap | None = None) -> bool:

@@ -324,8 +324,8 @@ def quantum_a_table(fd: FixedData, sequence):
     rows = []
     for step, s in enumerate(seeds):
         out = []
-        for i in range(fd.n):
-            w = FactoredWord.monomial(alg, s.f_basis()[i])
+        for f in s.f_basis():
+            w = FactoredWord.monomial(alg, f)
             for j in range(step - 1, -1, -1):
                 w = mutate_a_word(w, sequence[j], seeds[j], True)
             out.append(w)

@@ -27,10 +27,10 @@ from math import gcd
 
 from .duality import p1_star, p1_star_injective, principal_compatible_pair
 from .mutation import a_torus, x_torus
-from .qtorus import QTorusElement, SkewLattice, add_terms, skew_product, vec, vec_neg
+from .qtorus import SkewLattice, add_terms, skew_product, vec, vec_neg
 from .scalars import ONE, QScalar, qpow
 from .seeds import FixedData, Seed, primitive
-from .words import FactoredWord, Series, degree, dilog_factor_word, dilog_pairings
+from .words import Series, degree, dilog_binomial, dilog_pairings
 
 
 class ConsistencyError(ArithmeticError):
@@ -101,13 +101,17 @@ class ScatteringDiagram:
         self.walls: list[Wall] = []
         # (wall id, sign, p) -> the crossing factor F of every kind, and
         # (wall id, sign) -> exp(sign g) of a log wall; each Series is kept
-        # at the highest relative order asked for and truncated on use
+        # at the highest relative order asked for and truncated on use.  A
+        # dilogarithm or classical F_p is built from F_{p -+ 1}, which stays
+        # cached too; a wall's entries are dropped when its function changes
         self._fcache: dict = {}
         self._seq_cache: dict = {}  # (orientation, base) -> crossing list
 
-    def _invalidate(self):
-        self._fcache.clear()
-        self._seq_cache.clear()
+    def _forget(self, wall: Wall):
+        """Drop the cached factors of ``wall``, whose function changed."""
+        wid = id(wall)
+        for key in [key for key in self._fcache if key[0] == wid]:
+            del self._fcache[key]
 
     # -- grading -------------------------------------------------------------
     def _torus_grading(self):
@@ -164,34 +168,59 @@ class ScatteringDiagram:
     def _factor(self, wall: Wall, sign: int, p: int, rel: int) -> Series:
         """The crossing factor F for pairing p, exact to relative order
         ``rel``: cached at the highest order asked for."""
-        key = (id(wall), sign, p)
-        factor = self._fcache.get(key)
-        if factor is None or factor.cutoff < rel:
-            factor = self._fcache[key] = self._build_factor(wall, sign, p, rel)
+        cache, wid = self._fcache, id(wall)
+        factor = cache.get((wid, sign, p))
+        if factor is not None and factor.cutoff >= rel:
+            return factor
+        if wall.kind == "log":
+            factor = cache[(wid, sign, p)] = self._log_factor(wall, sign, p, rel)
+            return factor
+        # F_p = F_{p -+ 1} * B^{+-1} for one binomial B (the last atom of the
+        # word of |p| binomials): walk up from the nearest entry below
+        step = 1 if p > 0 else -1
+        k, factor = p, None
+        while k and factor is None:
+            k -= step
+            factor = cache.get((wid, sign, k))
+            if factor is not None and factor.cutoff < rel:
+                factor = None
+        if factor is None:  # k == 0: start from F_0 = 1
+            factor = Series.one(self.torus, self.dvec)
+        factor = factor.truncate(rel)
+        while k != p:
+            k += step
+            binom, power = self._binomial(wall, sign, k)
+            if power == 1:
+                factor = factor * binom
+            else:
+                factor = factor.over(binom.terms, rel, what=binom)
+            cache[(wid, sign, k)] = factor
+        cache[(wid, sign, p)] = factor
         return factor
 
-    def _build_factor(self, wall: Wall, sign: int, p: int, rel: int) -> Series:
-        torus, dvec = self.torus, self.dvec
-        if wall.kind == "log":
-            # X^-m X^{jv} X^m = q^{2 j p / form_den} X^{jv}
-            v = wall.direction
-            i = 0 if v[0] else 1
-            down = self._exp(wall, -sign, rel)
-            down = Series(torus, dvec, rel, {
-                n: c._qshift(2 * p * (n[i] // v[i]), torus.form_den)
-                for n, c in down.terms.items()})
-            return down * self._exp(wall, sign, rel)
+    def _binomial(self, wall: Wall, sign: int, k: int) -> tuple[Series, int]:
+        """The |k|-th factor (B, +-1) of the crossing word for pairing k:
+        on a dilogarithm wall B = 1 + Q^{+-(2|k|-1)} y, on a classical wall
+        B = f, the wall function."""
+        s0 = 1 if k > 0 else -1
         if wall.kind == "dilog":
             h, coeff = wall.dilog
-            s0 = 1 if p > 0 else -1
-            word = dilog_factor_word(torus, h, coeff, wall.direction, s0, -sign * s0, abs(p))
-        else:
-            f = QTorusElement(torus, {
-                torus.zero(): ONE,
-                **{tuple(j * x for x in wall.direction): c for j, c in wall.function.items()},
-            })
-            word = FactoredWord(torus, ONE, ((f, 1 if sign * p > 0 else -1),) * abs(p))
-        return word.expand(dvec, rel).truncate(rel)
+            b = dilog_binomial(self.torus, h, coeff, wall.direction, s0 * (2 * abs(k) - 1))
+            return Series(self.torus, self.dvec, None, b.terms), -sign * s0
+        f = {tuple(j * x for x in wall.direction): c for j, c in wall.function.items()}
+        return (Series(self.torus, self.dvec, None, {self.torus.zero(): ONE, **f}),
+                1 if sign * k > 0 else -1)
+
+    def _log_factor(self, wall: Wall, sign: int, p: int, rel: int) -> Series:
+        """X^-m exp(-sign g) X^m exp(sign g) for pairing p."""
+        # X^-m X^{jv} X^m = q^{2 j p / form_den} X^{jv}
+        torus, v = self.torus, wall.direction
+        i = 0 if v[0] else 1
+        down = self._exp(wall, -sign, rel)
+        down = Series(torus, self.dvec, rel, {
+            n: c._qshift(2 * p * (n[i] // v[i]), torus.form_den)
+            for n, c in down.terms.items()})
+        return down * self._exp(wall, sign, rel)
 
     def _exp(self, wall: Wall, sign: int, rel: int) -> Series:
         """exp(sign g) of a log wall, g = sum_j a_j X^{jv}/(q - q^{-1}), exact
@@ -485,7 +514,8 @@ def _insert_wall(dg: ScatteringDiagram, m, k: int, entries) -> None:
             del wall.function[j]
     if created and (wall.function or wall.log_coeffs):
         dg.walls.append(wall)
-    dg._invalidate()
+        dg._seq_cache.clear()
+    dg._forget(wall)
 
 
 def _normal_of_direction(dg: ScatteringDiagram, m) -> tuple[int, int]:

@@ -9,14 +9,18 @@ non-identity term of the operator applied to it.  The initial decoration is
 the sum of final decorations over all broken lines.
 
 Enumeration is a depth-first search over bend sequences with a total bend
-degree budget; the geometry (bend points on their rays, in travel order,
-reaching Q) is solved exactly in rational arithmetic and prunes the search.
+degree budget.  The geometry (bend points on their rays, in travel order,
+reaching Q) prunes the search by the signs of integer determinants, each
+bend point kept as an integer vector over a positive integer up to the one
+scale the final segment fixes; the exact ``Fraction`` bend points are built
+only for the lines returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .qtorus import QTorusElement, vec
 from .scalars import ONE, QScalar
@@ -94,68 +98,56 @@ def enumerate_broken_lines(m0, Q, diagram: ScatteringDiagram, order: int,
     total bend degree <= order; optionally filtered by final exponent."""
     m0 = vec(m0)
     Q = (Fraction(Q[0]), Fraction(Q[1]))
-    if Q == (0, 0) or _on_any_wall(diagram, Q):
+    # the picture is invariant under positive scaling: search towards
+    # Qi = L Q in integers, and scale the bend points back by 1/L on output
+    L = lcm(Q[0].denominator, Q[1].denominator)
+    Qi = (int(Q[0] * L), int(Q[1] * L))
+    if Qi == (0, 0) or _on_any_wall(diagram, Qi):
         raise ValueError("the basepoint must be generic (not on any wall)")
-    rays = []
-    for w in diagram.walls:
-        for r in w.rays():
-            rays.append((r, w))
+    rays = [(r, w) for w in diagram.walls for r in w.rays()]
+    want = None if final_exponent is None else vec(final_exponent)
     results: list[BrokenLine] = []
 
-    def anchor(mJ, wvec):
-        """Solve Q = x1 w - t mJ for (x1, t); None if infeasible."""
-        det = cross2(wvec, mJ)
-        if det == 0:
-            return None
-        x1 = Fraction(cross2(Q, mJ), det)
-        t = Fraction(cross2(Q, wvec), det)
-        if x1 <= 0 or t <= 0:
-            return None
-        return x1, t
-
-    def dfs(m, coeff, budget, bends, wvec):
-        # try to stop here: final segment from the last bend to Q
-        if bends:
-            a = anchor(m, wvec)
-            if a is not None:
-                x1, _ = a
-                pts = tuple((x1 * w[0], x1 * w[1]) for w in
-                            [b[3] for b in bends])
+    def dfs(m, coeff, budget, bends, N, D):
+        # the last bend point is N / D, up to the scale the final segment
+        # fixes; every test below is the sign of an integer determinant
+        if not bends:
+            # straight line: always exists (travel direction -m0 through Q)
+            if want is None or want == m0:
+                results.append(BrokenLine((Segment(ONE, m0),), (), (), Q))
+        elif want is None or want == m:
+            # stop here: Q = x1 N / D - t m needs x1 > 0 and t > 0
+            det, x = cross2(N, m), cross2(Qi, m)
+            if x * det > 0 and cross2(Qi, N) * det > 0:
+                # x1 = x D / (L det), t = cross2(Qi, N) / (L det)
+                pts = tuple((Fraction(x * D * nj[0], L * det * dj),
+                             Fraction(x * D * nj[1], L * det * dj)) for *_, nj, dj in bends)
                 segs = tuple(Segment(c, vec(e)) for c, e in
                              [(ONE, m0)] + [(b[1], b[0]) for b in bends])
-                walls = tuple(b[2] for b in bends)
-                if final_exponent is None or vec(final_exponent) == m:
-                    results.append(BrokenLine(segs, pts, walls, Q))
-        else:
-            # straight line: always exists (travel direction -m0 through Q)
-            if final_exponent is None or vec(final_exponent) == m0:
-                results.append(BrokenLine((Segment(ONE, m0),), (), (), Q))
+                results.append(BrokenLine(segs, pts, tuple(b[2] for b in bends), Q))
         if budget <= 0:
             return
         for r, wall in rays:
+            c = cross2(r, m)
+            if c == 0:  # the segment runs parallel to the ray
+                continue
             if bends:
-                # reach ray r from the current anchored direction
-                det = cross2(r, m)
-                if det == 0:
+                # reach alpha r = N / D - beta m with alpha > 0, beta > 0
+                # alpha = a / (D c), beta = -b / (D c)
+                a, b = cross2(N, m), cross2(N, r)
+                if a * c <= 0 or b * c >= 0:
                     continue
-                alpha = Fraction(cross2(wvec, m), det)
-                beta = Fraction(cross2(wvec, r), cross2(m, r))
-                if alpha <= 0 or beta <= 0:
-                    continue
-                new_w = (alpha * r[0], alpha * r[1])
+                a, c = abs(a), D * abs(c)
+                g = gcd(a, c)
+                N2, D2 = (a // g * r[0], a // g * r[1]), c // g
             else:
-                new_w = (Fraction(r[0]), Fraction(r[1]))
-                # the incoming straight segment must genuinely cross: skip
-                # rays parallel to the travel direction
-                if cross2(r, m) == 0:
-                    continue
+                N2, D2 = r, 1
             for m2, c2, cost in _bend_options(diagram, wall, m, coeff, budget):
                 if cost > budget:
                     continue
-                dfs(m2, c2, budget - cost,
-                    bends + [(m2, c2, wall, new_w)], new_w)
+                dfs(m2, c2, budget - cost, bends + [(m2, c2, wall, N2, D2)], N2, D2)
 
-    dfs(m0, ONE, order, [], None)
+    dfs(m0, ONE, order, [], None, None)
     results.sort(key=lambda bl: (len(bl.segments),
                                  [s.exponent for s in bl.segments]))
     return results

@@ -376,14 +376,16 @@ def dilog_factor_word(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
                       exp_sign: int, power: int, count: int) -> FactoredWord:
     """Product of count factors (1 + Q^{exp_sign (2l-1)} y)^{power} with
     y = coeff * X^w and Q = q^h.  The factors commute pairwise."""
-    atoms = []
-    one = QTorusElement.one(alg)
-    for ell in range(1, count + 1):
-        e = exp_sign * (2 * ell - 1)
-        binom = one + QTorusElement.monomial(
-            alg, w, coeff._qshift(h.numerator * e, h.denominator))
-        atoms.append((binom, power))
-    return FactoredWord(alg, ONE, atoms)
+    return FactoredWord(alg, ONE, [
+        (dilog_binomial(alg, h, coeff, w, exp_sign * (2 * ell - 1)), power)
+        for ell in range(1, count + 1)])
+
+
+def dilog_binomial(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
+                   e: int) -> QTorusElement:
+    """1 + Q^e y with y = coeff * X^w and Q = q^h."""
+    return QTorusElement.one(alg) + QTorusElement.monomial(
+        alg, w, coeff._qshift(h.numerator * e, h.denominator))
 
 
 def dilog_conjugation_factors(alg: SkewLattice, u: int, coeff: QScalar,

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -190,3 +192,29 @@ def test_parser_is_reused_across_calls(seeds, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_check", lambda args: calls.append(args.suite) or 0)
     assert main(["check", "--suite", "tables"]) == 0
     assert calls == ["tables"]
+
+
+@pytest.mark.parametrize("argv", [
+    # 80 kB of JSON, more than the stream buffer: the error shows in print
+    ["table", "--seed", "a23", "--sequence", "1,2,1,2", "--mode", "x-quantum",
+     "--format", "json"],
+    # a few lines that stay buffered until the output is flushed
+    ["table", "--seed", "a2", "--sequence", "1", "--mode", "x-classical"],
+])
+def test_closed_stdout_exits_quietly(seeds, argv):
+    """`qca ... | head` with the reader gone before anything is written:
+    no traceback and nothing on stderr, exit code 141 as the README says."""
+    src = os.path.join(HERE, os.pardir, "src")
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as by default
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qca.cli"] + [seeds.get(a, a) for a in argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141

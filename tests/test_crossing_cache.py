@@ -16,10 +16,17 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from qca.fixtures import a23
+from qca.qtorus import QTorusElement
 from qca.scalars import ONE, QScalar, qpow
-from qca.scatter import _complete_degree, complete_to_order, initial_diagram
+from qca.scatter import (
+    ScatteringDiagram,
+    _complete_degree,
+    _insert_wall,
+    complete_to_order,
+    initial_diagram,
+)
 from qca.seeds import make_fixed_data
-from qca.words import FactoredWord, Series, degree
+from qca.words import FactoredWord, Series, degree, dilog_factor_word
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -216,13 +223,96 @@ def test_lower_order_is_served_by_a_higher_entry():
         assert_same(got, oracle(dg, wall, series, -1, top))
 
 
-def test_wall_insertion_clears_the_cache():
+def word_factor(dg, wall, sign, p, rel) -> Series:
+    """F for pairing p as the whole word of |p| binomials, expanded at once."""
+    if wall.kind == "dilog":
+        h, coeff = wall.dilog
+        s0 = 1 if p > 0 else -1
+        word = dilog_factor_word(dg.torus, h, coeff, wall.direction, s0, -sign * s0, abs(p))
+    else:
+        f = QTorusElement(dg.torus, {
+            dg.torus.zero(): ONE,
+            **{tuple(j * x for x in wall.direction): c for j, c in wall.function.items()},
+        })
+        word = FactoredWord(dg.torus, ONE, ((f, 1 if sign * p > 0 else -1),) * abs(p))
+    return word.expand(dg.dvec, rel).truncate(rel)
+
+
+def structure(series: Series):
+    """The cutoff and every coefficient's stored form, not just its value."""
+    return series.cutoff, {n: (c.scale, c.num, c.den) for n, c in series.terms.items()}
+
+
+@PROPERTY
+@given(st.data())
+def test_incremental_factor_matches_the_whole_word(data):
+    # F_p is built from F_{p -+ 1}; requests in ascending order build on
+    # the entry just below, in descending order the later ones are served
+    # by the intermediate entries the first one left behind
+    dg = DIAGRAMS[data.draw(st.sampled_from(["a23-A", "a2-X", "a23-classical"]))]
+    wall = data.draw(st.sampled_from(dg.walls))
+    sign = data.draw(st.sampled_from((1, -1)))
+    s0 = data.draw(st.sampled_from((1, -1)))
+    sizes = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True))
+    sizes.sort(reverse=data.draw(st.booleans()))
+    dg._fcache.clear()
+    for size in sizes:
+        rel = data.draw(st.integers(0, 4 * dg.dscale))
+        got = dg._factor(wall, sign, s0 * size, rel)
+        assert got.cutoff >= rel
+        assert structure(got.truncate(rel)) == structure(
+            word_factor(dg, wall, sign, s0 * size, rel))
+    # every entry left in the cache is the whole word at its own cutoff
+    for (_, sign_k, k), entry in dg._fcache.items():
+        assert structure(entry) == structure(word_factor(dg, wall, sign_k, k, entry.cutoff))
+
+
+def factors_of(dg, wall):
+    return {key: f for key, f in dg._fcache.items() if key[0] == id(wall)}
+
+
+def fresh_build(dg, key, entry):
+    """The entry ``key`` rebuilt from nothing on a diagram with the same
+    walls (and so the same wall ids) and an empty cache."""
+    twin = ScatteringDiagram(dg.fd, dg.side, dg.quantum, dg.order, dg.delta, dg.Lambda)
+    twin.walls = dg.walls
+    wall = next(w for w in dg.walls if id(w) == key[0])
+    if len(key) == 2:
+        return twin._exp(wall, key[1], entry.cutoff)
+    return twin._factor(wall, key[1], key[2], entry.cutoff)
+
+
+def test_wall_insertion_drops_only_that_walls_factors():
     dg = initial_diagram(a23(), side="A", quantum=True, order=3)
     _complete_degree(dg, 2)  # inserts the first log wall
-    before = len(dg.walls)
+    log_wall = dg.walls[-1]
+    assert log_wall.kind == "log"
     dg.path_ordered_product((1, 0), 3)
-    assert any(len(key) == 2 for key in dg._fcache)  # exp(+-g) entries
-    assert any(len(key) == 3 for key in dg._fcache)  # crossing factors
-    _complete_degree(dg, 3)  # inserts the degree-3 walls
-    assert len(dg.walls) > before
-    assert dg._fcache == {}
+    assert factors_of(dg, log_wall)
+    assert all(factors_of(dg, w) for w in dg.walls)
+    sequences = dict(dg._seq_cache)
+    assert sequences
+
+    # a second coefficient on the existing log wall: only its entries go,
+    # and the crossing sequences stay (no wall was created)
+    before = dict(dg._fcache)
+    m = tuple(2 * x for x in log_wall.direction)
+    _insert_wall(dg, m, 4, [((1, 0), ONE)])
+    assert 2 in log_wall.log_coeffs and len(dg.walls) == 3
+    assert not factors_of(dg, log_wall)
+    kept = {key: f for key, f in before.items() if key[0] != id(log_wall)}
+    assert kept and dg._fcache == kept
+    assert all(dg._fcache[key] is f for key, f in kept.items())
+    for key, f in kept.items():
+        assert structure(f) == structure(fresh_build(dg, key, f))
+    assert dg._seq_cache == sequences
+
+    # a new wall (in a degree-3 direction of the completion): the crossing
+    # sequences go, every entry stays
+    dg.path_ordered_product((0, 1), 3)
+    before = dict(dg._fcache)
+    _insert_wall(dg, (4, -3), 3, [((1, 0), ONE)])
+    assert len(dg.walls) == 4 and dg.walls[-1].direction == (4, -3)
+    assert dg._seq_cache == {}
+    assert dg._fcache == before
+    assert all(dg._fcache[key] is f for key, f in before.items())

@@ -13,7 +13,8 @@ from qca.duality import (
 from qca.fixtures import a23, rank3_frozen
 from qca.mutation import mutate_a_word, mutate_word, x_torus
 from qca.scalars import qpow
-from qca.seeds import Seed, make_fixed_data
+from qca.cli import main
+from qca.seeds import Seed, make_fixed_data, save_seed_file
 from qca.words import FactoredWord, words_equal
 
 
@@ -30,6 +31,20 @@ def test_p1_star_a2():
     pm = p1_star(fd)
     assert pm.rows[0] == (0, 1)
     assert pm.rows[1] == (-1, 0)
+
+
+def test_p1_star_names_a_non_integral_frozen_entry(tmp_path, capsys):
+    # {e2, e3} = 1/2 between two frozen directions: fixed data allows it,
+    # but p* row 2 is not integral
+    fd = make_fixed_data([[0, 1, 0], [-1, 0, "1/2"], [0, "-1/2", 0]], unfrozen=[0])
+    with pytest.raises(ArithmeticError) as info:
+        p1_star(fd)
+    assert type(info.value) is ArithmeticError
+    assert str(info.value) == "non-integral p* entry {e2,e3}d3: 1/2"
+    path = tmp_path / "frozen_half.json"
+    save_seed_file(fd, path)
+    assert main(["pstar", "--seed", str(path)]) == 2
+    assert capsys.readouterr().err == "error: non-integral p* entry {e2,e3}d3: 1/2\n"
 
 
 def test_zero_form_not_injective():
