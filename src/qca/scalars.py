@@ -18,6 +18,11 @@ restricted to keys with u-exponent 0 and shares the kernel's sum, product
 and division; it is the coefficient type of the commutative layer, of q = 1
 limits and of the decoded ``QScalar.num`` / ``QScalar.den`` views, which are
 key shifts of the flat pair.
+
+The ``flat_*`` functions at the end are the flat Laurent ring of word
+expansions (words.py): the same packed dicts with signed t-exponents, at one
+scale per expansion, and no normal form; ``flat_pair`` and ``flat_qscalar``
+convert to and from QScalar.
 """
 
 from __future__ import annotations
@@ -486,10 +491,10 @@ class QScalar:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return {}, _DEN1, 1
-        if scale != 1:
-            num, den, scale = _reduce_scale(num, den, scale)
         # fast path: denominator exactly 1 needs no content/gcd/sign work
         if den is _DEN1 or (len(den) == 1 and den.get(0) == 1):
+            if scale != 1:
+                num, _, scale = _reduce_scale(num, _DEN1, scale)
             return num, _DEN1, scale
 
         # common t-monomial content
@@ -512,6 +517,9 @@ class QScalar:
         if shift:
             num = _checked({k - shift: c for k, c in num.items()})
             den = _checked({k - shift: c for k, c in den.items()})
+        # the scale is reduced after the anchoring, which can coarsen it
+        if scale != 1:
+            num, den, scale = _reduce_scale(num, den, scale)
 
         # integer content
         g = gcd(*num.values(), *den.values())
@@ -881,3 +889,160 @@ def tpow(vec) -> QScalar:
     if any(neg):
         out = out / QScalar.t_monomial(neg)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The flat Laurent ring Z[u^{±1}, t1^{±1}, t2^{±1}, ...] of word expansions
+# (words.py).  One expansion fixes one scale L, u = q^{1/L}, and holds every
+# coefficient as one dict {flat key: nonzero int}.  Unlike the keys above,
+# every field is signed, so that a monomial t-denominator is a negative
+# exponent and a product never leaves the ring:
+#
+#     key = e + 2^32 * (a1 + 2^12 * a2 + 2^24 * a3 + ...)
+#
+# with -2^30 <= e < 2^30 and -2^10 <= a_i < 2^10 in stored keys: wider than
+# QScalar's keys in each direction while L is at most 2^12 times the scale a
+# coefficient was stored at.  A field is decoded from its balanced residue,
+# so a key is that integer sum and the key of a product is the sum of the
+# factors' keys.  The kernel adds at most three stored keys; in such a sum
+# each field stays within three times its limit, so adding _F_OFFSET leaves
+# a field's guard bit (twice its limit) clear exactly when the field is back
+# in range, and leaving the range raises OverflowError.
+
+_F_U_BITS = 32
+_F_U_LIMIT = 1 << 30
+_F_T_BITS = 12
+_F_T_LIMIT = 1 << 10
+_F_T_FIELD = (1 << _F_T_BITS) - 1
+_F_OFFSET = _F_U_LIMIT + sum(_F_T_LIMIT << (_F_U_BITS + _F_T_BITS * i)
+                             for i in range(_T_VARS))
+_F_GUARD = (2 * _F_U_LIMIT) | sum((2 * _F_T_LIMIT) << (_F_U_BITS + _F_T_BITS * i)
+                                  for i in range(_T_VARS))
+
+FLAT_ONE = {0: 1}  # shared; the kernel never writes into it
+
+
+def _flat_overflow() -> OverflowError:
+    return OverflowError(
+        f"exponent outside the flat range (-{_F_U_LIMIT} <= q-exponent * scale "
+        f"< {_F_U_LIMIT}, -{_F_T_LIMIT} <= t-exponent < {_F_T_LIMIT}, at most "
+        f"{_T_VARS} t-variables)")
+
+
+def _flat_fields(key: int) -> tuple[int, list[int]]:
+    """The u-exponent of a flat key and its t-exponents, the last nonzero."""
+    e = ((key + _F_U_LIMIT * 2) & (_F_U_LIMIT * 4 - 1)) - _F_U_LIMIT * 2
+    t = (key - e) >> _F_U_BITS
+    mono = []
+    while t:
+        if len(mono) == _T_VARS:
+            raise _flat_overflow()
+        a = ((t + _F_T_LIMIT * 2) & _F_T_FIELD) - _F_T_LIMIT * 2
+        mono.append(a)
+        t = (t - a) >> _F_T_BITS
+    return e, mono
+
+
+def _flat_key(key: int, f: int) -> int:
+    """The flat key of a QScalar key at scale s, in u = q^{1/(f s)}."""
+    e = _u(key)
+    t = (key - e) >> _U_BITS
+    e *= f
+    if not -_F_U_LIMIT <= e < _F_U_LIMIT:
+        raise _flat_overflow()
+    out, shift = e, _F_U_BITS
+    while t:
+        out += (t & _T_MASK) << shift
+        t >>= _T_BITS
+        shift += _F_T_BITS
+    return out
+
+
+def flat_pair(x: QScalar, scale: int) -> tuple[dict, dict]:
+    """x = num / den in the flat ring at ``scale``, a multiple of x.scale.
+
+    A monomial denominator c * u^e * t^a is moved into the numerator as the
+    exponent -(e, a), leaving den = {0: c}, which is FLAT_ONE when c is 1;
+    any other denominator is returned as it is.  num is a new dict; den may
+    be the shared FLAT_ONE."""
+    f = scale // x.scale
+    num = {_flat_key(k, f): c for k, c in x._num.items()}
+    if x._den is _DEN1:
+        return num, FLAT_ONE
+    den = {_flat_key(k, f): c for k, c in x._den.items()}
+    if len(den) > 1:
+        return num, den
+    (kd, c), = den.items()
+    return flat_shift(num, -kd), (FLAT_ONE if c == 1 else {0: c})
+
+
+def flat_u(e: int) -> int:
+    """The flat key of u^e."""
+    if not -_F_U_LIMIT <= e < _F_U_LIMIT:
+        raise _flat_overflow()
+    return e
+
+
+def flat_shift(a: dict, key: int, sign: int = 1) -> dict:
+    """sign * a * (the monomial with flat key ``key``, a stored key or the
+    sum of two), a new dict."""
+    out = {}
+    for k, c in a.items():
+        k += key
+        if (k + _F_OFFSET) & _F_GUARD:
+            raise _flat_overflow()
+        out[k] = c * sign
+    return out
+
+
+def flat_mac(acc: dict, a: dict, b: dict, e: int = 0) -> dict:
+    """acc += a * b * u^e, in place; a coefficient that cancels is removed.
+    Returns acc."""
+    if not -_F_U_LIMIT <= e < _F_U_LIMIT:
+        raise _flat_overflow()
+    if len(a) < len(b):
+        a, b = b, a
+    get = acc.get
+    for kb, cb in b.items():
+        kb += e
+        for ka, ca in a.items():
+            k = ka + kb
+            v = get(k)
+            if v is None:
+                if (k + _F_OFFSET) & _F_GUARD:
+                    raise _flat_overflow()
+                acc[k] = ca * cb
+            else:
+                v += ca * cb
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+    return acc
+
+
+def flat_mul(a: dict, b: dict, e: int = 0) -> dict:
+    """a * b * u^e, a new dict."""
+    return flat_mac({}, a, b, e)
+
+
+def flat_qscalar(num: dict, den: dict, scale: int) -> QScalar:
+    """The QScalar num / den of flat polynomials at ``scale`` (den nonzero),
+    in QScalar's normal form: both are multiplied by the t-monomial that
+    makes every t-exponent nonnegative and repacked, which raises
+    OverflowError past QScalar's range."""
+    if den is FLAT_ONE and all(-_U_LIMIT <= k < _U_LIMIT for k in num):
+        # t-free keys: a flat key and a QScalar key are both the u-exponent
+        return QScalar._raw(dict(num), _DEN1, scale)
+    parts = [[_flat_fields(k) + (c,) for k, c in part.items()] for part in (num, den)]
+    low: list[int] = []
+    for part in parts:
+        for _, mono, _ in part:
+            for i, a in enumerate(mono):
+                if i == len(low):
+                    low.append(0)
+                if a < low[i]:
+                    low[i] = a
+    packed = [{_pack(e, tuple(a - lo for a, lo in zip(mono + [0] * len(low), low))): c
+               for e, mono, c in part} for part in parts]
+    return QScalar._raw(packed[0], packed[1], scale)

@@ -80,13 +80,16 @@ def _bend_options(diagram: ScatteringDiagram, wall: Wall, m, coeff, budget: int)
     cutoff = degree(diagram.dvec, m) + budget * diagram.dscale
     series = Series(diagram.torus, diagram.dvec, cutoff, {vec(m): coeff})
     out = diagram.cross(wall, series, s, cutoff)
-    assert out.coefficient(m) == coeff, "crossing operator is not unipotent"
+    if out.coefficient(m) != coeff:
+        raise ArithmeticError("crossing operator is not unipotent")
     opts = []
     for m2, c2 in out.terms.items():
         if m2 == vec(m):
             continue
         cost = (degree(diagram.dvec, m2) - degree(diagram.dvec, vec(m)))
-        assert cost > 0 and cost % diagram.dscale == 0
+        if cost <= 0 or cost % diagram.dscale:
+            raise ArithmeticError(
+                f"bend cost {cost} is not a positive multiple of {diagram.dscale}")
         opts.append((m2, c2, cost // diagram.dscale))
     opts.sort(key=lambda o: (o[2], o[0]))
     return opts

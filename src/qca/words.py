@@ -7,19 +7,32 @@ conjugation by quantum dilogarithms (the finite-product formulas), which is
 everything quantum mutation needs.
 
 Equality of words is decided by expanding w1 * w2^{-1} as a truncated series
-in a graded completion and comparing with 1.  The expansion divides each
-inverted atom out exactly (:meth:`Series.over`) rather than forming its
-inverse, so the grading is any integer functional under which every inverted
-atom has a unique lowest term.
+in a graded completion and comparing with 1.  The expansion runs in the flat
+Laurent ring of scalars.py: one scale L per expansion (u = q^{1/L}, L the
+lcm of the form's denominator and of every coefficient's scale), each
+coefficient one dict {packed key: int} with signed t-exponents, so that
+monomial denominators are negative exponents, and every product of two
+coefficients with its factor q^{omega(n, m)} one fused multiply-accumulate
+on keys.  Denominators that are not monomials (the prefix's, the atoms',
+and a leading coefficient that is not a unit) are collected in one central
+fraction.  Inverted atoms are divided out exactly by the bucket sweep of
+:meth:`Series.over` rather than inverted, so the grading is any integer
+functional under which every inverted atom has a unique lowest term.
+``words_equal`` compares the flat result with 1 exactly; ``expand``
+converts each surviving term to a QScalar once.  :class:`Series`, the
+truncated torus element with QScalar coefficients, keeps its own product
+and division for the scattering layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add, mul
 
 from .qtorus import QTorusElement, SkewLattice, add_terms, skew_product, vec, vec_add, vec_neg
-from .scalars import ONE, QScalar
+from .scalars import (FLAT_ONE, ONE, QScalar, flat_mac, flat_mul, flat_pair,
+                      flat_qscalar, flat_shift, flat_u)
 
 
 class ExpansionError(ValueError):
@@ -294,10 +307,18 @@ class FactoredWord:
         """
         alg = self.algebra
         w = vec(direction)
+        made: dict = {}  # e -> 1 + Q^e y, each built once per call
+
+        def binomial(e):
+            b = made.get(e)
+            if b is None:
+                b = made[e] = dilog_binomial(alg, h, coeff, w, e)
+            return b
+
         out_atoms = []
         prefix = self.prefix
         for p, s in self.atoms:
-            piece = _conjugate_element(alg, p, h, coeff, w, action)
+            piece = _conjugate_element(alg, p, h, w, action, binomial)
             if s == -1:
                 piece = piece.inverse()
             prefix = prefix * piece.prefix
@@ -307,19 +328,10 @@ class FactoredWord:
     # -- expansion ----------------------------------------------------------------
     def expand(self, dvec, order: int) -> Series:
         """Truncated series expansion, exact to relative order ``order``;
-        inverted atoms are divided out (:meth:`Series.over`)."""
-        out = Series.one(self.algebra, dvec).scale(self.prefix)
-        anchor = 0
-        for p, s in self.atoms:
-            pmin = min(degree(dvec, n) for n in p.terms)
-            if s == 1:
-                out = out * out._cut(p.terms, None)
-            else:
-                out = out.over(p.terms, order, what=p)
-                pmin = -pmin
-            out = out.truncate(anchor + pmin + order)
-            anchor += pmin
-        return out
+        inverted atoms are divided out.  The work runs in the flat ring
+        (see :class:`_Expansion`); each surviving term is converted back to
+        a QScalar once."""
+        return _Expansion(self, dvec, order).series()
 
     def tidy(self) -> "FactoredWord":
         """Merge adjacent single-term atoms into one monomial per run and
@@ -377,8 +389,14 @@ def dilog_factor_word(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
     """Product of count factors (1 + Q^{exp_sign (2l-1)} y)^{power} with
     y = coeff * X^w and Q = q^h.  The factors commute pairwise."""
     return FactoredWord(alg, ONE, [
-        (dilog_binomial(alg, h, coeff, w, exp_sign * (2 * ell - 1)), power)
-        for ell in range(1, count + 1)])
+        (b, power) for b in _factors(
+            lambda e: dilog_binomial(alg, h, coeff, w, e), exp_sign, count)])
+
+
+def _factors(binomial, exp_sign: int, count: int) -> list:
+    """The binomials 1 + Q^{exp_sign (2l-1)} y for l = 1..count, from
+    ``binomial``, which maps an exponent e to 1 + Q^e y."""
+    return [binomial(exp_sign * (2 * ell - 1)) for ell in range(1, count + 1)]
 
 
 def dilog_binomial(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
@@ -419,9 +437,10 @@ def dilog_pairings(alg: SkewLattice, h: Fraction, w, exponents) -> dict:
     return out
 
 
-def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction,
-                       coeff: QScalar, w, action: int) -> FactoredWord:
-    """Ad^{action}_{Psi_{q^h}(coeff X^w)}(p) as a word.
+def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction, w,
+                       action: int, binomial) -> FactoredWord:
+    """Ad^{action}_{Psi_{q^h}(coeff X^w)}(p) as a word, its binomials
+    1 + Q^e y taken from ``binomial`` (e -> the binomial; see _factors).
 
     For a monomial X^v with pairing p_v = omega(w, v)/h (an integer), the
     conjugate is X^v * prod_{l<=|p_v|} (1 + Q^{sgn(p_v)(2l-1)} y)^{action sgn(p_v)}.
@@ -436,8 +455,8 @@ def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction,
     p0 = pairings[v0]
 
     s0 = 1 if p0 > 0 else -1
-    factors = dilog_factor_word(alg, h, coeff, w, s0, action * s0, abs(p0))
-    head = FactoredWord.monomial(alg, v0) * factors
+    head = FactoredWord(alg, ONE, [(QTorusElement.monomial(alg, v0), 1)] + [
+        (b, action * s0) for b in _factors(binomial, s0, abs(p0))])
 
     shifted = QTorusElement.monomial(alg, vec_neg(v0)) * p
     if shifted.is_monomial():
@@ -446,13 +465,230 @@ def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction,
             return head.scale(c)
     tail = QTorusElement(alg, {})
     for v, pv in dilog_pairings(alg, h, w, shifted.terms).items():
-        assert action * pv >= 0  # anchor choice guarantees polynomial factors
+        if action * pv < 0:
+            raise ArithmeticError(
+                "anchor choice guarantees polynomial factors, but exponent "
+                f"{v} has pairing {pv} against action {action}")
         piece = QTorusElement.monomial(alg, v, shifted.terms[v])
-        for binom, _ in dilog_factor_word(alg, h, coeff, w, 1 if pv > 0 else -1,
-                                          1, abs(pv)).atoms:
-            piece = piece * binom
+        for b in _factors(binomial, 1 if pv > 0 else -1, abs(pv)):
+            piece = piece * b
         tail = tail + piece
     return head * FactoredWord.from_element(tail)
+
+
+class _Expansion:
+    """The truncated expansion of a factored word, held in the flat ring of
+    scalars.py at one scale L, the lcm of form_den and of every coefficient's
+    scale.
+
+    The series is (num / den) * sum c_n X^n.  Each ``terms[n]`` = c_n is a
+    flat polynomial in u = q^{1/L} with signed t-exponents, so monomial
+    denominators are negative exponents; the central flat polynomials num
+    and den collect every other denominator: the prefix's, each atom's
+    common denominator, and the powers of a leading coefficient that is not
+    a unit.  ``deg`` holds each term's degree and ``cutoff`` means what
+    Series.cutoff means.  Each atom is a product or an exact right division
+    followed by the truncation to the running anchor plus ``order``, with
+    the cutoffs of Series.__mul__ and Series.over, so the expansion has the
+    terms and cutoffs those would give.  A product of two coefficients with
+    the factor q^{omega(n, m)} is one fused multiply-accumulate on keys."""
+
+    __slots__ = ("alg", "dvec", "scale", "f", "terms", "deg", "cutoff", "num", "den")
+
+    def __init__(self, word: FactoredWord, dvec, order: int):
+        alg = self.alg = word.algebra
+        self.dvec = tuple(dvec)
+        scale = self.scale = lcm(alg.form_den, word.prefix.scale, *(
+            c.scale for p, _ in word.atoms for c in p.terms.values()))
+        self.f = scale // alg.form_den  # omega_int(n, m) * f is omega(n, m) * L
+        c0, self.den = flat_pair(word.prefix, scale)
+        self.num = FLAT_ONE
+        self.terms, self.deg = ({alg.zero(): c0}, {alg.zero(): 0}) if c0 else ({}, {})
+        self.cutoff = None
+        atoms = {}  # id of an atom -> (flat terms, degrees, common denominator)
+        anchor = 0
+        for p, s in word.atoms:
+            flat = atoms.get(id(p))
+            if flat is None:
+                flat = atoms[id(p)] = self._atom(p)
+            pterms, pdeg, b = flat
+            pmin = min(pdeg.values())
+            if s == 1:
+                self._times(pterms, pdeg, pmin)
+                if b is not FLAT_ONE:
+                    self.den = flat_mul(self.den, b)
+            else:
+                self._over(p, pterms, pdeg, order)
+                if b is not FLAT_ONE:
+                    self.num = flat_mul(self.num, b)
+                pmin = -pmin
+            self._truncate(anchor + pmin + order)
+            anchor += pmin
+
+    def _atom(self, p: QTorusElement):
+        """P = (sum of the returned terms) / b with flat coefficients, and the
+        degree of each term; b multiplies the denominators that are not
+        monomials, each distinct one once."""
+        pairs = [(n, *flat_pair(c, self.scale)) for n, c in p.terms.items()]
+        dens: list = []
+        for _, _, d in pairs:
+            if d is not FLAT_ONE and d not in dens:
+                dens.append(d)
+        terms = {}
+        for n, a, d in pairs:
+            for e in dens:
+                if e != d:
+                    a = flat_mul(a, e)
+            terms[n] = a
+        b = FLAT_ONE
+        for e in dens:
+            b = flat_mul(b, e)
+        return terms, {n: degree(self.dvec, n) for n in terms}, b
+
+    def _times(self, pterms: dict, pdeg: dict, pmin: int):
+        """Multiply by the atom on the right, as Series.__mul__."""
+        terms, deg = self.terms, self.deg
+        if not terms and self.cutoff is None:
+            return  # an exact zero stays one
+        cut = _product_cut(min(deg.values(), default=None), self.cutoff, pmin, None)
+        alg, f = self.alg, self.f
+        items = [(m, c, pdeg[m]) for m, c in pterms.items()]
+        out: dict = {}
+        odeg: dict = {}
+        for n, cn in terms.items():
+            dn = deg[n]
+            row = alg.row_pairing(n)
+            for m, cm, dm in items:
+                d = dn + dm
+                if cut is not None and d > cut:
+                    continue
+                k = tuple(map(add, n, m))
+                acc = out.get(k)
+                if acc is None:
+                    acc = out[k] = {}
+                    odeg[k] = d
+                flat_mac(acc, cn, cm, sum(map(mul, row, m)) * f)
+        self.terms = {k: c for k, c in out.items() if c}
+        self.deg = {k: odeg[k] for k in self.terms}
+        self.cutoff = cut
+
+    def _over(self, p: QTorusElement, pterms: dict, pdeg: dict, order: int):
+        """Divide the atom out on the right, exactly: the bucket sweep of
+        Series.over on flat coefficients.  A unit leading coefficient
+        +-u^a t^b is inverted by a key shift; any other lead L stays a
+        denominator: each residual and quotient term carries its power of
+        L, terms of different powers are brought to the larger one before
+        they are added, and at the end the quotient is put over L^J, J its
+        largest power, which joins ``den``."""
+        mdeg = min(pdeg.values())
+        anchors = [n for n, d in pdeg.items() if d == mdeg]
+        if len(anchors) > 1:
+            raise ExpansionError(
+                f"no unique leading monomial in {p.render()}: "
+                f"degree-{mdeg} exponents {sorted(anchors)}")
+        terms, deg = self.terms, self.deg
+        if not terms and self.cutoff is None:
+            return  # an exact zero stays one
+        cut = _product_cut(min(deg.values(), default=None), self.cutoff,
+                           -mdeg if order >= 0 else None, order - mdeg)
+        top = cut + mdeg  # residual terms above it give quotients above cut
+        alg, f = self.alg, self.f
+        n0 = anchors[0]
+        lead = pterms[n0]
+        lrow = alg.row_pairing(n0)  # X^m L^{-1} carries q^{omega(n0, m)}
+        neg_n0 = vec_neg(n0)
+        # -(P - L) by degree above L; all those degrees are positive
+        rest = sorted(((k, flat_shift(c, 0, -1), pdeg[k] - mdeg)
+                       for k, c in pterms.items() if k != n0), key=lambda t: t[2])
+        unit = len(lead) == 1 and abs(next(iter(lead.values()))) == 1
+        if unit:
+            (lkey, lsign), = lead.items()
+            lkey = -lkey  # 1 / (+-u^a t^b) = +-u^-a t^-b
+        else:
+            lkey, lsign = 0, 1
+            powers = [FLAT_ONE]  # powers of the lead, as they are needed
+
+            def lead_power(i):
+                while len(powers) <= i:
+                    powers.append(flat_mul(powers[-1], lead))
+                return powers[i]
+        rpow: dict = {}  # lead power of a residual term other than 0
+        qpow: dict = {}  # lead power of each quotient term
+        j = 0  # the power of the quotient term being subtracted
+        buckets: dict = {}
+        for m, r in terms.items():
+            d = deg[m]
+            if d <= top:
+                buckets.setdefault(d, {})[m] = r
+        out: dict = {}
+        odeg: dict = {}
+        while buckets:
+            d = min(buckets)
+            room = top - d
+            for m, r in buckets.pop(d).items():
+                c = flat_shift(r, flat_u(sum(map(mul, lrow, m)) * f) + lkey, lsign)
+                mq = tuple(map(add, m, neg_n0))
+                out[mq] = c
+                odeg[mq] = d - mdeg
+                if not unit:
+                    j = qpow[mq] = rpow.pop(m, 0) + 1
+                row = alg.row_pairing(mq)
+                for k, ck, dk in rest:
+                    if dk > room:
+                        break
+                    e = sum(map(mul, row, k)) * f
+                    bucket = buckets.get(d + dk)
+                    if bucket is None:
+                        bucket = buckets[d + dk] = {}
+                    key = tuple(map(add, mq, k))
+                    acc = bucket.get(key)
+                    if acc is None:
+                        bucket[key] = flat_mul(c, ck, e)
+                        if j:
+                            rpow[key] = j
+                        continue
+                    je = j if unit else rpow.get(key, 0)
+                    if je < j:  # lift the residual to the quotient's power
+                        acc = bucket[key] = flat_mul(acc, lead_power(j - je))
+                        rpow[key] = je = j
+                    if je == j:
+                        flat_mac(acc, c, ck, e)
+                    else:  # lift the product to the residual's power
+                        flat_mac(acc, flat_mul(c, ck, e), lead_power(je - j))
+                    if not acc:
+                        del bucket[key]
+                        rpow.pop(key, None)
+        if qpow:
+            J = max(qpow.values())
+            out = {mq: c if qpow[mq] == J else flat_mul(c, lead_power(J - qpow[mq]))
+                   for mq, c in out.items()}
+            self.den = flat_mul(self.den, lead_power(J))
+        self.terms, self.deg, self.cutoff = out, odeg, cut
+
+    def _truncate(self, cutoff: int):
+        if self.cutoff is not None and self.cutoff <= cutoff:
+            return
+        deg = self.deg
+        if any(d > cutoff for d in deg.values()):
+            self.terms = {n: c for n, c in self.terms.items() if deg[n] <= cutoff}
+            self.deg = {n: deg[n] for n in self.terms}
+        self.cutoff = cutoff
+
+    def series(self) -> Series:
+        """The expansion as a Series: each term converted to a QScalar once."""
+        num, den, scale = self.num, self.den, self.scale
+        return Series(self.alg, self.dvec, self.cutoff, {
+            n: flat_qscalar(c if num is FLAT_ONE else flat_mul(c, num), den, scale)
+            for n, c in self.terms.items()})
+
+    def is_one(self, order: int) -> bool:
+        """True iff the expansion truncated to degree ``order`` is 1: no term
+        but X^0 up to that degree, and (num / den) c_0 = 1 exactly."""
+        low = [n for n, d in self.deg.items() if d <= order]
+        if order < 0:
+            return not low
+        zero = self.alg.zero()
+        return low == [zero] and flat_mul(self.terms[zero], self.num) == self.den
 
 
 def _unique_lowest(dvec, exponents) -> bool:
@@ -480,11 +716,13 @@ def choose_grading(words, rank: int) -> tuple[int, ...]:
 
 def words_equal(w1: FactoredWord, w2: FactoredWord, order: int = 12,
                 dvec=None) -> bool:
-    """True iff expand(w1 * w2^{-1}) equals 1 up to the given relative order."""
+    """True iff w1 * w2^{-1} expands to 1 up to the given relative order.
+
+    The expansion stays in the flat ring and is compared with 1 there,
+    exactly: no term is converted to a QScalar."""
     if w1.algebra != w2.algebra:
         raise ValueError("words live on different algebras")
     prod = w1 * w2.inverse()
     if dvec is None:
         dvec = choose_grading([prod], w1.algebra.rank)
-    series = prod.expand(dvec, order).truncate(order)
-    return series == Series.one(w1.algebra, dvec, order)
+    return _Expansion(prod, dvec, order).is_one(order)

@@ -1,10 +1,13 @@
-"""Exact right division ``Series.over`` against the geometric-series inverse.
+"""Exact right division against the geometric-series inverse.
 
 The oracle is the inverse the engine used to form: P^{-1} = M^{-1} sum_j
 (-t)^j with M the unique lowest term of P and t = M^{-1} P - 1, multiplied
-onto the dividend afterwards.  A truncated quotient is unique, so the kernel
+onto the dividend afterwards.  A truncated quotient is unique, so the kernels
 must agree with it structurally: the same exponents, cutoff and coefficient
-representations (``scale``, ``_num``, ``_den``).
+representations (``scale``, ``_num``, ``_den``).  Two kernels divide: the
+QScalar bucket sweep ``Series.over``, and the flat-ring expansion behind
+``FactoredWord.expand`` and ``words_equal``, which ``oracle_expand`` checks
+through QScalar Series products and the geometric inverse.
 """
 
 from fractions import Fraction
@@ -13,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qca.qtorus import QTorusElement, SkewLattice, vec_neg
-from qca.scalars import ONE, QScalar, qpow, tvar
-from qca.words import ExpansionError, FactoredWord, Series, degree
+from qca.scalars import ONE, QScalar, qpow, tpow, tvar
+from qca.words import ExpansionError, FactoredWord, Series, degree, words_equal
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -289,3 +292,181 @@ def test_lowest_coefficient_with_a_t_variable():
     assert_structurally_equal(got, s * geometric_inverse(p, 1))
     t = tvar(0)
     assert got.terms[(0, 1)] == t / ((1 + t) * (1 + t))
+
+
+# ---------------------------------------------------------------------------
+# The flat ring: words whose coefficients have t-exponents of both signs,
+# scales whose lcm exceeds the form's denominator, leading coefficients that
+# are not units (t-dependent ones included) and zero prefixes.
+
+def signed_monomials(coeffs=(-1, 1)):
+    """c q^{e/k} t1^a t2^b with a, b of either sign: tpow of a mixed vector."""
+    return st.builds(lambda c, e, k, a: QScalar.term(Fraction(e, k), (), c) * tpow(a),
+                     st.sampled_from(coeffs), st.integers(-3, 3),
+                     st.sampled_from([1, 2, 3, 5]),
+                     st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+
+
+@st.composite
+def signed_coefficients(draw):
+    """A nonzero sum of one or two signed monomials, sometimes over 2 or
+    over 1 + q^{1/k}."""
+    c = QScalar.integer(0)
+    while c.is_zero():
+        for _ in range(draw(st.integers(1, 2))):
+            c = c + draw(signed_monomials((-2, -1, 1, 2)))
+    pick = draw(st.integers(0, 5))
+    if pick == 0:
+        c = c / 2
+    elif pick == 1:
+        c = c / (1 + qpow(Fraction(1, draw(st.integers(1, 3)))))
+    return c
+
+
+@st.composite
+def any_leads(draw):
+    """A unit +-q^e t^a, or a lead that is not one: an integer multiple, a
+    t-dependent or q-dependent binomial multiple, or a monomial over
+    1 + q^{1/k}."""
+    c = draw(signed_monomials())
+    pick = draw(st.integers(0, 5))
+    if pick == 1:
+        c = c * 2
+    elif pick == 2:
+        c = c * (1 + tvar(0))
+    elif pick == 3:
+        c = c * (1 + qpow(Fraction(1, draw(st.integers(1, 3)))))
+    elif pick == 4:
+        c = c / (1 + qpow(Fraction(1, draw(st.integers(1, 3)))))
+    return c
+
+
+@st.composite
+def flat_word_on(draw, alg, dvec, zero_prefix=True):
+    """One to three atoms whose coefficients are drawn from the above."""
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(divisors(alg, dvec, max_terms=2 + len(atoms) % 2, lead=any_leads(),
+                          coeffs=signed_coefficients()))
+        atoms.append((QTorusElement(alg, p.terms), draw(st.sampled_from([1, -1]))))
+    prefixes = signed_coefficients()
+    if zero_prefix:
+        prefixes = st.one_of(prefixes, st.just(QScalar.integer(0)))
+    return FactoredWord(alg, draw(prefixes), atoms)
+
+
+@st.composite
+def flat_words(draw, zero_prefix=True):
+    alg = draw(lattices())
+    dvec = draw(gradings(alg.rank))
+    return draw(flat_word_on(alg, dvec, zero_prefix)), dvec, draw(st.integers(0, 3))
+
+
+@PROPERTY
+@given(flat_words())
+def test_flat_expansion_matches_the_oracle(case):
+    word, dvec, order = case
+    assert_structurally_equal(word.expand(dvec, order), oracle_expand(word, dvec, order))
+
+
+@PROPERTY
+@given(flat_words(zero_prefix=False), st.data())
+def test_words_equal_rejects_every_perturbation(case, data):
+    word, dvec, order = case
+    alg = word.algebra
+    assert words_equal(word, word, order, dvec)
+    # a word times v v^{-1}, v another drawn word, is the word again
+    other = data.draw(flat_word_on(alg, dvec, zero_prefix=False))
+    assert words_equal(word * other * other.inverse(), word, order, dvec)
+    d = data.draw(st.integers(1, 6))
+    for factor in (qpow(Fraction(1, d)), qpow(Fraction(-1, d)), tvar(0), tvar(1),
+                   tvar(0).inverse(), QScalar.integer(-1)):
+        assert not words_equal(word, word.scale(factor), order, dvec)
+        assert not words_equal(word.scale(factor), word, order, dvec)
+
+
+def test_words_equal_matches_the_oracle_on_a_truncated_difference():
+    # the words agree below degree 3 and differ at it: equal to order 2 only
+    alg = SkewLattice.make([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+    p = QTorusElement(alg, {(0, 0): ONE, (0, 1): qpow(Fraction(1, 3))})
+    extra = QTorusElement(alg, {(0, 0): ONE, (0, 3): tpow((1, -1))})
+    w1 = FactoredWord(alg, ONE, ((p, -1),))
+    w2 = FactoredWord(alg, ONE, ((p, -1), (extra, 1)))
+    for order in range(5):
+        want = oracle_expand(w1 * w2.inverse(), (0, 1), order).truncate(order) \
+            == Series.one(alg, (0, 1), order)
+        assert words_equal(w1, w2, order, (0, 1)) is want is (order < 3)
+
+
+def test_non_unit_leads_are_powers_of_one_denominator():
+    alg = SkewLattice.make([[0, 1], [-1, 0]])
+    # (2 + X2)^{-1} = sum_j (-1)^j X2^j / 2^{j+1}
+    word = FactoredWord(alg, ONE, ((QTorusElement(alg, {(0, 0): 2, (0, 1): ONE}), -1),))
+    got = word.expand((0, 1), 4)
+    assert got.cutoff == 4
+    for j in range(5):
+        assert got.coefficient((0, j)) == QScalar.rational((-1) ** j, 2 ** (j + 1))
+    assert_structurally_equal(got, oracle_expand(word, (0, 1), 4))
+    # two inverted atoms with different non-unit leads, one t-dependent
+    t = tvar(0)
+    p2 = QTorusElement(alg, {(1, 0): 1 + t, (1, 1): qpow(1)})
+    word = word * FactoredWord(alg, ONE, ((p2, -1),))
+    assert_structurally_equal(word.expand((0, 1), 3), oracle_expand(word, (0, 1), 3))
+    assert words_equal(word * FactoredWord.from_element(p2), FactoredWord(
+        alg, ONE, ((QTorusElement(alg, {(0, 0): 2, (0, 1): ONE}), -1),)), 5, (0, 1))
+
+
+def test_a_residual_can_carry_more_lead_powers_than_a_later_product():
+    # under (1, 1) the residual at X1 X2 first receives a product of lead
+    # power 3 and then one of lead power 2, which is lifted to power 3
+    # before it is added
+    alg = SkewLattice.make([[0, 1], [-1, 0]])
+    p = QTorusElement(alg, {(0, 0): 2, (0, 1): ONE, (0, 2): ONE, (2, 1): ONE})
+    s = QTorusElement(alg, {(0, -1): ONE, (-1, -2): ONE, (2, 2): ONE})
+    word = FactoredWord(alg, ONE, ((s, 1), (p, -1)))
+    assert_structurally_equal(word.expand((1, 1), 5), oracle_expand(word, (1, 1), 5))
+
+
+def test_hand_built_t_dependent_lead():
+    # the word form of test_lowest_coefficient_with_a_t_variable
+    alg = SkewLattice.make([[0, 1], [-1, 0]])
+    two, t = QScalar.integer(2), tvar(0)
+    s = QTorusElement(alg, {(0, 0): -two, (0, 1): -two})
+    p = QTorusElement(alg, {(0, 0): -two - two * t, (0, 1): -two})
+    word = FactoredWord(alg, ONE, ((s, 1), (p, -1)))
+    got = word.expand((0, 1), 1)
+    assert got.terms.keys() == {(0, 0), (0, 1)} and got.cutoff == 1
+    assert got.terms[(0, 0)] == (1 + t).inverse()
+    assert got.terms[(0, 1)] == t / ((1 + t) * (1 + t))
+    assert_structurally_equal(got, oracle_expand(word, (0, 1), 1))
+
+
+def test_flat_range_raises():
+    alg = SkewLattice.make([[0, 1], [-1, 0]])
+    for sign in (1, -1):
+        # t1^{+-300 j}: j = 2 fits the flat range (|exponent| <= 1024) but
+        # not QScalar's (0 <= exponent < 512 after clearing denominators,
+        # where the negative case reaches 600 too)
+        p = QTorusElement(alg, {(0, 0): ONE, (0, 1): tpow((300 * sign,))})
+        word = FactoredWord.from_element(p, -1)
+        assert words_equal(word, word, 2, (0, 1))
+        assert not words_equal(word, word.scale(tvar(0)), 2, (0, 1))
+        with pytest.raises(OverflowError):
+            word.expand((0, 1), 2)
+        # j = 4 is past the flat range as well
+        with pytest.raises(OverflowError):
+            words_equal(word, word, 4, (0, 1))
+        with pytest.raises(OverflowError):
+            word.expand((0, 1), 4)
+
+
+def test_zero_prefix_keeps_the_tie_check():
+    alg = SkewLattice.make([[0, 1], [-1, 0]])
+    tie = QTorusElement(alg, {(1, 0): 2 + tvar(0), (0, 1): tpow((-1,))})
+    zero = FactoredWord(alg, QScalar.integer(0), ((tie, -1),))
+    with pytest.raises(ExpansionError, match="no unique leading monomial"):
+        zero.expand((1, 1), 3)
+    # an exact zero takes the first truncation's cutoff, anchor -1 plus 3
+    got = zero.expand((1, 2), 3)
+    assert got.terms == {} and got.cutoff == 2
+    assert_structurally_equal(got, oracle_expand(zero, (1, 2), 3))

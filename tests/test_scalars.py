@@ -345,3 +345,13 @@ def test_scale_is_reduced_after_gcd_cancellation():
     assert x.is_one() and x.is_polynomial()
     y = (qpow(Fraction(3, 2)) + qpow(2)) / h  # = q^(3/2)
     assert (y.scale, y.num, y.den) == (2, {3: TScalar.integer(1)}, ONE.den)
+
+
+def test_scale_is_reduced_after_the_denominator_is_anchored():
+    # q^(-1/2) t1 / (q^(1/2) t1 (1 + t1)) is q^-1 / (1 + t1): its exponents
+    # coarsen to scale 1 only once the denominator is shifted to u^0
+    t = TScalar({(1,): 1})
+    x = QScalar({Fraction(-1, 2): t}, {Fraction(1, 2): t + TScalar({(2,): 1})})
+    want = qpow(-1) / (1 + tvar(0))
+    assert (x.scale, x.num, x.den) == (want.scale, want.num, want.den) == (
+        1, {-1: TScalar.integer(1)}, {0: TScalar({(): 1, (1,): 1})})

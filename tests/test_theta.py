@@ -105,3 +105,32 @@ def test_greedy_T():
     assert greedy_T((2, 7), 2, 3) == (2, 7)
     assert greedy_T((-1, 0), 2, 3) == (-1, -3)
     assert greedy_T((0, 4), 2, 3) == (0, 4)
+
+
+def test_crossing_checks_raise_under_python_O(monkeypatch):
+    # the checks on a crossing are raised errors, not asserts: they hold
+    # under python -O as well
+    from qca.words import Series, degree
+
+    dg = a23_diagram()
+    cross = dg.cross
+
+    def not_unipotent(wall, series, sign, cutoff):
+        out = cross(wall, series, sign, cutoff)
+        return out + series  # doubles the coefficient of the start term
+
+    monkeypatch.setattr(dg, "cross", not_unipotent)
+    with pytest.raises(ArithmeticError, match="not unipotent"):
+        enumerate_broken_lines(M0, Q, dg, 4, final_exponent=TARGET)
+
+    def level_bend(wall, series, sign, cutoff):
+        out = cross(wall, series, sign, cutoff)
+        (m, c), = series.terms.items()
+        a, b = dg.dvec
+        level = (m[0] + b, m[1] - a)  # another exponent of the same degree
+        assert degree(dg.dvec, level) == degree(dg.dvec, m)
+        return out + Series(dg.torus, dg.dvec, out.cutoff, {level: c})
+
+    monkeypatch.setattr(dg, "cross", level_bend)
+    with pytest.raises(ArithmeticError, match="bend cost 0 is not a positive multiple"):
+        enumerate_broken_lines(M0, Q, dg, 4, final_exponent=TARGET)

@@ -219,3 +219,58 @@ def test_dilog_conjugation_factors_spec_values():
     got = (w * base).expand((1, -1), 8)
     want = conjugation_oracle(alg, base, h, ONE, (0, -3), -1, (1, -1), 4)
     assert_series_match(got, want, 2)
+
+
+def test_anchor_check_raises_under_python_O(monkeypatch):
+    # the anchor choice makes every shifted pairing agree in sign with the
+    # action; the check is a raised error, not an assert, so it holds under
+    # python -O as well.  Flipping the second pairing call breaks it.
+    import qca.words as words
+
+    alg = x_lattice(1)
+    p = binom(alg, (1, 0), ONE)
+    pairings = words.dilog_pairings
+    calls = []
+
+    def flipped(*args):
+        calls.append(args)
+        out = pairings(*args)
+        return out if len(calls) == 1 else {v: -pv for v, pv in out.items()}
+
+    monkeypatch.setattr(words, "dilog_pairings", flipped)
+    with pytest.raises(ArithmeticError, match="anchor choice guarantees polynomial factors"):
+        FactoredWord.from_element(p).conjugate_by_dilog(Fraction(1), ONE, (0, 1), 1)
+    monkeypatch.undo()
+    conj = FactoredWord.from_element(p).conjugate_by_dilog(Fraction(1), ONE, (0, 1), 1)
+    assert len(conj.atoms) == 3
+
+
+def test_conjugation_builds_each_binomial_once_per_call():
+    alg = a23_lattice()
+    h = Fraction(-3, 2)
+    # A1 and A1^2 conjugate to (1 + v^3 A2^-3) and to that binomial times
+    # (1 + v^9 A2^-3)
+    w = FactoredWord.monomial(alg, (1, 0)) * FactoredWord.from_element(
+        binom(alg, (1, 1), vpow(1)), -1) * FactoredWord.monomial(alg, (2, 0))
+    direction = (0, -3)
+
+    def binomials(word):
+        return [p for p, _ in word.atoms
+                if p.terms.keys() == {(0, 0), direction}]
+
+    first = w.conjugate_by_dilog(h, ONE, direction, action=-1)
+    again = w.conjugate_by_dilog(h, ONE, direction, action=-1)
+    made = binomials(first)
+    assert len(made) > len({id(p) for p in made})  # some binomial repeats
+    assert len({id(p) for p in made}) == len({p.render() for p in made})
+    assert not {id(p) for p in made} & {id(p) for p in binomials(again)}
+    assert first.render() == again.render()
+    # the same word as conjugating atom by atom
+    for action in (1, -1):
+        whole = w.conjugate_by_dilog(h, ONE, direction, action)
+        parts = FactoredWord.one(alg)
+        for p, s in w.atoms:
+            parts = parts * FactoredWord(alg, ONE, ((p, s),)).conjugate_by_dilog(
+                h, ONE, direction, action)
+        assert whole.render() == parts.render()
+        assert words_equal(whole, parts, 6)
