@@ -976,16 +976,12 @@ def flat_pair(x: QScalar, scale: int) -> tuple[dict, dict]:
     return flat_shift(num, -kd), (FLAT_ONE if c == 1 else {0: c})
 
 
-def flat_u(e: int) -> int:
-    """The flat key of u^e."""
+def flat_shift(a: dict, key: int, sign: int = 1, e: int = 0) -> dict:
+    """sign * a * u^e * (the monomial with flat key ``key``, a stored key),
+    a new dict."""
     if not -_F_U_LIMIT <= e < _F_U_LIMIT:
         raise _flat_overflow()
-    return e
-
-
-def flat_shift(a: dict, key: int, sign: int = 1) -> dict:
-    """sign * a * (the monomial with flat key ``key``, a stored key or the
-    sum of two), a new dict."""
+    key += e
     out = {}
     for k, c in a.items():
         k += key
@@ -1028,21 +1024,32 @@ def flat_mul(a: dict, b: dict, e: int = 0) -> dict:
 
 def flat_qscalar(num: dict, den: dict, scale: int) -> QScalar:
     """The QScalar num / den of flat polynomials at ``scale`` (den nonzero),
-    in QScalar's normal form: both are multiplied by the t-monomial that
-    makes every t-exponent nonnegative and repacked, which raises
-    OverflowError past QScalar's range."""
-    if den is FLAT_ONE and all(-_U_LIMIT <= k < _U_LIMIT for k in num):
+    in QScalar's normal form.  Before repacking, both are multiplied by the
+    monomial that anchors den's u-exponents at 0 and makes every t-exponent
+    nonnegative, and the u-exponents and the scale are divided by their
+    gcd, as the normal form does; a key still outside QScalar's range then
+    raises OverflowError."""
+    if den is FLAT_ONE and all(-_F_U_LIMIT <= k < _F_U_LIMIT for k in num):
         # t-free keys: a flat key and a QScalar key are both the u-exponent
-        return QScalar._raw(dict(num), _DEN1, scale)
+        g = gcd(scale, *num)
+        if g > 1:
+            num, scale = {k // g: c for k, c in num.items()}, scale // g
+        if all(-_U_LIMIT <= k < _U_LIMIT for k in num):
+            return QScalar._raw(dict(num), _DEN1, scale)
+        raise _overflow()
     parts = [[_flat_fields(k) + (c,) for k, c in part.items()] for part in (num, den)]
+    shift = min(e for e, _, _ in parts[1])
+    g = scale
     low: list[int] = []
     for part in parts:
-        for _, mono, _ in part:
+        for e, mono, _ in part:
+            g = gcd(g, e - shift)
             for i, a in enumerate(mono):
                 if i == len(low):
                     low.append(0)
                 if a < low[i]:
                     low[i] = a
-    packed = [{_pack(e, tuple(a - lo for a, lo in zip(mono + [0] * len(low), low))): c
+    packed = [{_pack((e - shift) // g,
+                     tuple(a - lo for a, lo in zip(mono + [0] * len(low), low))): c
                for e, mono, c in part} for part in parts]
-    return QScalar._raw(packed[0], packed[1], scale)
+    return QScalar._raw(packed[0], packed[1], scale // g)

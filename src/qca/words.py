@@ -18,8 +18,9 @@ and a leading coefficient that is not a unit) are collected in one central
 fraction.  Inverted atoms are divided out exactly by the bucket sweep of
 :meth:`Series.over` rather than inverted, so the grading is any integer
 functional under which every inverted atom has a unique lowest term.
-``words_equal`` compares the flat result with 1 exactly; ``expand``
-converts each surviving term to a QScalar once.  :class:`Series`, the
+``expand`` converts each surviving term to a QScalar once; ``words_equal``
+compares that expansion of w1 * w2^{-1} with 1, and when the words are
+equal only X^0 survives, so one term is converted.  :class:`Series`, the
 truncated torus element with QScalar coefficients, keeps its own product
 and division for the scattering layer.
 """
@@ -32,7 +33,7 @@ from operator import add, mul
 
 from .qtorus import QTorusElement, SkewLattice, add_terms, skew_product, vec, vec_add, vec_neg
 from .scalars import (FLAT_ONE, ONE, QScalar, flat_mac, flat_mul, flat_pair,
-                      flat_qscalar, flat_shift, flat_u)
+                      flat_qscalar, flat_shift)
 
 
 class ExpansionError(ValueError):
@@ -626,7 +627,7 @@ class _Expansion:
             d = min(buckets)
             room = top - d
             for m, r in buckets.pop(d).items():
-                c = flat_shift(r, flat_u(sum(map(mul, lrow, m)) * f) + lkey, lsign)
+                c = flat_shift(r, lkey, lsign, sum(map(mul, lrow, m)) * f)
                 mq = tuple(map(add, m, neg_n0))
                 out[mq] = c
                 odeg[mq] = d - mdeg
@@ -681,15 +682,6 @@ class _Expansion:
             n: flat_qscalar(c if num is FLAT_ONE else flat_mul(c, num), den, scale)
             for n, c in self.terms.items()})
 
-    def is_one(self, order: int) -> bool:
-        """True iff the expansion truncated to degree ``order`` is 1: no term
-        but X^0 up to that degree, and (num / den) c_0 = 1 exactly."""
-        low = [n for n, d in self.deg.items() if d <= order]
-        if order < 0:
-            return not low
-        zero = self.alg.zero()
-        return low == [zero] and flat_mul(self.terms[zero], self.num) == self.den
-
 
 def _unique_lowest(dvec, exponents) -> bool:
     degs = sorted(degree(dvec, n) for n in exponents)
@@ -716,13 +708,11 @@ def choose_grading(words, rank: int) -> tuple[int, ...]:
 
 def words_equal(w1: FactoredWord, w2: FactoredWord, order: int = 12,
                 dvec=None) -> bool:
-    """True iff w1 * w2^{-1} expands to 1 up to the given relative order.
-
-    The expansion stays in the flat ring and is compared with 1 there,
-    exactly: no term is converted to a QScalar."""
+    """True iff expand(w1 * w2^{-1}) equals 1 up to the given relative order."""
     if w1.algebra != w2.algebra:
         raise ValueError("words live on different algebras")
     prod = w1 * w2.inverse()
     if dvec is None:
         dvec = choose_grading([prod], w1.algebra.rank)
-    return _Expansion(prod, dvec, order).is_one(order)
+    series = prod.expand(dvec, order).truncate(order)
+    return series == Series.one(w1.algebra, dvec, order)

@@ -460,6 +460,35 @@ def test_flat_range_raises():
             word.expand((0, 1), 4)
 
 
+def test_mixed_scales_are_reduced_before_repacking():
+    # the expansion runs at L = 210, where q^1300 is u^273000, past QScalar's
+    # keys; each term is stored at its own scale, as the Series path does
+    alg = SkewLattice.make([[0, 1], [-1, 0]])
+    p = QTorusElement(alg, {(1, 0): qpow(1300), (0, 1): qpow(Fraction(1, 210))})
+    for word in (FactoredWord.from_element(p),
+                 FactoredWord(alg, tvar(0).inverse(), ((p, 1),)),
+                 FactoredWord(alg, qpow(Fraction(-1, 6)), ((p, 1),))):
+        got = word.expand((1, 1), 2)
+        assert got.coefficient((1, 0)).scale in (1, 6)
+        assert_structurally_equal(got, oracle_expand(word, (1, 1), 2))
+    # a non-unit lead q^1300 (1 + q) over a form with denominator 210: the
+    # central denominator is anchored at u^0 before the scale is reduced
+    alg = SkewLattice.make([[0, Fraction(1, 210)], [Fraction(-1, 210), 0]])
+    p = QTorusElement(alg, {(0, 0): qpow(1300) + qpow(1301), (0, 1): ONE})
+    word = FactoredWord.from_element(p, -1)
+    got = word.expand((1, 1), 2)
+    assert got.coefficient((0, 2)) == qpow(-3900) / (1 + qpow(1)) ** 3
+    assert_structurally_equal(got, oracle_expand(word, (1, 1), 2))
+    # every quotient term is q^-100000 / (1 + q)^(j+1), but the central
+    # denominator lead^4 starts at q^400000 until it is anchored
+    alg = SkewLattice.make([[0, 1], [-1, 0]])
+    p = QTorusElement(alg, {(0, 0): qpow(100000) + qpow(100001), (0, 1): qpow(100000)})
+    word = FactoredWord.from_element(p, -1)
+    got = word.expand((1, 1), 3)
+    assert got.coefficient((0, 3)) == -qpow(-100000) / (1 + qpow(1)) ** 4
+    assert_structurally_equal(got, oracle_expand(word, (1, 1), 3))
+
+
 def test_zero_prefix_keeps_the_tie_check():
     alg = SkewLattice.make([[0, 1], [-1, 0]])
     tie = QTorusElement(alg, {(1, 0): 2 + tvar(0), (0, 1): tpow((-1,))})
