@@ -20,7 +20,7 @@ limits and of the decoded ``QScalar.num`` / ``QScalar.den`` views, which are
 key shifts of the flat pair.
 
 The ``flat_*`` functions at the end are the flat Laurent ring of word
-expansions (words.py): the same packed dicts with signed t-exponents, at one
+expansions (expansion.py): the same packed dicts with signed t-exponents, at one
 scale per expansion, and no normal form; ``flat_pair`` and ``flat_qscalar``
 convert to and from QScalar.
 """
@@ -893,7 +893,7 @@ def tpow(vec) -> QScalar:
 
 # ---------------------------------------------------------------------------
 # The flat Laurent ring Z[u^{±1}, t1^{±1}, t2^{±1}, ...] of word expansions
-# (words.py).  One expansion fixes one scale L, u = q^{1/L}, and holds every
+# (expansion.py).  One expansion fixes one scale L, u = q^{1/L}, and holds every
 # coefficient as one dict {flat key: nonzero int}.  Unlike the keys above,
 # every field is signed, so that a monomial t-denominator is a negative
 # exponent and a product never leaves the ring:
