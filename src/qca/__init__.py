@@ -30,6 +30,7 @@ from .mutation import (
     quantum_x_variables,
     word_to_classical,
     x_torus,
+    XMutationStep,
 )
 from .scatter import (
     ConsistencyError,
@@ -67,6 +68,7 @@ __all__ = [
     "apply_mutation_sequence", "mutate_a_classical", "mutate_a_word",
     "mutate_word", "mutate_x_classical", "mutate_x_family", "mu_prime_word",
     "mu_sharp_word", "quantum_x_variables", "word_to_classical", "x_torus",
+    "XMutationStep",
     "ConsistencyError", "ScatteringDiagram", "Wall", "appendix_b_closed_form",
     "complete_to_order", "initial_diagram", "wall_crossing",
     "BrokenLine", "enumerate_broken_lines", "greedy_T", "theta_coefficient",

@@ -5,19 +5,24 @@ Quantum X-mutation acts on factored words through the decomposition
 mu = mu# o mu': mu' is the coefficient twist X^v -> t^{-{v,e_k}d_k[-c_k]+} X^v
 (the exponent is unchanged because X^v is Weyl-ordered), and mu# is
 conjugation by the coefficient dilogarithm, evaluated with the finite
-factor-product formulas.  Iterating single mutations backwards along a seed
-history expresses any chart's cluster variables in the initial chart.
+factor-product formulas.  One :class:`XMutationStep` per mutation holds
+both parts (the twist's t-powers, the binomials and their running
+products), built once and applied to every word; iterating the steps
+backwards along a seed history expresses any chart's cluster variables in
+the initial chart, and a mutation table shares one step per mutation
+among all its rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .commutative import CPoly, CRational
 from .qtorus import QTorusElement, SkewLattice, vec
 from .scalars import ONE, QScalar, tpow
 from .seeds import FixedData, Seed
-from .words import FactoredWord
+from .words import DilogConjugation, FactoredWord
 
 X_MODES = ("x-classical", "x-family", "x-quantum", "x-quantum-coeff")
 A_MODES = ("a-classical", "a-prin", "a-quantum")
@@ -121,68 +126,109 @@ def _scalar_to_cpoly(s: QScalar, rank: int) -> CPoly:
 # quantum X-mutation on factored words
 
 
+class XMutationStep:
+    """One quantum X-mutation mu = mu# o mu' at direction k of ``seed``,
+    built once and applied to any number of words on ``algebra``, the
+    X-torus of the seed's fixed data.
+
+    It holds the twist mu', X^v -> t^{m(v) [-c_k]_+} X^v with
+    m(v) = -{v, e_k} d_k, as the row of m and the t-powers by multiplicity,
+    and the conjugation mu# by Psi_{q_k}(t^{c_k} X^{e_k}) as a
+    :class:`DilogConjugation` (the pairing row of e_k, the binomials and
+    their running products).  :meth:`apply` twists and conjugates each atom
+    in one pass.
+    """
+
+    __slots__ = ("seed", "algebra", "conjugation", "cminus", "_mrow", "_tpows")
+
+    def __init__(self, seed: Seed, k: int, with_coefficients: bool,
+                 algebra: SkewLattice):
+        fd = seed.fixed
+        if k not in fd.unfrozen:
+            raise ValueError(f"direction {k} is frozen")
+        self.seed, self.algebra = seed, algebra
+        ek, dk = seed.basis[k], fd.d[k]
+        coeff, cm = ONE, None
+        if with_coefficients:
+            c = seed.cvector(k)
+            coeff = tpow(c)
+            if any(x < 0 for x in c):
+                cm = [max(-x, 0) for x in c]
+        self.cminus = cm  # [-c_k]_+, None when the twist is the identity
+        # form_den * {v, e_k} d_k = mrow . v
+        self._mrow = [dk * sum(map(mul, row, ek)) for row in fd.prin[:fd.n]]
+        self._tpows: dict = {}  # m -> t^{m [-c_k]_+}
+        self.conjugation = DilogConjugation(algebra, Fraction(1, dk), coeff, ek, 1)
+
+    def twist(self, v, coeff: QScalar) -> QScalar:
+        """mu' on the coefficient of X^v."""
+        fd = self.seed.fixed
+        m = -fd.integral(sum(map(mul, self._mrow, v)), "coefficient twist exponent")
+        if m == 0:
+            return coeff
+        t = self._tpows.get(m)
+        if t is None:
+            t = self._tpows[m] = tpow([m * x for x in self.cminus])
+        return coeff * t
+
+    def apply(self, w: FactoredWord) -> FactoredWord:
+        """mu(w) = mu#(mu'(w)), in one pass over the atoms of w."""
+        return self.conjugation.apply(w, None if self.cminus is None else self.twist)
+
+
 def mu_prime_word(w: FactoredWord, k: int, seed: Seed,
                   with_coefficients: bool = True) -> FactoredWord:
     """The monomial change-of-coordinates part: a pure coefficient twist in
     Weyl coordinates, X^v -> t^{-{v,e_k}d_k [-c_k]_+} X^v."""
-    fd = seed.fixed
-    if k not in fd.unfrozen:
-        raise ValueError(f"direction {k} is frozen")
-    if not with_coefficients:
+    step = XMutationStep(seed, k, with_coefficients, w.algebra)
+    if step.cminus is None:
         return w
-    c = seed.cvector(k)
-    cm = [max(-x, 0) for x in c]
-    if not any(cm):
-        return w
-    ek = seed.basis[k]
-    dk = fd.d[k]
-
-    def twist(v, coeff):
-        m = -fd.integral(fd.form_int(v, ek) * dk, "coefficient twist exponent")
-        if m == 0:
-            return coeff
-        return coeff * tpow([m * x for x in cm])
-
-    return FactoredWord(
-        w.algebra, w.prefix,
-        tuple((p.map_terms(lambda n, cc: twist(n, cc)), s) for p, s in w.atoms))
+    return FactoredWord(w.algebra, w.prefix,
+                        tuple((p.map_terms(step.twist), s) for p, s in w.atoms))
 
 
 def mu_sharp_word(w: FactoredWord, k: int, seed: Seed,
                   with_coefficients: bool = True) -> FactoredWord:
     """Conjugation by the coefficient dilogarithm Psi_{q_k}(t^{c_k} X_k)."""
-    fd = seed.fixed
-    if k not in fd.unfrozen:
-        raise ValueError(f"direction {k} is frozen")
-    coeff = ONE
-    if with_coefficients:
-        coeff = tpow(seed.cvector(k))
-    h = Fraction(1, fd.d[k])
-    return w.conjugate_by_dilog(h, coeff, seed.basis[k], action=1)
+    return XMutationStep(seed, k, with_coefficients, w.algebra).conjugation.apply(w)
 
 
 def mutate_word(w: FactoredWord, k: int, seed: Seed,
                 with_coefficients: bool = True) -> FactoredWord:
-    """One quantum X-mutation applied to a word: mu = mu# o mu'."""
-    return mu_sharp_word(mu_prime_word(w, k, seed, with_coefficients),
-                         k, seed, with_coefficients)
+    """One quantum X-mutation applied to a word: mu = mu# o mu'.  Each call
+    builds its own step; a caller mutating many words builds one
+    :class:`XMutationStep` and applies it to each."""
+    return XMutationStep(seed, k, with_coefficients, w.algebra).apply(w)
+
+
+def _x_steps(fd: FixedData, sequence, with_coefficients: bool):
+    """The X-torus, the seeds along ``sequence`` (initial seed first) and
+    one step per mutation."""
+    alg = x_torus(fd)
+    seeds = [Seed(fd)]
+    for k in sequence:
+        seeds.append(seeds[-1].mutate(k))
+    return alg, seeds, [XMutationStep(s, k, with_coefficients, alg)
+                        for s, k in zip(seeds, sequence)]
+
+
+def _x_words(alg: SkewLattice, seed: Seed, steps) -> list[FactoredWord]:
+    """The cluster variables of ``seed`` in the initial chart: each basis
+    monomial pulled back through ``steps``, last step first."""
+    out = []
+    for v in seed.basis:
+        w = FactoredWord.monomial(alg, v)
+        for step in reversed(steps):
+            w = step.apply(w)
+        out.append(w.tidy())
+    return out
 
 
 def quantum_x_variables(fd: FixedData, sequence, with_coefficients: bool = True):
     """Cluster variables of the seed reached by ``sequence``, expressed in
     the initial chart as factored words.  Returns (seed, [words])."""
-    alg = x_torus(fd)
-    seeds = [Seed(fd)]
-    for k in sequence:
-        seeds.append(seeds[-1].mutate(k))
-    final = seeds[-1]
-    out = []
-    for i in range(fd.n):
-        w = FactoredWord.monomial(alg, final.basis[i])
-        for j in range(len(sequence) - 1, -1, -1):
-            w = mutate_word(w, sequence[j], seeds[j], with_coefficients)
-        out.append(w.tidy())
-    return final, out
+    alg, seeds, steps = _x_steps(fd, sequence, with_coefficients)
+    return seeds[-1], _x_words(alg, seeds[-1], steps)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +296,8 @@ def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
         lead = QTorusElement(alg, {mbar: c._qshift(-kappa, alg.form_den)})
         return lead, ak
 
+    # B^j = (...((1 * B) * B)...) * B, built once each, as B ** j builds it
+    powers = [QTorusElement.one(alg)]
     out_atoms = []
     prefix = w.prefix
     for p, s in w.atoms:
@@ -258,7 +306,12 @@ def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
         amin = min(ak for _, ak in images)
         mapped = QTorusElement(alg, {})
         for lead, ak in images:
-            mapped = mapped + (lead if ak == amin else lead * binom ** (ak - amin))
+            j = ak - amin
+            if j:
+                while len(powers) <= j:
+                    powers.append(powers[-1] * binom)
+                lead = lead * powers[j]
+            mapped = mapped + lead
         piece = FactoredWord.from_element(mapped) * _power_word(binom, amin)
         if s == -1:
             piece = piece.inverse()
@@ -305,11 +358,10 @@ def classical_a_table(fd: FixedData, sequence, with_coefficients: bool):
 
 
 def quantum_x_table(fd: FixedData, sequence, with_coefficients: bool):
-    rows = []
-    for step in range(len(sequence) + 1):
-        seed, words = quantum_x_variables(fd, sequence[:step], with_coefficients)
-        rows.append((seed, words))
-    return rows
+    """Rows of (seed, [X-variable words in the initial chart]); the seeds
+    and steps are built once and shared by every row."""
+    alg, seeds, steps = _x_steps(fd, sequence, with_coefficients)
+    return [(seed, _x_words(alg, seed, steps[:i])) for i, seed in enumerate(seeds)]
 
 
 def quantum_a_table(fd: FixedData, sequence):

@@ -4,7 +4,10 @@ A :class:`FactoredWord` is a central scalar prefix times an ordered product
 of atoms P^{+1} or P^{-1}, where each P is a finite quantum-torus element.
 Words are closed under multiplication, inversion, the *-involution, and
 conjugation by quantum dilogarithms (the finite-product formulas), which is
-everything quantum mutation needs.
+everything quantum mutation needs.  A :class:`DilogConjugation` is one such
+conjugation, built once: it keeps the binomials 1 + Q^e y and their running
+products and applies them to any number of words in one pass over their
+atoms.
 
 Equality of words is decided by expanding w1 * w2^{-1} as a truncated series
 in a graded completion and comparing with 1.  The expansion
@@ -21,7 +24,7 @@ scattering layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 
 from .qtorus import QTorusElement, SkewLattice, add_terms, skew_product, vec, vec_add, vec_neg
 from .scalars import ONE, QScalar
@@ -295,27 +298,11 @@ class FactoredWord:
         """Ad^{action} of Psi_{q^h}(coeff * X^direction) applied to the word.
 
         action=+1 is x -> Psi x Psi^{-1} (the mutation automorphism mu#);
-        action=-1 is x -> Psi^{-1} x Psi (how scattering walls act).
+        action=-1 is x -> Psi^{-1} x Psi (how scattering walls act).  Each
+        call builds its own :class:`DilogConjugation`, so two calls share no
+        binomial.
         """
-        alg = self.algebra
-        w = vec(direction)
-        made: dict = {}  # e -> 1 + Q^e y, each built once per call
-
-        def binomial(e):
-            b = made.get(e)
-            if b is None:
-                b = made[e] = dilog_binomial(alg, h, coeff, w, e)
-            return b
-
-        out_atoms = []
-        prefix = self.prefix
-        for p, s in self.atoms:
-            piece = _conjugate_element(alg, p, h, w, action, binomial)
-            if s == -1:
-                piece = piece.inverse()
-            prefix = prefix * piece.prefix
-            out_atoms.extend(piece.atoms)
-        return FactoredWord(alg, prefix, out_atoms)
+        return DilogConjugation(self.algebra, h, coeff, direction, action).apply(self)
 
     # -- expansion ----------------------------------------------------------------
     def expand(self, dvec, order: int) -> Series:
@@ -382,14 +369,8 @@ def dilog_factor_word(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
     """Product of count factors (1 + Q^{exp_sign (2l-1)} y)^{power} with
     y = coeff * X^w and Q = q^h.  The factors commute pairwise."""
     return FactoredWord(alg, ONE, [
-        (b, power) for b in _factors(
-            lambda e: dilog_binomial(alg, h, coeff, w, e), exp_sign, count)])
-
-
-def _factors(binomial, exp_sign: int, count: int) -> list:
-    """The binomials 1 + Q^{exp_sign (2l-1)} y for l = 1..count, from
-    ``binomial``, which maps an exponent e to 1 + Q^e y."""
-    return [binomial(exp_sign * (2 * ell - 1)) for ell in range(1, count + 1)]
+        (dilog_binomial(alg, h, coeff, w, exp_sign * (2 * ell - 1)), power)
+        for ell in range(1, count + 1)])
 
 
 def dilog_binomial(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
@@ -412,12 +393,13 @@ def dilog_conjugation_factors(alg: SkewLattice, u: int, coeff: QScalar,
     return dilog_factor_word(alg, h, coeff, vec(direction), s, s, abs(u))
 
 
-def dilog_pairings(alg: SkewLattice, h: Fraction, w, exponents) -> dict:
+def dilog_pairings(alg: SkewLattice, h: Fraction, w, exponents, row=None) -> dict:
     """The integer pairing p_v = omega(w, v) / h of each exponent v with the
     dilogarithm Psi_{q^h}(X^w), as {v: p_v}; ValueError if one is not an
-    integer."""
+    integer.  ``row`` is alg.row_pairing(w) when the caller has it."""
     # p_v = omega_int(w, v) / (form_den * h), in integers
-    row = alg.row_pairing(w)
+    if row is None:
+        row = alg.row_pairing(w)
     top, bottom = h.denominator, alg.form_den * h.numerator
     out = {}
     for v in exponents:
@@ -430,43 +412,117 @@ def dilog_pairings(alg: SkewLattice, h: Fraction, w, exponents) -> dict:
     return out
 
 
-def _conjugate_element(alg: SkewLattice, p: QTorusElement, h: Fraction, w,
-                       action: int, binomial) -> FactoredWord:
-    """Ad^{action}_{Psi_{q^h}(coeff X^w)}(p) as a word, its binomials
-    1 + Q^e y taken from ``binomial`` (e -> the binomial; see _factors).
+class DilogConjugation:
+    """Ad^{action} of Psi_{q^h}(coeff X^w), built once and applied to any
+    number of words; y = coeff X^w and Q = q^h below.
 
-    For a monomial X^v with pairing p_v = omega(w, v)/h (an integer), the
-    conjugate is X^v * prod_{l<=|p_v|} (1 + Q^{sgn(p_v)(2l-1)} y)^{action sgn(p_v)}.
-    A general p is split as X^{v0} * (X^{-v0} p) with v0 chosen so that the
-    shifted part conjugates to an honest polynomial (all atom powers +1).
+    A monomial X^v with pairing p_v = omega(w, v)/h (an integer) conjugates
+    to X^v * prod_{l<=|p_v|} (1 + Q^{sgn(p_v)(2l-1)} y)^{action sgn(p_v)}.
+    A general P is split as X^{v0} * (X^{-v0} P), with v0 chosen so that
+    every term c X^u of the shifted part has a pairing p_u of the sign of
+    ``action`` (or 0); the shifted part then conjugates to the polynomial
+    sum_u c X^u * P_{sgn(p_u), |p_u|}, with the running products
+    P_{s,n} = P_{s,n-1} * (1 + Q^{s(2n-1)} y) and P_{s,0} = 1.
+
+    Each binomial 1 + Q^e y and each running product is built once, on
+    first use, and then shared by every atom of every word the conjugation
+    is applied to.
     """
-    pairings = dilog_pairings(alg, h, w, p.terms)
-    if action == 1:
-        v0 = min(pairings, key=lambda v: (pairings[v], v))
-    else:
-        v0 = max(pairings, key=lambda v: (pairings[v], tuple(-x for x in v)))
-    p0 = pairings[v0]
 
-    s0 = 1 if p0 > 0 else -1
-    head = FactoredWord(alg, ONE, [(QTorusElement.monomial(alg, v0), 1)] + [
-        (b, action * s0) for b in _factors(binomial, s0, abs(p0))])
+    __slots__ = ("algebra", "h", "coeff", "direction", "action", "row",
+                 "_binomials", "_products")
 
-    shifted = QTorusElement.monomial(alg, vec_neg(v0)) * p
-    if shifted.is_monomial():
-        n, c = shifted.monomial_parts()
-        if n == alg.zero():
-            return head.scale(c)
-    tail = QTorusElement(alg, {})
-    for v, pv in dilog_pairings(alg, h, w, shifted.terms).items():
-        if action * pv < 0:
-            raise ArithmeticError(
-                "anchor choice guarantees polynomial factors, but exponent "
-                f"{v} has pairing {pv} against action {action}")
-        piece = QTorusElement.monomial(alg, v, shifted.terms[v])
-        for b in _factors(binomial, 1 if pv > 0 else -1, abs(pv)):
-            piece = piece * b
-        tail = tail + piece
-    return head * FactoredWord.from_element(tail)
+    def __init__(self, alg: SkewLattice, h: Fraction, coeff: QScalar, direction,
+                 action: int = 1):
+        self.algebra = alg
+        self.h = h
+        self.coeff = coeff
+        self.direction = vec(direction)
+        self.action = action
+        self.row = alg.row_pairing(self.direction)  # the pairing row of w
+        self._binomials: dict = {}  # e -> 1 + Q^e y
+        self._products: dict = {1: [], -1: []}  # s -> [P_{s,1}, P_{s,2}, ...]
+
+    def binomial(self, e: int) -> QTorusElement:
+        """1 + Q^e y."""
+        b = self._binomials.get(e)
+        if b is None:
+            b = self._binomials[e] = dilog_binomial(
+                self.algebra, self.h, self.coeff, self.direction, e)
+        return b
+
+    def factors(self, s: int, n: int) -> list:
+        """The binomials 1 + Q^{s(2l-1)} y for l = 1..n."""
+        return [self.binomial(s * (2 * ell - 1)) for ell in range(1, n + 1)]
+
+    def product(self, s: int, n: int) -> QTorusElement:
+        """The running product P_{s,n}, n >= 1."""
+        ps = self._products[s]
+        while len(ps) < n:
+            b = self.binomial(s * (2 * len(ps) + 1))
+            ps.append(ps[-1] * b if ps else b)
+        return ps[n - 1]
+
+    def apply(self, word: FactoredWord, twist=None) -> FactoredWord:
+        """The conjugate of ``word``, in one pass over its atoms.  ``twist``,
+        a map (exponent, coefficient) -> coefficient, is applied to the
+        terms of each atom first when given (mu' of a mutation)."""
+        prefix = word.prefix
+        atoms: list = []
+        for p, s in word.atoms:
+            c = self._atom(p, s, twist, atoms)
+            if c is not None:
+                prefix = prefix * c
+        return FactoredWord(self.algebra, prefix, atoms)
+
+    def _atom(self, p: QTorusElement, s: int, twist, out: list):
+        """Append the atoms of the conjugate of p^s to ``out``; return its
+        scalar factor, or None when that is 1."""
+        alg, h, w, action = self.algebra, self.h, self.direction, self.action
+        terms = p.terms
+        if twist is not None:
+            terms = {n: twist(n, c) for n, c in terms.items()}
+        pairings = dilog_pairings(alg, h, w, terms, self.row)
+        if action == 1:
+            v0 = min(pairings, key=lambda v: (pairings[v], v))
+        else:
+            v0 = max(pairings, key=lambda v: (pairings[v], vec_neg(v)))
+        p0 = pairings[v0]
+        s0 = 1 if p0 > 0 else -1
+        piece = [(p._like({v0: ONE}), 1)]
+        piece += [(b, action * s0) for b in self.factors(s0, abs(p0))]
+        scalar = None
+        if len(terms) == 1:  # c X^v0: the conjugate is c times the piece
+            scalar = terms[v0]
+        else:
+            # X^{-v0} X^v = q^{omega(-v0, v)} X^{v - v0}
+            nrow, den = alg.row_pairing(vec_neg(v0)), alg.form_den
+            shifted = {}
+            for v, c in terms.items():
+                e = sum(map(mul, nrow, v))
+                shifted[tuple(map(sub, v, v0))] = c._qshift(e, den) if e else c
+            # the shifted terms grouped by pairing: each group times one P_{s,n}
+            groups: dict = {}
+            for u, pu in dilog_pairings(alg, h, w, shifted, self.row).items():
+                if action * pu < 0:
+                    raise ArithmeticError(
+                        "anchor choice guarantees polynomial factors, but exponent "
+                        f"{u} has pairing {pu} against action {action}")
+                groups.setdefault(pu, {})[u] = shifted[u]
+            tail: dict = {}
+            for pu, left in groups.items():
+                if pu:
+                    left = skew_product(alg, left, self.product(
+                        1 if pu > 0 else -1, abs(pu)).terms, None, None)
+                add_terms(tail, left.items())
+            piece.append((p._like(tail), 1))
+        if s == 1:
+            out.extend(piece)
+        else:
+            out.extend((b, -k) for b, k in reversed(piece))
+            if scalar is not None:
+                scalar = scalar.inverse()
+        return None if scalar is None or scalar.is_one() else scalar
 
 
 def _unique_lowest(dvec, exponents) -> bool:
