@@ -20,9 +20,10 @@ limits and of the decoded ``QScalar.num`` / ``QScalar.den`` views, which are
 key shifts of the flat pair.
 
 The ``flat_*`` functions at the end are the flat Laurent ring of word
-expansions (expansion.py): the same packed dicts with signed t-exponents, at one
-scale per expansion, and no normal form; ``flat_pair`` and ``flat_qscalar``
-convert to and from QScalar.
+expansions and scattering crossings (expansion.py, scatter.py): the same
+packed dicts with signed t-exponents, at one scale per expansion or diagram,
+and no normal form; ``flat_pair`` and ``flat_qscalar`` convert to and from
+QScalar.
 """
 
 from __future__ import annotations
@@ -893,8 +894,9 @@ def tpow(vec) -> QScalar:
 
 # ---------------------------------------------------------------------------
 # The flat Laurent ring Z[u^{±1}, t1^{±1}, t2^{±1}, ...] of word expansions
-# (expansion.py).  One expansion fixes one scale L, u = q^{1/L}, and holds every
-# coefficient as one dict {flat key: nonzero int}.  Unlike the keys above,
+# and scattering crossings (expansion.py).  One expansion or diagram fixes one
+# scale L, u = q^{1/L}, and holds every coefficient as one dict
+# {flat key: nonzero int}.  Unlike the keys above,
 # every field is signed, so that a monomial t-denominator is a negative
 # exponent and a product never leaves the ring:
 #
@@ -965,7 +967,9 @@ def flat_pair(x: QScalar, scale: int) -> tuple[dict, dict]:
     exponent -(e, a), leaving den = {0: c}, which is FLAT_ONE when c is 1;
     any other denominator is returned as it is.  num is a new dict; den may
     be the shared FLAT_ONE."""
-    f = scale // x.scale
+    f, r = divmod(scale, x.scale)
+    if r:
+        raise ValueError(f"scale {scale} is not a multiple of {x.scale}")
     num = {_flat_key(k, f): c for k, c in x._num.items()}
     if x._den is _DEN1:
         return num, FLAT_ONE
@@ -988,6 +992,43 @@ def flat_shift(a: dict, key: int, sign: int = 1, e: int = 0) -> dict:
         if (k + _F_OFFSET) & _F_GUARD:
             raise _flat_overflow()
         out[k] = c * sign
+    return out
+
+
+def flat_rescale(a: dict, r: int) -> dict:
+    """a at r times its scale (u -> u^r): a new dict, or a itself when r
+    is 1 or a is FLAT_ONE."""
+    if r == 1 or a is FLAT_ONE:
+        return a
+    out = {}
+    for k, c in a.items():
+        e = ((k + _F_U_LIMIT * 2) & (_F_U_LIMIT * 4 - 1)) - _F_U_LIMIT * 2
+        if not -_F_U_LIMIT <= e * r < _F_U_LIMIT:
+            raise _flat_overflow()
+        out[k + e * (r - 1)] = c
+    return out
+
+
+def flat_quotient(a: dict, b: dict):
+    """a / b when b divides a, for t-free a and b with lowest term 1 at
+    u^0 (division from the lowest term up), else None; also None when a
+    holds a t-exponent."""
+    if not all(-_F_U_LIMIT <= k < _F_U_LIMIT for k in a):
+        return None
+    work, out = dict(a), {}
+    top = max(a, default=0) - max(b)
+    while work:
+        k = min(work)
+        if k > top:
+            return None
+        c = out[k] = work.pop(k)
+        for kb, cb in b.items():
+            if kb:
+                v = work.get(k + kb, 0) - c * cb
+                if v:
+                    work[k + kb] = v
+                else:
+                    del work[k + kb]
     return out
 
 

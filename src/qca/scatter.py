@@ -13,7 +13,17 @@ p with the wall (Kontsevich-Soibelman; Gross-Hacking-Keel-Kontsevich):
   dilog         p = omega(v, m)/h for Psi_{q^h}(X^v), and F is the product
                 of |p| binomials that realizes Ad^{-s} Psi_Q(X^v);
   log           p = form_den omega(v, m), and F = X^-m exp(-s g) X^m exp(s g)
-                for g = sum_j a_j X^{j v}/(q-q^{-1}).
+                = exp(s sum_j a_j (1 - q^{2jp/form_den}) y^j/(q-q^{-1}))
+                for g = sum_j a_j y^j/(q-q^{-1}), y = X^v: the powers of y
+                commute, so F is one univariate exponential.
+
+Crossings run on the flat Laurent ring (qca.expansion, imported on the
+first crossing) at one scale L per diagram, the lcm of form_den and of every
+wall coefficient's scale.  Each cached factor is a FlatSeries over one flat
+denominator, FLAT_ONE unless a coefficient is not Laurent (1/n! or a
+non-Laurent a_j of a log wall).  Loops stay flat from the first wall to the
+last: ``path_ordered_product`` and ``cross`` convert the terms that come out
+once, and ``is_consistent`` compares with the identity without converting.
 
 Generated walls are outgoing rays R>=0 (-p1*(n)); the loop is a full
 counterclockwise circle starting inside the initial chamber.
@@ -23,14 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul
 
 from .duality import p1_star, p1_star_injective, principal_compatible_pair
 from .mutation import a_torus, x_torus
-from .qtorus import SkewLattice, add_terms, skew_product, vec, vec_neg
-from .scalars import ONE, QScalar, qpow
+from .qtorus import SkewLattice, vec, vec_neg
+from .scalars import (
+    FLAT_ONE, ONE, QScalar, flat_mac, flat_mul, flat_pair, flat_qscalar, flat_shift, qpow)
 from .seeds import FixedData, Seed, primitive
-from .words import Series, degree, dilog_binomial, dilog_pairings
+from .words import Series, degree, dilog_pairings
 
 
 class ConsistencyError(ArithmeticError):
@@ -99,12 +111,12 @@ class ScatteringDiagram:
         # for m = dir_map(n)
         self.dvec, self.dscale = self._torus_grading()
         self.walls: list[Wall] = []
-        # (wall id, sign, p) -> the crossing factor F of every kind, and
-        # (wall id, sign) -> exp(sign g) of a log wall; each Series is kept
-        # at the highest relative order asked for and truncated on use.  A
-        # dilogarithm or classical F_p is built from F_{p -+ 1}, which stays
-        # cached too; a wall's entries are dropped when its function changes
+        # (wall id, sign, p) -> the crossing factor F, a FlatSeries at the
+        # highest relative order asked for; a dilogarithm or classical F_p is
+        # built from F_{p -+ 1}, cached too.  _forget drops a wall's entries
         self._fcache: dict = {}
+        self._scale = self.torus.form_den  # L: u = q^{1/L} in _fcache
+        self._f = 1                        # L / form_den
         self._seq_cache: dict = {}  # (orientation, base) -> crossing list
 
     def _forget(self, wall: Wall):
@@ -112,6 +124,16 @@ class ScatteringDiagram:
         wid = id(wall)
         for key in [key for key in self._fcache if key[0] == wid]:
             del self._fcache[key]
+
+    def _flat_scale(self, scales=()) -> int:
+        """The flat ring's scale L, a multiple of form_den, of every wall's
+        scale and of ``scales``; when it grows, the cached factors are re-keyed."""
+        scale = lcm(self._scale, *scales, *map(_wall_scale, self.walls))
+        if scale != self._scale:
+            r = scale // self._scale
+            self._fcache = {key: f.rescale(r) for key, f in self._fcache.items()}
+            self._scale, self._f = scale, scale // self.torus.form_den
+        return scale
 
     # -- grading -------------------------------------------------------------
     def _torus_grading(self):
@@ -122,8 +144,7 @@ class ScatteringDiagram:
         # solve dvec . cols[i] = delta_i over Q, then clear denominators
         d1 = Fraction(self.delta[0] * cols[1][1] - self.delta[1] * cols[0][1], det)
         d2 = Fraction(self.delta[1] * cols[0][0] - self.delta[0] * cols[1][0], det)
-        scale = d1.denominator
-        scale = scale * d2.denominator // gcd(scale, d2.denominator)
+        scale = lcm(d1.denominator, d2.denominator)
         return (int(d1 * scale), int(d2 * scale)), scale
 
     # -- pairings -----------------------------------------------------------------
@@ -142,18 +163,55 @@ class ScatteringDiagram:
         """Cross ``wall`` with sign ``sign``: each term c X^m becomes
         (c X^m F).truncate(cutoff), F the wall's factor for the integer
         pairing p of m with the wall."""
+        from .expansion import flat_terms
+
+        scale = self._flat_scale(c.scale for c in series.terms.values())
+        terms, den = flat_terms(series.terms, scale)
+        terms, d = self._cross(wall, terms, sign, cutoff)
+        return self._series(terms, den if d is FLAT_ONE else flat_mul(den, d), cutoff)
+
+    def _cross(self, wall: Wall, terms: dict, sign: int, cutoff: int):
+        """The one crossing loop, on the flat ring: the terms of sum_m (c_m X^m
+        F).truncate(cutoff) over ``terms`` {m: c_m}, and a flat d: the crossing
+        is those terms over d times the input's denominator."""
         if sign == 0:
             raise ValueError("tangential wall crossing")
-        torus, dvec = self.torus, self.dvec
-        pairings = self._pairings(wall, series.terms)
-        terms: dict = {}
-        for m, c in series.terms.items():
+        dvec, alg, f = self.dvec, self.torus, self._f
+        pairings = self._pairings(wall, terms)
+        todo, dens = [], []
+        for m, c in terms.items():
             rel = cutoff - degree(dvec, m)
             if rel >= 0:
                 factor = self._factor(wall, sign, pairings[m], rel)
-                add_terms(terms, skew_product(torus, {m: c}, factor.terms,
-                                              dvec, cutoff).items())
-        return Series(torus, dvec, cutoff, terms)
+                todo.append((m, c, rel, factor))
+                if factor.den not in dens:
+                    dens.append(factor.den)
+        den, mults = dens[0] if dens else FLAT_ONE, None
+        if len(dens) > 1:
+            from .expansion import common_den
+            den, mults = common_den(dens)
+        out: dict = {}
+        for m, c, rel, factor in todo:
+            if mults is not None:
+                mult = mults[dens.index(factor.den)]
+                if mult is not FLAT_ONE:
+                    c = flat_mul(c, mult)
+            row = alg.row_pairing(m)
+            for n, cn, dn in factor.items:
+                if dn > rel:
+                    break
+                k = tuple(map(add, m, n))
+                acc = out.get(k)
+                if acc is None:
+                    acc = out[k] = {}
+                flat_mac(acc, c, cn, sum(map(mul, row, n)) * f)
+        return {k: c for k, c in out.items() if c}, den
+
+    def _series(self, terms: dict, den: dict, cutoff) -> Series:
+        """flat ``terms`` over ``den`` as a Series, each converted once."""
+        scale = self._scale
+        return Series(self.torus, self.dvec, cutoff, {
+            n: flat_qscalar(c, den, scale) for n, c in terms.items()})
 
     def _pairings(self, wall: Wall, exponents) -> dict:
         """{m: p}, the integer pairing of each exponent m with the wall."""
@@ -165,15 +223,21 @@ class ScatteringDiagram:
         return {m: fd.integral(fd.pair_int(npr, m), "classical crossing exponent")
                 for m in exponents}
 
-    def _factor(self, wall: Wall, sign: int, p: int, rel: int) -> Series:
-        """The crossing factor F for pairing p, exact to relative order
-        ``rel``: cached at the highest order asked for."""
+    def _factor(self, wall: Wall, sign: int, p: int, rel: int):
+        """The crossing factor F for pairing p, a FlatSeries exact to
+        relative order ``rel``: cached at the highest order asked for."""
         cache, wid = self._fcache, id(wall)
         factor = cache.get((wid, sign, p))
         if factor is not None and factor.cutoff >= rel:
             return factor
+        from .expansion import FlatSeries, factor_chain, log_factor
+
         if wall.kind == "log":
-            factor = cache[(wid, sign, p)] = self._log_factor(wall, sign, p, rel)
+            if degree(self.dvec, wall.direction) <= 0:
+                raise ConsistencyError("wall log element is not positively graded")
+            factor = cache[(wid, sign, p)] = log_factor(
+                wall.direction, self.dvec, wall.log_coeffs, 2 * p * self._f,
+                self._scale, sign, rel)
             return factor
         # F_p = F_{p -+ 1} * B^{+-1} for one binomial B (the last atom of the
         # word of |p| binomials): walk up from the nearest entry below
@@ -185,57 +249,32 @@ class ScatteringDiagram:
             if factor is not None and factor.cutoff < rel:
                 factor = None
         if factor is None:  # k == 0: start from F_0 = 1
-            factor = Series.one(self.torus, self.dvec)
-        factor = factor.truncate(rel)
-        while k != p:
-            k += step
-            binom, power = self._binomial(wall, sign, k)
-            if power == 1:
-                factor = factor * binom
-            else:
-                factor = factor.over(binom.terms, rel, what=binom)
+            zero = self.torus.zero()
+            factor = FlatSeries({zero: FLAT_ONE}, {zero: 0}, None)
+        factor, ks = factor.truncate(rel), range(k + step, p + step, step)
+        for k, factor in zip(ks, factor_chain(
+                self.torus, self._f, self.dvec, factor,
+                (self._binomial(wall, sign, j) for j in ks), rel)):
             cache[(wid, sign, k)] = factor
         cache[(wid, sign, p)] = factor
         return factor
 
-    def _binomial(self, wall: Wall, sign: int, k: int) -> tuple[Series, int]:
-        """The |k|-th factor (B, +-1) of the crossing word for pairing k:
-        on a dilogarithm wall B = 1 + Q^{+-(2|k|-1)} y, on a classical wall
-        B = f, the wall function."""
+    def _binomial(self, wall: Wall, sign: int, k: int):
+        """The |k|-th factor B^{+-1} of the crossing word for pairing k as
+        (flat terms, b, +-1), B = (sum of the terms) / b: 1 + Q^{+-(2|k|-1)} y
+        on a dilogarithm wall, the wall function f on a classical wall."""
+        from .expansion import flat_terms
+
         s0 = 1 if k > 0 else -1
-        if wall.kind == "dilog":
+        if wall.kind == "dilog":  # Q^e c y = u^{h e L} c y, c = num / den
             h, coeff = wall.dilog
-            b = dilog_binomial(self.torus, h, coeff, wall.direction, s0 * (2 * abs(k) - 1))
-            return Series(self.torus, self.dvec, None, b.terms), -sign * s0
+            num, den = flat_pair(coeff, self._scale)
+            e = s0 * (2 * abs(k) - 1) * h.numerator * (self._scale // h.denominator)
+            return ({self.torus.zero(): den, wall.direction: flat_shift(num, 0, 1, e)},
+                    den, -sign * s0)
         f = {tuple(j * x for x in wall.direction): c for j, c in wall.function.items()}
-        return (Series(self.torus, self.dvec, None, {self.torus.zero(): ONE, **f}),
+        return (*flat_terms({self.torus.zero(): ONE, **f}, self._scale),
                 1 if sign * k > 0 else -1)
-
-    def _log_factor(self, wall: Wall, sign: int, p: int, rel: int) -> Series:
-        """X^-m exp(-sign g) X^m exp(sign g) for pairing p."""
-        # X^-m X^{jv} X^m = q^{2 j p / form_den} X^{jv}
-        torus, v = self.torus, wall.direction
-        i = 0 if v[0] else 1
-        down = self._exp(wall, -sign, rel)
-        down = Series(torus, self.dvec, rel, {
-            n: c._qshift(2 * p * (n[i] // v[i]), torus.form_den)
-            for n, c in down.terms.items()})
-        return down * self._exp(wall, sign, rel)
-
-    def _exp(self, wall: Wall, sign: int, rel: int) -> Series:
-        """exp(sign g) of a log wall, g = sum_j a_j X^{jv}/(q - q^{-1}), exact
-        to degree ``rel`` or beyond: cached at the highest order asked for."""
-        key = (id(wall), sign)
-        out = self._fcache.get(key)
-        if out is None or out.cutoff < rel:
-            qq = (qpow(1) - qpow(-1)).inverse()
-            g = Series(self.torus, self.dvec, None, {
-                tuple(j * x for x in wall.direction): a * qq
-                for j, a in wall.log_coeffs.items()})
-            if sign < 0:
-                g = g.scale(QScalar.integer(-1))
-            out = self._fcache[key] = _exp_series(g, rel, self.torus, self.dvec)
-        return out
 
     # -- geometry of the standard loop ---------------------------------------------
     def base_direction(self) -> tuple[int, int]:
@@ -251,56 +290,56 @@ class ScatteringDiagram:
 
     def crossing_sequence(self, orientation: str = "ccw", base=None):
         """All (ray, wall, sign) crossings of the full loop in order."""
-        base = base or self.base_direction()
-        cached = self._seq_cache.get((orientation, base))
+        key = (orientation, base)  # base None: the chamber's, found once
+        cached = self._seq_cache.get(key)
         if cached is not None:
             return cached
-        items = []
-        for w in self.walls:
-            for r in w.rays():
-                items.append((r, w))
-        for r, w in items:
-            if cross2(base, r) == 0:
-                raise ValueError("loop base point lies on a wall; move it")
-
-        def angle_key(rw):
-            r, _ = rw
-            return _ccw_key(base, r)
-
-        items.sort(key=angle_key)
-        out = []
-        for r, w in items:
-            mdir = (r[1], -r[0])  # -gamma' for the ccw loop at this ray
-            s = self.fd.pair_int(w.normal, mdir)
-            if s == 0:
-                raise ConsistencyError("loop is tangent to a wall")
-            out.append((r, w, 1 if s > 0 else -1))
+        base = base or self.base_direction()
+        items = [(r, w) for w in self.walls for r in w.rays()]
+        if any(cross2(base, r) == 0 for r, _ in items):
+            raise ValueError("loop base point lies on a wall; move it")
+        items.sort(key=lambda rw: _ccw_key(base, rw[0]))
+        out = [(r, w, self._loop_sign(w.normal, r)) for r, w in items]
         if orientation == "cw":
             out = [(r, w, -s) for r, w, s in reversed(out)]
         elif orientation != "ccw":
             raise ValueError("orientation must be 'ccw' or 'cw'")
-        self._seq_cache[(orientation, base)] = out
+        self._seq_cache[key] = out
         return out
+
+    def _loop_sign(self, normal, r) -> int:
+        """The sign of <normal, -gamma'> where the ccw loop crosses ray r."""
+        s = self.fd.pair_int(normal, (r[1], -r[0]))
+        if s == 0:
+            raise ConsistencyError(f"the loop is tangent to the wall on {r}")
+        return 1 if s > 0 else -1
+
+    def _loop(self, monomial, order, orientation, base):
+        """The full-loop product applied to X^monomial on the flat ring:
+        (terms, den, cutoff), the product being the terms over den."""
+        order = order if order is not None else self.order
+        m = vec(monomial)
+        cutoff = degree(self.dvec, m) + order * self.dscale
+        self._flat_scale()
+        terms, den = {m: FLAT_ONE}, FLAT_ONE
+        for _, wall, sgn in self.crossing_sequence(orientation, base):
+            terms, d = self._cross(wall, terms, sgn, cutoff)
+            if d is not FLAT_ONE:
+                den = flat_mul(den, d)
+        return terms, den, cutoff
 
     def path_ordered_product(self, monomial, order=None, orientation="ccw",
                              base=None) -> Series:
         """The full-loop product applied to A^monomial, exact to the given
         order (in paper degrees) above the monomial's own degree."""
-        order = order if order is not None else self.order
-        m = vec(monomial)
-        cutoff = degree(self.dvec, m) + order * self.dscale
-        series = Series(self.torus, self.dvec, cutoff,
-                        {m: ONE})
-        for _, wall, sgn in self.crossing_sequence(orientation, base):
-            series = self.cross(wall, series, sgn, cutoff)
-        return series
+        return self._series(*self._loop(monomial, order, orientation, base))
 
     def is_consistent(self, monomials, order=None, orientation="ccw") -> bool:
-        order = order if order is not None else self.order
+        """True iff the loop fixes each monomial to ``order``: its flat
+        product is that monomial over its own denominator exactly."""
         for m in monomials:
-            got = self.path_ordered_product(m, order, orientation)
-            want = Series(self.torus, self.dvec, got.cutoff, {vec(m): ONE})
-            if got != want:
+            terms, den, _ = self._loop(m, order, orientation, None)
+            if terms != {vec(m): den}:
                 return False
         return True
 
@@ -326,30 +365,16 @@ class ScatteringDiagram:
                 entry["dilog"] = {"base_exponent": str(w.dilog[0]),
                                   "coefficient": w.dilog[1].render()}
             walls.append(entry)
-        return {
-            "side": self.side,
-            "quantum": self.quantum,
-            "order": self.order,
-            "walls": walls,
-        }
+        return {"side": self.side, "quantum": self.quantum, "order": self.order,
+                "walls": walls}
 
 
-def _exp_series(g: Series, cutoff: int, torus, dvec) -> Series:
-    out = Series.one(torus, dvec, cutoff)
-    term = Series.one(torus, dvec, cutoff)
-    k = 1
-    gmin = g.min_degree()
-    if gmin is None:
-        return out
-    if gmin <= 0:
-        raise ConsistencyError("wall log element is not positively graded")
-    while k * gmin <= cutoff:
-        term = (term * g).truncate(cutoff).scale(QScalar.rational(1, k))
-        if term.is_zero():
-            break
-        out = out + term
-        k += 1
-    return out
+def _wall_scale(w: Wall) -> int:
+    """The scale of a wall's coefficients: of the binomials of a
+    dilogarithm wall, of the function of a classical or log wall."""
+    if w.kind == "dilog":
+        return lcm(w.dilog[0].denominator, w.dilog[1].scale)
+    return lcm(*(c.scale for c in (w.function or w.log_coeffs).values()))
 
 
 def cross2(a, b) -> int:
@@ -462,23 +487,14 @@ def _insert_wall(dg: ScatteringDiagram, m, k: int, entries) -> None:
     n0 = primitive(n)
     j = n[0] // n0[0] if n0[0] else n[1] // n0[1]
     ray = primitive(vec_neg(dg.pmap.apply(n)))  # outgoing: R>=0 (-p1*(n))
-    wall = None
-    for w in dg.walls:
-        if not w.full_line and w.ray == ray and w.normal == n0:
-            wall = w
-            break
-    created = False
-    if wall is None:
+    wall = next((w for w in dg.walls
+                 if not w.full_line and w.ray == ray and w.normal == n0), None)
+    created = wall is None
+    if created:
         kind = "log" if dg.quantum else "classical"
         wall = Wall(normal=n0, ray=ray, full_line=False, incoming=False,
-                    kind=kind, direction=_primitive_direction(dg, n0))
-        created = True
-    # crossing sign of the standard loop at this ray
-    mdir = (ray[1], -ray[0])
-    sgn_val = dg.fd.pair_int(n0, mdir)
-    if sgn_val == 0:
-        raise ConsistencyError("outgoing ray tangent to the loop")
-    s = 1 if sgn_val > 0 else -1
+                    kind=kind, direction=vec(dg.dir_map(n0)))
+    s = dg._loop_sign(n0, ray)
     sols = []
     for u, delta in entries:
         if dg.quantum:
@@ -504,14 +520,10 @@ def _insert_wall(dg: ScatteringDiagram, m, k: int, entries) -> None:
         if other != first:
             raise ConsistencyError(
                 f"inconsistent wall solution at direction {m}, degree {k}")
-    if dg.quantum:
-        wall.log_coeffs[j] = first
-        if first.is_zero():
-            del wall.log_coeffs[j]
-    else:
-        wall.function[j] = first
-        if first.is_zero():
-            del wall.function[j]
+    coeffs = wall.log_coeffs if dg.quantum else wall.function
+    coeffs[j] = first
+    if first.is_zero():
+        del coeffs[j]
     if created and (wall.function or wall.log_coeffs):
         dg.walls.append(wall)
         dg._seq_cache.clear()
@@ -531,10 +543,6 @@ def _normal_of_direction(dg: ScatteringDiagram, m) -> tuple[int, int]:
     return (int(a), int(b))
 
 
-def _primitive_direction(dg: ScatteringDiagram, n0) -> tuple[int, int]:
-    return vec(dg.dir_map(n0))
-
-
 def appendix_b_closed_form(u) -> QScalar:
     """The closed-form degree-2 coefficient of the A(2,3) loop automorphism:
     the coefficient of A^{2f1 - 3f2} in (p_gamma^1)^{-1}(A^u) left-divided by
@@ -543,19 +551,10 @@ def appendix_b_closed_form(u) -> QScalar:
 
     u1, u2 = int(u[0]), int(u[1])
     s1, s2 = (u1 > 0) - (u1 < 0), (u2 > 0) - (u2 < 0)
-    total = QScalar.integer(0)
-    if s1:
-        ssum = sum((vpow(s1 * 3 * (2 * l - 1)) for l in range(1, abs(u1) + 1)),
-                   QScalar.integer(0))
-        total = total + QScalar.integer(s1) * (vpow(-4) + 1 + vpow(4)) * ssum
-    if s2:
-        ssum = sum((vpow(s2 * 2 * (2 * l - 1)) for l in range(1, abs(u2) + 1)),
-                   QScalar.integer(0))
-        total = total + QScalar.integer(s2) * (vpow(-3) + vpow(3)) * ssum
-    if s1 and s2:
-        dsum = QScalar.integer(0)
-        for l1 in range(1, abs(u1) + 1):
-            for l2 in range(1, abs(u2) + 1):
-                dsum = dsum + vpow(s1 * 3 * (2 * l1 - 1) + s2 * 2 * (2 * l2 - 1))
-        total = total + QScalar.integer(s1 * s2) * (vpow(6) - vpow(-6)) * dsum
-    return total
+    # sum_{l <= |u_i|} v^{s_i k (2l - 1)}, k = 3 for u1 and 2 for u2; the
+    # mixed term's double sum over (l1, l2) is their product
+    sum1, sum2 = (sum((vpow(s * k * (2 * l - 1)) for l in range(1, abs(x) + 1)),
+                      QScalar.integer(0)) for s, k, x in ((s1, 3, u1), (s2, 2, u2)))
+    return (QScalar.integer(s1) * (vpow(-4) + 1 + vpow(4)) * sum1
+            + QScalar.integer(s2) * (vpow(-3) + vpow(3)) * sum2
+            + QScalar.integer(s1 * s2) * (vpow(6) - vpow(-6)) * sum1 * sum2)

@@ -13,7 +13,10 @@ degree budget.  The geometry (bend points on their rays, in travel order,
 reaching Q) prunes the search by the signs of integer determinants, each
 bend point kept as an integer vector over a positive integer up to the one
 scale the final segment fixes; the exact ``Fraction`` bend points are built
-only for the lines returned.
+only for the lines returned.  Likewise each bend crosses one term on the
+diagram's flat ring (``ScatteringDiagram._cross``) and the decorations stay
+flat pairs (num, den); only the segments of the lines returned become
+QScalars, once each.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .qtorus import QTorusElement, vec
-from .scalars import ONE, QScalar
+from .scalars import FLAT_ONE, ONE, QScalar, flat_mul, flat_qscalar
 from .scatter import ScatteringDiagram, Wall, cross2
-from .words import Series, degree
+from .words import degree
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,9 @@ def _on_any_wall(diagram: ScatteringDiagram, Q) -> bool:
 
 
 def _bend_options(diagram: ScatteringDiagram, wall: Wall, m, coeff, budget: int):
-    """Non-identity terms of the crossing operator applied to coeff A^m.
+    """Non-identity terms of the crossing operator applied to c A^m, as
+    (exponent, decoration, cost); a decoration is a flat pair (num, den) on
+    the diagram's flat ring, c = num / den.
 
     The sign convention matches the path-ordered product: the travel
     velocity is -m, so -gamma' = m and s = sgn <n_wall, m>."""
@@ -77,20 +82,23 @@ def _bend_options(diagram: ScatteringDiagram, wall: Wall, m, coeff, budget: int)
     if s == 0:
         return []
     s = 1 if s > 0 else -1
-    cutoff = degree(diagram.dvec, m) + budget * diagram.dscale
-    series = Series(diagram.torus, diagram.dvec, cutoff, {vec(m): coeff})
-    out = diagram.cross(wall, series, s, cutoff)
-    if out.coefficient(m) != coeff:
+    num, den = coeff
+    dvec, dscale = diagram.dvec, diagram.dscale
+    cutoff = degree(dvec, m) + budget * dscale
+    out, d = diagram._cross(wall, {m: num}, s, cutoff)
+    if out.get(m) != (num if d is FLAT_ONE else flat_mul(num, d)):
         raise ArithmeticError("crossing operator is not unipotent")
+    if d is not FLAT_ONE:
+        den = flat_mul(den, d)
     opts = []
-    for m2, c2 in out.terms.items():
-        if m2 == vec(m):
+    for m2, c2 in out.items():
+        if m2 == m:
             continue
-        cost = (degree(diagram.dvec, m2) - degree(diagram.dvec, vec(m)))
-        if cost <= 0 or cost % diagram.dscale:
+        cost = degree(dvec, m2) - degree(dvec, m)
+        if cost <= 0 or cost % dscale:
             raise ArithmeticError(
-                f"bend cost {cost} is not a positive multiple of {diagram.dscale}")
-        opts.append((m2, c2, cost // diagram.dscale))
+                f"bend cost {cost} is not a positive multiple of {dscale}")
+        opts.append((m2, (c2, den), cost // dscale))
     opts.sort(key=lambda o: (o[2], o[0]))
     return opts
 
@@ -110,6 +118,14 @@ def enumerate_broken_lines(m0, Q, diagram: ScatteringDiagram, order: int,
     rays = [(r, w) for w in diagram.walls for r in w.rays()]
     want = None if final_exponent is None else vec(final_exponent)
     results: list[BrokenLine] = []
+    scale = diagram._flat_scale()
+    converted: dict = {}  # id of a decoration -> (it, its QScalar)
+
+    def coefficient(dec) -> QScalar:
+        got = converted.get(id(dec))
+        if got is None:
+            got = converted[id(dec)] = dec, flat_qscalar(*dec, scale)
+        return got[1]
 
     def dfs(m, coeff, budget, bends, N, D):
         # the last bend point is N / D, up to the scale the final segment
@@ -125,8 +141,8 @@ def enumerate_broken_lines(m0, Q, diagram: ScatteringDiagram, order: int,
                 # x1 = x D / (L det), t = cross2(Qi, N) / (L det)
                 pts = tuple((Fraction(x * D * nj[0], L * det * dj),
                              Fraction(x * D * nj[1], L * det * dj)) for *_, nj, dj in bends)
-                segs = tuple(Segment(c, vec(e)) for c, e in
-                             [(ONE, m0)] + [(b[1], b[0]) for b in bends])
+                segs = (Segment(ONE, m0),) + tuple(
+                    Segment(coefficient(b[1]), b[0]) for b in bends)
                 results.append(BrokenLine(segs, pts, tuple(b[2] for b in bends), Q))
         if budget <= 0:
             return
@@ -150,7 +166,7 @@ def enumerate_broken_lines(m0, Q, diagram: ScatteringDiagram, order: int,
                     continue
                 dfs(m2, c2, budget - cost, bends + [(m2, c2, wall, N2, D2)], N2, D2)
 
-    dfs(m0, ONE, order, [], None, None)
+    dfs(m0, (FLAT_ONE, FLAT_ONE), order, [], None, None)
     results.sort(key=lambda bl: (len(bl.segments),
                                  [s.exponent for s in bl.segments]))
     return results

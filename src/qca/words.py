@@ -17,8 +17,9 @@ equal words only X^0 survives.  Inverted atoms are divided out exactly by
 the bucket sweep of :meth:`Series.over` rather than inverted, so the
 grading is any integer functional under which every inverted atom has a
 unique lowest term.  :class:`Series`, the truncated torus element with
-QScalar coefficients, keeps its own product and division for the
-scattering layer.
+QScalar coefficients, keeps its own product and division; the engine's
+products (word expansion, scattering crossings) run flat, and these serve
+the tests as independent oracles.
 """
 
 from __future__ import annotations

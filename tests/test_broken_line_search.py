@@ -2,9 +2,12 @@
 
 ``reference_broken_lines`` is the search as it was written with the bend
 geometry in ``Fraction``s: each bend point solved on its ray, and the final
-segment anchored at the basepoint by solving Q = x1 w - t m.  The engine's
-search decides the same tests by signs of integer determinants; both must
-return the same lines, in the same order, with the same bend walls.
+segment anchored at the basepoint by solving Q = x1 w - t m; its bends come
+from the public QScalar crossing ``ScatteringDiagram.cross``
+(``reference_bend_options``), where the engine's search crosses on the flat
+ring with flat decorations.  The engine's search decides the same tests by
+signs of integer determinants; both must return the same lines, in the same
+order, with the same bend walls and decorations.
 """
 
 from fractions import Fraction
@@ -15,9 +18,31 @@ from qca.fixtures import a2_scattering, a23
 from qca.scatter import complete_to_order, cross2, initial_diagram
 from qca.scalars import ONE
 from qca.qtorus import vec
-from qca.theta import BrokenLine, Segment, _bend_options, _on_any_wall, enumerate_broken_lines
+from qca.theta import BrokenLine, Segment, _on_any_wall, enumerate_broken_lines
+from qca.words import Series, degree
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+def reference_bend_options(diagram, wall, m, coeff, budget):
+    """The non-identity terms of the crossing operator applied to coeff A^m,
+    with QScalar coefficients, as (exponent, coefficient, cost)."""
+    s = diagram.fd.pair_int(wall.normal, m)
+    if s == 0:
+        return []
+    s = 1 if s > 0 else -1
+    cutoff = degree(diagram.dvec, m) + budget * diagram.dscale
+    series = Series(diagram.torus, diagram.dvec, cutoff, {vec(m): coeff})
+    out = diagram.cross(wall, series, s, cutoff)
+    assert out.coefficient(m) == coeff
+    opts = []
+    for m2, c2 in out.terms.items():
+        if m2 != vec(m):
+            cost = degree(diagram.dvec, m2) - degree(diagram.dvec, vec(m))
+            assert cost > 0 and cost % diagram.dscale == 0
+            opts.append((m2, c2, cost // diagram.dscale))
+    opts.sort(key=lambda o: (o[2], o[0]))
+    return opts
 
 
 def reference_broken_lines(m0, Q, diagram, order, final_exponent=None):
@@ -72,7 +97,7 @@ def reference_broken_lines(m0, Q, diagram, order, final_exponent=None):
                 new_w = (Fraction(r[0]), Fraction(r[1]))
                 if cross2(r, m) == 0:
                     continue
-            for m2, c2, cost in _bend_options(diagram, wall, m, coeff, budget):
+            for m2, c2, cost in reference_bend_options(diagram, wall, m, coeff, budget):
                 if cost > budget:
                     continue
                 dfs(m2, c2, budget - cost, bends + [(m2, c2, wall, new_w)], new_w)

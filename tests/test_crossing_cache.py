@@ -3,9 +3,10 @@ oracles.
 
 Crossing a wall sends each term c X^m to c X^m F, with F fixed by one
 integer pairing p of m with the wall; ``ScatteringDiagram.cross`` keeps F
-per (wall, sign, p) at the highest relative order asked for, and
-exp(+-g) of a log wall per (wall, sign).  The oracles compute each crossing
-without the cache: per term f^{s p} on classical walls, each term
+per (wall, sign, p) at the highest relative order asked for, as a
+``FlatSeries`` on the diagram's flat ring (a log wall's F is one univariate
+exponential).  The oracles compute each crossing without the cache and
+with QScalar coefficients: per term f^{s p} on classical walls, each term
 conjugated as a factored word and expanded on dilogarithm walls (as the
 crossing did before the cache), and exp(-s g) S exp(s g) on the whole series
 on log walls.
@@ -31,8 +32,8 @@ from qca.words import FactoredWord, Series, degree, dilog_factor_word
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-def completed(fd, quantum, order):
-    return complete_to_order(initial_diagram(fd, side="A", quantum=quantum,
+def completed(fd, quantum, order, side="A"):
+    return complete_to_order(initial_diagram(fd, side=side, quantum=quantum,
                                              order=order), order)
 
 
@@ -44,6 +45,9 @@ DIAGRAMS = {
                             quantum=True, order=3),
     "a23-classical": completed(a23(), False, 4),   # a two-term wall function
     "a23-quantum": completed(a23(), True, 4),      # log walls, one with a_1, a_2
+    # X side: dilogarithm walls at Q = q^{1/2}, q^{1/3}, and log factors
+    # whose coefficients are not Laurent (denominators such as 1 - q^{1/3})
+    "a23-X-quantum": completed(a23(), True, 3, side="X"),
 }
 BOX = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
 
@@ -103,7 +107,7 @@ def log_path(dg, wall, series, sign, cutoff) -> Series:
     g = Series(dg.torus, dg.dvec, None, {
         tuple(j * x for x in wall.direction): QScalar.integer(sign) * a * qq
         for j, a in wall.log_coeffs.items()})
-    ecut = cutoff - min(series.min_degree(), 0)
+    ecut = cutoff - min(series.min_degree() or 0, 0)  # None: no term below the cutoff
     exact = Series(dg.torus, dg.dvec, None, series.terms)
     return (exp_series(-g, ecut) * exact * exp_series(g, ecut)).truncate(cutoff)
 
@@ -165,12 +169,18 @@ def fresh(name):
         "a23-A": lambda: initial_diagram(a23(), side="A", quantum=True, order=3),
         "a23-classical": lambda: completed(a23(), False, 4),
         "a23-quantum": lambda: completed(a23(), True, 4),
+        "a23-X-quantum": lambda: completed(a23(), True, 3, side="X"),
     }[name]()
     dg._fcache.clear()
     return dg
 
 
-CASES = [("a23-A", 0), ("a23-classical", 2), ("a23-quantum", 2)]
+CASES = [("a23-A", 0), ("a23-classical", 2), ("a23-quantum", 2), ("a23-X-quantum", 2)]
+
+
+def as_series(dg, entry) -> Series:
+    """A cached flat factor as a QScalar Series."""
+    return dg._series(entry.terms, entry.den, entry.cutoff)
 
 
 def sample(dg, cutoff):
@@ -186,18 +196,39 @@ def test_cache_miss_then_hit():
         series = sample(dg, cutoff)
         first = dg.cross(wall, series, 1, cutoff)       # misses fill it
         entries = dict(dg._fcache)
-        assert entries and all(key[:2] == (id(wall), 1) for key in entries
-                               if len(key) == 3)
-        if wall.kind == "log":  # exp(-g) and exp(g), one entry each
-            assert {key for key in entries if len(key) == 2} == {
-                (id(wall), 1), (id(wall), -1)}
+        # one entry per (wall, sign, pairing), on every kind of wall
+        assert entries and all(len(key) == 3 and key[:2] == (id(wall), 1)
+                               for key in entries)
+        pairings = set(dg._pairings(wall, series.terms).values())
+        if wall.kind == "log":  # built whole per pairing, no intermediates
+            assert {key[2] for key in entries} == pairings
         else:
-            assert all(len(key) == 3 for key in entries)
+            assert {key[2] for key in entries} >= pairings
         second = dg.cross(wall, series, 1, cutoff)      # hits reuse it
         assert dg._fcache.keys() == entries.keys()
         assert all(dg._fcache[k] is v for k, v in entries.items())
         assert_same(second, first)
         assert_same(first, oracle(dg, wall, series, 1, cutoff))
+
+
+def test_non_laurent_log_factors_share_one_denominator():
+    # the order-4 completion's wall on (6, -3) has a_1 =
+    # (-q^{1/2} - q^{3/2}) / (1 + q + q^2): its factors for nonzero pairings
+    # sit over a flat denominator that is not a constant, and a series with
+    # terms of zero and nonzero pairings crosses over one common denominator
+    dg = fresh("a23-quantum")
+    wall = next(w for w in dg.walls if w.direction == (6, -3))
+    assert not wall.log_coeffs[1].is_polynomial()
+    by_sign = pools(dg, wall)
+    low = {s: min(by_sign[s], key=lambda m: degree(dg.dvec, m)) for s in (1, 0, -1)}
+    terms = {low[1]: ONE, low[0]: qpow(1), low[-1]: QScalar.integer(2)}
+    cutoff = max(degree(dg.dvec, m) for m in terms) + degree(dg.dvec, wall.direction)
+    series = Series(dg.torus, dg.dvec, cutoff, terms)
+    for sign in (1, -1):
+        got = dg.cross(wall, series, sign, cutoff)
+        assert any(len(f.den) > 1 for key, f in dg._fcache.items() if key[1] == sign)
+        assert len(got.terms) > len(terms)
+        assert_same(got, oracle(dg, wall, series, sign, cutoff))
 
 
 def test_lower_order_is_served_by_a_higher_entry():
@@ -249,37 +280,76 @@ def test_incremental_factor_matches_the_whole_word(data):
     # F_p is built from F_{p -+ 1}; requests in ascending order build on
     # the entry just below, in descending order the later ones are served
     # by the intermediate entries the first one left behind
-    dg = DIAGRAMS[data.draw(st.sampled_from(["a23-A", "a2-X", "a23-classical"]))]
-    wall = data.draw(st.sampled_from(dg.walls))
+    dg = DIAGRAMS[data.draw(st.sampled_from(["a23-A", "a2-X", "a23-classical",
+                                             "a23-X-quantum"]))]
+    wall = data.draw(st.sampled_from([w for w in dg.walls if w.kind != "log"]))
     sign = data.draw(st.sampled_from((1, -1)))
     s0 = data.draw(st.sampled_from((1, -1)))
     sizes = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True))
     sizes.sort(reverse=data.draw(st.booleans()))
     dg._fcache.clear()
+    dg._flat_scale()
     for size in sizes:
         rel = data.draw(st.integers(0, 4 * dg.dscale))
         got = dg._factor(wall, sign, s0 * size, rel)
         assert got.cutoff >= rel
-        assert structure(got.truncate(rel)) == structure(
+        assert structure(as_series(dg, got).truncate(rel)) == structure(
             word_factor(dg, wall, sign, s0 * size, rel))
     # every entry left in the cache is the whole word at its own cutoff
     for (_, sign_k, k), entry in dg._fcache.items():
-        assert structure(entry) == structure(word_factor(dg, wall, sign_k, k, entry.cutoff))
+        assert structure(as_series(dg, entry)) == structure(
+            word_factor(dg, wall, sign_k, k, entry.cutoff))
+
+
+def test_factors_over_coefficients_that_are_not_laurent():
+    # a classical wall function with rational coefficients and a
+    # dilogarithm with coefficient 1/(1+q): each binomial of the chain sits
+    # over a flat denominator, which a product moves into the factor's
+    # denominator and a division (by a lead that is no unit) into its terms
+    classical = initial_diagram(a23(), side="A", quantum=False, order=3)
+    classical.walls[0].function = {1: QScalar.rational(1, 2), 2: QScalar.rational(-2, 3)}
+    quantum = initial_diagram(a23(), side="A", quantum=True, order=3)
+    h, _ = quantum.walls[1].dilog
+    quantum.walls[1].dilog = (h, (ONE + qpow(1)).inverse())
+    for dg, wall in ((classical, classical.walls[0]), (quantum, quantum.walls[1])):
+        dg._flat_scale()
+        for sign in (1, -1):
+            for p in (3, -3, 1, -2):
+                rel = 3 * dg.dscale
+                got = dg._factor(wall, sign, p, rel)
+                assert structure(as_series(dg, got).truncate(rel)) == structure(
+                    word_factor(dg, wall, sign, p, rel))
+        assert any(len(f.den) > 1 or f.den != {0: 1} for f in dg._fcache.values())
+
+
+def test_is_consistent_compares_coefficients():
+    # the loop is the identity only if its flat product is X^m over its own
+    # denominator: a crossing that halves every term keeps the exponents
+    # but not the value
+    dg = completed(a23(), True, 3)
+    assert dg.is_consistent([(1, 0), (-2, 1)], 3)
+    cross = dg._cross
+
+    def halving(wall, terms, sign, cutoff):
+        out, den = cross(wall, terms, sign, cutoff)
+        return out, {k: 2 * c for k, c in den.items()}
+
+    dg._cross = halving
+    assert not dg.is_consistent([(1, 0)], 3)
 
 
 def factors_of(dg, wall):
     return {key: f for key, f in dg._fcache.items() if key[0] == id(wall)}
 
 
-def fresh_build(dg, key, entry):
+def fresh_build(dg, key, entry) -> Series:
     """The entry ``key`` rebuilt from nothing on a diagram with the same
     walls (and so the same wall ids) and an empty cache."""
     twin = ScatteringDiagram(dg.fd, dg.side, dg.quantum, dg.order, dg.delta, dg.Lambda)
     twin.walls = dg.walls
+    twin._flat_scale()
     wall = next(w for w in dg.walls if id(w) == key[0])
-    if len(key) == 2:
-        return twin._exp(wall, key[1], entry.cutoff)
-    return twin._factor(wall, key[1], key[2], entry.cutoff)
+    return as_series(twin, twin._factor(wall, key[1], key[2], entry.cutoff))
 
 
 def test_wall_insertion_drops_only_that_walls_factors():
@@ -304,7 +374,7 @@ def test_wall_insertion_drops_only_that_walls_factors():
     assert kept and dg._fcache == kept
     assert all(dg._fcache[key] is f for key, f in kept.items())
     for key, f in kept.items():
-        assert structure(f) == structure(fresh_build(dg, key, f))
+        assert structure(as_series(dg, f)) == structure(fresh_build(dg, key, f))
     assert dg._seq_cache == sequences
 
     # a new wall (in a degree-3 direction of the completion): the crossing
@@ -316,3 +386,28 @@ def test_wall_insertion_drops_only_that_walls_factors():
     assert dg._seq_cache == {}
     assert dg._fcache == before
     assert all(dg._fcache[key] is f for key, f in before.items())
+
+
+def test_a_finer_wall_rekeys_the_cache():
+    # the flat ring's scale is the lcm of form_den and every wall
+    # coefficient's scale; a wall at a finer scale re-keys every cached
+    # factor to it, each keeping its value, and crossings still match
+    dg = fresh("a23-A")
+    wall = dg.walls[0]
+    cutoff = 3 * dg.dscale
+    dg.cross(wall, sample(dg, cutoff), 1, cutoff)
+    old_scale = dg._scale
+    before = {key: structure(as_series(dg, f)) for key, f in dg._fcache.items()}
+    assert before
+    _insert_wall(dg, (4, -3), 3, [((1, 0), qpow(Fraction(1, 5)))])
+    finer = dg.walls[-1]
+    assert finer.log_coeffs[1].scale % 5 == 0
+    series = sample(dg, cutoff)
+    got = dg.cross(wall, series, 1, cutoff)
+    assert dg._scale % (5 * old_scale) == 0
+    assert {key: structure(as_series(dg, f)) for key, f in dg._fcache.items()} == before
+    assert_same(got, oracle(dg, wall, series, 1, cutoff))
+    for sign in (1, -1):
+        series = sample(dg, 4 * dg.dscale)
+        assert_same(dg.cross(finer, series, sign, series.cutoff),
+                    oracle(dg, finer, series, sign, series.cutoff))

@@ -109,28 +109,32 @@ def test_greedy_T():
 
 def test_crossing_checks_raise_under_python_O(monkeypatch):
     # the checks on a crossing are raised errors, not asserts: they hold
-    # under python -O as well
-    from qca.words import Series, degree
+    # under python -O as well.  The search crosses on the flat ring, so the
+    # faults are injected into ScatteringDiagram._cross, which returns the
+    # crossed terms {exponent: flat coefficient} and a denominator
+    from qca.words import degree
 
     dg = a23_diagram()
-    cross = dg.cross
+    cross = dg._cross
 
-    def not_unipotent(wall, series, sign, cutoff):
-        out = cross(wall, series, sign, cutoff)
-        return out + series  # doubles the coefficient of the start term
+    def not_unipotent(wall, terms, sign, cutoff):
+        out, den = cross(wall, terms, sign, cutoff)
+        (m, _), = terms.items()
+        # doubles the coefficient of the start term
+        return {**out, m: {k: 2 * c for k, c in out[m].items()}}, den
 
-    monkeypatch.setattr(dg, "cross", not_unipotent)
+    monkeypatch.setattr(dg, "_cross", not_unipotent)
     with pytest.raises(ArithmeticError, match="not unipotent"):
         enumerate_broken_lines(M0, Q, dg, 4, final_exponent=TARGET)
 
-    def level_bend(wall, series, sign, cutoff):
-        out = cross(wall, series, sign, cutoff)
-        (m, c), = series.terms.items()
+    def level_bend(wall, terms, sign, cutoff):
+        out, den = cross(wall, terms, sign, cutoff)
+        (m, c), = terms.items()
         a, b = dg.dvec
         level = (m[0] + b, m[1] - a)  # another exponent of the same degree
         assert degree(dg.dvec, level) == degree(dg.dvec, m)
-        return out + Series(dg.torus, dg.dvec, out.cutoff, {level: c})
+        return {**out, level: c}, den
 
-    monkeypatch.setattr(dg, "cross", level_bend)
+    monkeypatch.setattr(dg, "_cross", level_bend)
     with pytest.raises(ArithmeticError, match="bend cost 0 is not a positive multiple"):
         enumerate_broken_lines(M0, Q, dg, 4, final_exponent=TARGET)
