@@ -14,11 +14,12 @@ on log walls.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qca.fixtures import a23
 from qca.qtorus import QTorusElement
-from qca.scalars import ONE, QScalar, qpow
+from qca.scalars import ONE, QScalar, flat_pair, qpow
 from qca.scatter import (
     ScatteringDiagram,
     _complete_degree,
@@ -405,6 +406,8 @@ def test_a_finer_wall_rekeys_the_cache():
     series = sample(dg, cutoff)
     got = dg.cross(wall, series, 1, cutoff)
     assert dg._scale % (5 * old_scale) == 0
+    with pytest.raises(ValueError, match="not a multiple"):  # no silent rounding
+        flat_pair(finer.log_coeffs[1], old_scale)
     assert {key: structure(as_series(dg, f)) for key, f in dg._fcache.items()} == before
     assert_same(got, oracle(dg, wall, series, 1, cutoff))
     for sign in (1, -1):
