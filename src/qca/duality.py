@@ -240,7 +240,7 @@ class PStarHom:
 
     def scalar_map(self, s):
         # q_FG^e -> q_BZ^{-e d / 2}
-        return s.map_q_exponents(lambda e: -e * self.d / 2)
+        return s.subs_q(Fraction(-self.d, 2))
 
     def apply(self, w: FactoredWord) -> FactoredWord:
         return w.transport(self.atorus, self.pmap.apply, self.scalar_map)

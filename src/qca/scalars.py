@@ -5,25 +5,27 @@ Everything downstream (quantum tori, mutation, scattering, theta functions)
 stores its coefficients as :class:`QScalar`.  All arithmetic is exact; there
 is no floating point anywhere in this package.
 
-A QScalar is a numerator/denominator pair of Laurent polynomials in
-u = q^{1/scale} (scale supplies the fractional powers q^{1/d} the formulas
-need).  Each polynomial is one flat dict {packed key: int}, where the key is
-a single int holding the u-exponent and the whole t-exponent vector (packed
-exponent vectors in the manner of Monagan and Pearce), so a product of two
-terms is one int addition and one int multiplication.  ``_divide`` is the
-kernel's one division: by leading terms under the key order, it serves exact
-t-polynomial quotients, the gcd cancellation and q = 1 limits.
-:class:`TScalar`, the integer polynomials in t, is the same kind of dict
-restricted to keys with u-exponent 0 and shares the kernel's sum, product
-and division; it is the coefficient type of the commutative layer, of q = 1
-limits and of the decoded ``QScalar.num`` / ``QScalar.den`` views, which are
-key shifts of the flat pair.
+Every polynomial here is a Laurent polynomial in u = q^{1/scale} over Z[t],
+held as one flat dict {packed key: nonzero int}: the key is a single int
+holding the u-exponent and the whole t-exponent vector (packed exponent
+vectors in the manner of Monagan and Pearce), so a product of two terms is
+one int addition and one int multiplication.  There is one key layout,
+described below, for all of them:
 
-The ``flat_*`` functions at the end are the flat Laurent ring of word
-expansions and scattering crossings (expansion.py, scatter.py): the same
-packed dicts with signed t-exponents, at one scale per expansion or diagram,
-and no normal form; ``flat_pair`` and ``flat_qscalar`` convert to and from
-QScalar.
+- A :class:`QScalar` is a normalized numerator/denominator pair of such
+  dicts; its normal form holds only nonnegative t-exponents.
+- A :class:`TScalar`, an integer polynomial in t, is one such dict whose
+  keys all have u-exponent 0; it is the coefficient type of the commutative
+  layer, of q = 1 limits and of the decoded ``QScalar.num`` /
+  ``QScalar.den`` views.
+- The ``flat_*`` functions at the end are the flat Laurent ring of word
+  expansions and scattering crossings (expansion.py, scatter.py): the same
+  dicts with signed t-exponents, at one scale per expansion or diagram, and
+  no normal form.  ``flat_pair`` and ``flat_qscalar`` convert to and from
+  QScalar without re-keying.
+
+``_divide`` is the one division: by leading terms under the key order, it
+serves exact t-polynomial quotients, the gcd cancellation and q = 1 limits.
 """
 
 from __future__ import annotations
@@ -47,12 +49,85 @@ def tmono(exponents) -> tuple[int, ...]:
     return e
 
 
+# ---------------------------------------------------------------------------
+# The key layout.  The term c * u^e * t1^a1 * t2^a2 * ... has
+#
+#     key = e + 2^32 * (a1 + 2^12 * a2 + 2^24 * a3 + ...)
+#
+# with -2^30 <= e < 2^30 and -2^10 <= a_i < 2^10 in stored keys, for at most
+# 16 t-variables.  Each field is decoded from its balanced residue, so a key
+# is that integer sum and the key of a product is the sum of the factors'
+# keys.  For nonnegative t-exponents, integer order on keys is lex order on
+# (..., a2, a1, e), highest field first.  The kernel adds at most three
+# stored keys; in such a sum each field stays within three times its limit,
+# so adding _OFFSET (each field's limit) leaves every field's guard bit
+# (twice its limit) clear exactly when the sum is a stored key again, and
+# leaving the range raises OverflowError instead of wrapping.
+
+_U_BITS = 32
+_U_HALF = 1 << (_U_BITS - 1)      # e is decoded from [-_U_HALF, _U_HALF)
+_U_MASK = (1 << _U_BITS) - 1
+_U_LIMIT = 1 << 30
+_T_BITS = 12
+_T_HALF = 1 << (_T_BITS - 1)
+_T_MASK = (1 << _T_BITS) - 1
+_T_LIMIT = 1 << 10
+_T_VARS = 16
+_OFFSET = _U_LIMIT + sum(_T_LIMIT << (_U_BITS + _T_BITS * i) for i in range(_T_VARS))
+_GUARD = 2 * _OFFSET
+
+FLAT_ONE = {0: 1}  # the shared denominator 1; nothing writes into it
+
+
+def _overflow() -> OverflowError:
+    return OverflowError(
+        f"exponent outside the packed range (-{_U_LIMIT} <= q-exponent * scale "
+        f"< {_U_LIMIT}, -{_T_LIMIT} <= t-exponent < {_T_LIMIT}, at most "
+        f"{_T_VARS} t-variables)")
+
+
+def _u(key: int) -> int:
+    """The u-exponent of a key."""
+    return ((key + _U_HALF) & _U_MASK) - _U_HALF
+
+
+def _fields(key: int) -> tuple[int, tuple[int, ...]]:
+    """The u-exponent of a key and its t-exponents, the last nonzero."""
+    e = _u(key)
+    t = (key - e) >> _U_BITS
+    mono = []
+    while t:
+        if len(mono) == _T_VARS:
+            raise _overflow()
+        a = ((t + _T_HALF) & _T_MASK) - _T_HALF
+        mono.append(a)
+        t = (t - a) >> _T_BITS
+    return e, tuple(mono)
+
+
+def _nonnegative(key: int) -> bool:
+    """Whether a sum of at most three stored keys is a stored key with
+    nonnegative exponents: every field of key + _OFFSET has its guard bit
+    clear and its _OFFSET bit set."""
+    return (key + _OFFSET) & (_GUARD | _OFFSET) == _OFFSET
+
+
+def _pack(e: int, mono) -> int:
+    if not -_U_LIMIT <= e < _U_LIMIT or len(mono) > _T_VARS:
+        raise _overflow()
+    for i, a in enumerate(mono):
+        if not -_T_LIMIT <= a < _T_LIMIT:
+            raise _overflow()
+        e += a << (_U_BITS + _T_BITS * i)
+    return e
+
+
 class TScalar:
     """Integer polynomial in the coefficient variables t1, t2, ...
 
-    Stored as a flat packed polynomial (see below) whose keys all have
+    Stored as a flat packed polynomial (see above) whose keys all have
     u-exponent 0, so sums and products are the kernel's ``_add`` and
-    ``_mul``.  The constructor takes {t-monomial tuple: int};
+    ``flat_mul``.  The constructor takes {t-monomial tuple: int};
     :meth:`monomials` decodes back to that form.
     """
 
@@ -63,7 +138,12 @@ class TScalar:
         for mono, c in (terms or {}).items():
             c = int(c)
             if c:
-                d = _add(d, {_pack(0, tmono(mono)): c})
+                k = _pack(0, tmono(mono))
+                c += d.get(k, 0)
+                if c:
+                    d[k] = c
+                else:
+                    del d[k]
         self.terms = d
 
     @staticmethod
@@ -92,7 +172,7 @@ class TScalar:
         return self + (-other)
 
     def __mul__(self, other: "TScalar") -> "TScalar":
-        return TScalar._of(_mul(self.terms, other.terms))
+        return TScalar._of(flat_mul(self.terms, other.terms))
 
     def scale(self, n: int) -> "TScalar":
         return TScalar._of({k: c * n for k, c in self.terms.items()} if n else {})
@@ -106,7 +186,7 @@ class TScalar:
     # -- structure -----------------------------------------------------------
     def monomials(self) -> dict[tuple[int, ...], int]:
         """The terms as {canonical t-monomial tuple: int}."""
-        return {_t_mono(k >> _U_BITS): c for k, c in self.terms.items()}
+        return {_fields(k)[1]: c for k, c in self.terms.items()}
 
     def coefficient_sum(self) -> int:
         """Value at t = 1."""
@@ -144,82 +224,7 @@ class TScalar:
         return s
 
 
-# ---------------------------------------------------------------------------
-# Flat packed polynomials.  A Laurent polynomial in u = q^{1/scale} over Z[t]
-# is one dict {key: nonzero int}; the term c * u^e * t1^a1 * t2^a2 * ... has
-#
-#     key = e + 2^20 * (a1 + 2^10 * a2 + 2^20 * a3 + ...)
-#
-# with the signed u-exponent e in the low 20 bits and one 10-bit field per
-# t-exponent above it.  Since key is that integer, the key of a product of
-# two terms is the sum of their keys.  Stored keys keep -2^18 <= e < 2^18 and
-# every t-exponent below 2^9, so adding two keys never carries from one
-# field into the next; each result is checked and leaving that range raises
-# OverflowError instead of wrapping.
-
-_U_BITS = 20
-_U_HALF = 1 << (_U_BITS - 1)      # e is decoded from [-_U_HALF, _U_HALF)
-_U_MASK = (1 << _U_BITS) - 1
-_U_LIMIT = 1 << (_U_BITS - 2)     # stored keys: -_U_LIMIT <= e < _U_LIMIT
-_T_BITS = 10
-_T_MASK = (1 << _T_BITS) - 1
-_T_LIMIT = 1 << (_T_BITS - 1)     # stored t-exponents are below _T_LIMIT
-_T_VARS = 16
-# For a sum of two stored keys, key + _U_LIMIT has none of these bits set
-# exactly when the sum is a stored key again.
-_GUARD = _U_HALF | sum(_T_LIMIT << (_U_BITS + _T_BITS * i) for i in range(_T_VARS))
-
-_DEN1 = {0: 1}  # the shared denominator of every polynomial QScalar
 _T_ONE = TScalar.integer(1)
-
-
-def _overflow() -> OverflowError:
-    return OverflowError(
-        f"exponent outside the packed range (|q-exponent * scale| < {_U_LIMIT}, "
-        f"t-exponents < {_T_LIMIT}, at most {_T_VARS} t-variables)")
-
-
-def _u(key: int) -> int:
-    """The u-exponent of a key."""
-    return ((key + _U_HALF) & _U_MASK) - _U_HALF
-
-
-def _pack(e: int, mono: tuple[int, ...]) -> int:
-    if not -_U_LIMIT <= e < _U_LIMIT or len(mono) > _T_VARS:
-        raise _overflow()
-    t = 0
-    for i, a in enumerate(mono):
-        if not 0 <= a < _T_LIMIT:
-            raise _overflow()
-        t |= a << (_T_BITS * i)
-    return e + (t << _U_BITS)
-
-
-def _t_mono(t: int) -> tuple[int, ...]:
-    """The canonical t-monomial of a key's t-part (key - e) >> _U_BITS."""
-    out = []
-    while t:
-        out.append(t & _T_MASK)
-        t >>= _T_BITS
-    return tuple(out)
-
-
-def _t_min(a: int, b: int) -> int:
-    """Componentwise minimum of two t-parts."""
-    out = shift = 0
-    while a and b:
-        out |= min(a & _T_MASK, b & _T_MASK) << shift
-        a >>= _T_BITS
-        b >>= _T_BITS
-        shift += _T_BITS
-    return out
-
-
-def _checked(d: dict) -> dict:
-    for k in d:
-        if (k + _U_LIMIT) & _GUARD:
-            raise _overflow()
-    return d
 
 
 def _encode(part: dict, mult: int = 1) -> dict:
@@ -259,28 +264,6 @@ def _add(a: dict, b: dict) -> dict:
     return d
 
 
-def _mul(a: dict, b: dict) -> dict:
-    if len(a) < len(b):
-        a, b = b, a
-    d = {}
-    get = d.get
-    for kb, cb in b.items():
-        for ka, ca in a.items():
-            k = ka + kb
-            v = get(k)
-            if v is None:
-                if (k + _U_LIMIT) & _GUARD:
-                    raise _overflow()
-                d[k] = ca * cb
-            else:
-                v += ca * cb
-                if v:
-                    d[k] = v
-                else:
-                    del d[k]
-    return d
-
-
 def _divide(a: dict, b: dict):
     """a / b for flat polynomials with nonnegative exponents, by leading
     terms under the key order (lex, highest field first): the quotient when
@@ -297,17 +280,15 @@ def _divide(a: dict, b: dict):
     while work:
         k = max(work)
         c = work.pop(k)
-        # a quotient key is a stored key with nonnegative exponents exactly
-        # when no t-field borrows and its u-exponent is not negative
         d = k - kb
-        if (d + _U_LIMIT) & _GUARD or _u(d) < 0 or c % cb:
+        if not _nonnegative(d) or c % cb:
             return None
         f = q[d] = c // cb
         for r, cr in rest:
             kr = k + r
             v = get(kr)
             if v is None:
-                if (kr + _U_LIMIT) & _GUARD:
+                if (kr + _OFFSET) & _GUARD:
                     raise _overflow()
                 work[kr] = -f * cr
             else:
@@ -317,19 +298,6 @@ def _divide(a: dict, b: dict):
                 else:
                     del work[kr]
     return q
-
-
-def _rescale(d: dict, f: int) -> dict:
-    """u -> u^f (a finer scale)."""
-    if f == 1 or d is _DEN1:
-        return d
-    out = {}
-    for k, c in d.items():
-        e = _u(k)
-        if not -_U_LIMIT <= e * f < _U_LIMIT:
-            raise _overflow()
-        out[k + e * (f - 1)] = c
-    return out
 
 
 def _reduce_scale(n: dict, d: dict, scale: int):
@@ -345,7 +313,7 @@ def _reduce_scale(n: dict, d: dict, scale: int):
 
 def _divide_u(d: dict, g: int) -> dict:
     """u^e -> u^(e/g) for every term; g divides every u-exponent."""
-    if d is _DEN1:
+    if d is FLAT_ONE:
         return d
     out = {}
     for k, c in d.items():
@@ -434,14 +402,12 @@ class QScalar:
         or {int key: TScalar} with exponent key/scale."""
         if num is None:
             num = {}
-        if den is None:
-            den = {0: _T_ONE}
         mult = 1
         if scale == 1:
-            mult = scale = lcm(*(e.denominator for e in (*num, *den)
+            mult = scale = lcm(*(e.denominator for e in (*num, *(den or ()))
                                  if isinstance(e, Fraction)))
         self._num, self._den, self.scale = self._normalize(
-            _encode(num, mult), _encode(den, mult), scale)
+            _encode(num, mult), FLAT_ONE if den is None else _encode(den, mult), scale)
 
     @staticmethod
     def _make(num: dict, den: dict, scale: int) -> "QScalar":
@@ -464,7 +430,7 @@ class QScalar:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def integer(n: int) -> "QScalar":
-        return QScalar._make({0: n} if n else {}, _DEN1, 1)
+        return QScalar._make({0: n} if n else {}, FLAT_ONE, 1)
 
     @staticmethod
     def rational(p: int, q: int) -> "QScalar":
@@ -483,7 +449,7 @@ class QScalar:
         """coeff * q^qexp * t^texp"""
         e = Fraction(qexp)
         num = {_pack(e.numerator, tmono(texp)): coeff} if coeff else {}
-        return QScalar._raw(num, _DEN1, e.denominator)
+        return QScalar._raw(num, FLAT_ONE, e.denominator)
 
     # -- normalization ------------------------------------------------------
     @staticmethod
@@ -491,33 +457,25 @@ class QScalar:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return {}, _DEN1, 1
-        # fast path: denominator exactly 1 needs no content/gcd/sign work
-        if den is _DEN1 or (len(den) == 1 and den.get(0) == 1):
+            return {}, FLAT_ONE, 1
+        # fast path: the shared denominator 1, which comes only with
+        # nonnegative t-exponents, needs no content/gcd/sign work
+        if den is FLAT_ONE:
             if scale != 1:
-                num, _, scale = _reduce_scale(num, _DEN1, scale)
-            return num, _DEN1, scale
+                num, _, scale = _reduce_scale(num, FLAT_ONE, scale)
+            return num, FLAT_ONE, scale
 
-        # common t-monomial content
-        tc = None
-        for part in (num, den):
-            for k in part:
-                t = (k + _U_HALF) >> _U_BITS
-                tc = t if tc is None else _t_min(tc, t)
-                if not tc:
-                    break
-            if not tc:
-                break
-        if tc:
-            tc <<= _U_BITS
-            num = {k - tc: c for k, c in num.items()}
-            den = {k - tc: c for k, c in den.items()}
-
-        # anchor denominator at exponent 0
-        shift = min(map(_u, den))
-        if shift:
-            num = _checked({k - shift: c for k, c in num.items()})
-            den = _checked({k - shift: c for k, c in den.items()})
+        # one monomial moves both: it strips the common t-content (the
+        # componentwise minimum of the t-exponents, which flat input may
+        # hold negative) and anchors the denominator at exponent 0
+        m = min(map(_u, den))
+        ts = {(k + _U_HALF) & ~_U_MASK for part in (num, den) for k in part}
+        if 0 not in ts or not all(map(_nonnegative, ts)):
+            monos = [_fields(t)[1] for t in ts]
+            m += _pack(0, [min(mono[i] if i < len(mono) else 0 for mono in monos)
+                           for i in range(max(map(len, monos)))])
+        if m:
+            num, den = flat_shift(num, -m), flat_shift(den, -m)
         # the scale is reduced after the anchoring, which can coarsen it
         if scale != 1:
             num, den, scale = _reduce_scale(num, den, scale)
@@ -529,9 +487,9 @@ class QScalar:
             den = {k: c // g for k, c in den.items()}
 
         # polynomial gcd when the denominator is a nontrivial t-free poly
-        # (a key is t-free exactly when it is below _U_HALF); cancelling can
+        # (a key is t-free exactly when it is below _U_LIMIT); cancelling can
         # coarsen the exponents, so the scale is then reduced again
-        if len(den) > 1 and max(den) < _U_HALF:
+        if len(den) > 1 and max(den) < _U_LIMIT:
             cancelled = QScalar._cancel_poly_gcd(num, den)
             if cancelled[1] is not den:
                 num, den = cancelled
@@ -543,12 +501,12 @@ class QScalar:
         lead = den.get(0)
         if lead is None:
             lead = den[min((k for k in den if not _u(k)),
-                           key=lambda k: _t_mono(k >> _U_BITS))]
+                           key=lambda k: _fields(k)[1])]
         if lead < 0:
             num = {k: -c for k, c in num.items()}
             den = {k: -c for k, c in den.items()}
         if len(den) == 1 and den.get(0) == 1:
-            den = _DEN1
+            den = FLAT_ONE
         return num, den, scale
 
     @staticmethod
@@ -595,7 +553,7 @@ class QScalar:
         return self._num == self._den
 
     def is_polynomial(self) -> bool:
-        return self._den is _DEN1
+        return self._den is FLAT_ONE
 
     def is_monomial(self) -> bool:
         """Single term c * q^e * t^mono over an integer denominator."""
@@ -605,8 +563,8 @@ class QScalar:
     def _aligned(self, other: "QScalar"):
         L = lcm(self.scale, other.scale)
         ka, kb = L // self.scale, L // other.scale
-        return (_rescale(self._num, ka), _rescale(self._den, ka),
-                _rescale(other._num, kb), _rescale(other._den, kb), L)
+        return (flat_rescale(self._num, ka), flat_rescale(self._den, ka),
+                flat_rescale(other._num, kb), flat_rescale(other._den, kb), L)
 
     def __add__(self, other):
         if other.__class__ is not QScalar:
@@ -617,7 +575,7 @@ class QScalar:
             na, da, nb, db, L = self._aligned(other)
         if da is db or da == db:
             return QScalar._raw(_add(na, nb), da, L)
-        return QScalar._raw(_add(_mul(na, db), _mul(nb, da)), _mul(da, db), L)
+        return QScalar._raw(_add(flat_mul(na, db), flat_mul(nb, da)), flat_mul(da, db), L)
 
     __radd__ = __add__
 
@@ -638,13 +596,13 @@ class QScalar:
             na, da, nb, db, L = self._num, self._den, other._num, other._den, self.scale
         else:
             na, da, nb, db, L = self._aligned(other)
-        num = _mul(na, nb)
-        if da is _DEN1 and db is _DEN1:
+        num = flat_mul(na, nb)
+        if da is FLAT_ONE and db is FLAT_ONE:
             if L == 1 or not num:
-                return QScalar._make(num, _DEN1, L if num else 1)
-            return QScalar._make(*_reduce_scale(num, _DEN1, L))
-        return QScalar._raw(num, db if da is _DEN1 else
-                            da if db is _DEN1 else _mul(da, db), L)
+                return QScalar._make(num, FLAT_ONE, L if num else 1)
+            return QScalar._make(*_reduce_scale(num, FLAT_ONE, L))
+        return QScalar._raw(num, db if da is FLAT_ONE else
+                            da if db is FLAT_ONE else flat_mul(da, db), L)
 
     __rmul__ = __mul__
 
@@ -661,19 +619,14 @@ class QScalar:
         dw = d // g
         L = lcm(self.scale, dw)
         f = L // self.scale
-        s = w // g * (L // dw)
-        if not -_U_LIMIT <= s < _U_LIMIT:
-            raise _overflow()
-        num, den = self._num, self._den
-        if f != 1:
-            num, den = _rescale(num, f), _rescale(den, f)
-        num = _checked({k + s: c for k, c in num.items()})
+        num, den = flat_rescale(self._num, f), flat_rescale(self._den, f)
+        num = flat_shift(num, 0, e=w // g * (L // dw))
         if L == 1:
             return QScalar._make(num, den, 1)
         num, den, scale = _reduce_scale(num, den, L)
         # a pair left unreduced at the gcd cap may fall under it once the
         # scale coarsens; the full normalization then cancels the gcd
-        if scale != L and len(den) > 1 and max(den) < _U_HALF \
+        if scale != L and len(den) > 1 and max(den) < _U_LIMIT \
                 and QScalar._past_gcd_cap(list(map(_u, self._num)), self._den):
             return QScalar._raw(num, den, scale)
         return QScalar._make(num, den, scale)
@@ -681,7 +634,9 @@ class QScalar:
     def inverse(self) -> "QScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return QScalar._raw(self._den, self._num, self.scale)
+        # a numerator 1 becomes the shared denominator 1 and its shortcut
+        num = self._num
+        return QScalar._raw(self._den, FLAT_ONE if num == FLAT_ONE else num, self.scale)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -710,7 +665,7 @@ class QScalar:
                 and self._den == other._den:
             return True
         na, da, nb, db, _ = self._aligned(other)
-        return _mul(na, db) == _mul(nb, da)
+        return flat_mul(na, db) == flat_mul(nb, da)
 
     def __hash__(self):
         raise TypeError("QScalar is not hashable")
@@ -718,9 +673,18 @@ class QScalar:
     # -- involution and specializations ---------------------------------------
     def bar(self) -> "QScalar":
         """q -> q^{-1}, t fixed."""
-        def flip(d):
-            return _checked({k - 2 * _u(k): c for k, c in d.items()})
-        return QScalar._raw(flip(self._num), flip(self._den), self.scale)
+        return self.subs_q(-1)
+
+    def subs_q(self, c) -> "QScalar":
+        """q -> q^c, t fixed, for a nonzero Fraction or integer c: every
+        u-exponent is multiplied by c's numerator and the scale by its
+        denominator."""
+        c = Fraction(c)
+        if not c:
+            raise ValueError("q -> q^0 is not a substitution of q-exponents")
+        n = c.numerator
+        return QScalar._raw(flat_rescale(self._num, n), flat_rescale(self._den, n),
+                            self.scale * c.denominator)
 
     def subs_t_one(self) -> "QScalar":
         def t_one(d):
@@ -730,17 +694,6 @@ class QScalar:
                 out[e] = out.get(e, 0) + c
             return {e: c for e, c in out.items() if c}
         return QScalar._raw(t_one(self._num), t_one(self._den), self.scale)
-
-    def map_q_exponents(self, f) -> "QScalar":
-        """Apply a relabeling e -> f(e) to every q-exponent (e a Fraction)."""
-        parts = []
-        for part in (self.num, self.den):
-            out: dict[Fraction, TScalar] = {}
-            for e, c in part.items():
-                e2 = Fraction(f(Fraction(e, self.scale)))
-                out[e2] = out[e2] + c if e2 in out else c
-            parts.append(out)
-        return QScalar(*parts)
 
     def limit_q1(self) -> TScalar:
         """Exact evaluation at q = 1 (every q-power goes to 1).
@@ -774,7 +727,7 @@ class QScalar:
         if _q1_expansion(self._num)[0] <= _q1_expansion(self._den)[0]:
             raise ValueError("value does not vanish at q = 1")
         qm1 = {self.scale: 1, 0: -1}
-        return QScalar._raw(self._num, _mul(self._den, qm1), self.scale)
+        return QScalar._raw(self._num, flat_mul(self._den, qm1), self.scale)
 
     # -- rendering -------------------------------------------------------------
     def render(self, base: str = "q") -> str:
@@ -792,7 +745,7 @@ class QScalar:
 
     def render_v(self) -> str:
         """Render with v = q^{-1/2} as the display unit (BZ-side tori)."""
-        return self.map_q_exponents(lambda e: -2 * e).render(base="v")
+        return self.subs_q(-2).render(base="v")
 
     def __repr__(self):
         return f"QScalar({self.render()})"
@@ -893,71 +846,11 @@ def tpow(vec) -> QScalar:
 
 
 # ---------------------------------------------------------------------------
-# The flat Laurent ring Z[u^{±1}, t1^{±1}, t2^{±1}, ...] of word expansions
+# The flat Laurent ring Z[u^{+-1}, t1^{+-1}, t2^{+-1}, ...] of word expansions
 # and scattering crossings (expansion.py).  One expansion or diagram fixes one
-# scale L, u = q^{1/L}, and holds every coefficient as one dict
-# {flat key: nonzero int}.  Unlike the keys above,
-# every field is signed, so that a monomial t-denominator is a negative
-# exponent and a product never leaves the ring:
-#
-#     key = e + 2^32 * (a1 + 2^12 * a2 + 2^24 * a3 + ...)
-#
-# with -2^30 <= e < 2^30 and -2^10 <= a_i < 2^10 in stored keys: wider than
-# QScalar's keys in each direction while L is at most 2^12 times the scale a
-# coefficient was stored at.  A field is decoded from its balanced residue,
-# so a key is that integer sum and the key of a product is the sum of the
-# factors' keys.  The kernel adds at most three stored keys; in such a sum
-# each field stays within three times its limit, so adding _F_OFFSET leaves
-# a field's guard bit (twice its limit) clear exactly when the field is back
-# in range, and leaving the range raises OverflowError.
-
-_F_U_BITS = 32
-_F_U_LIMIT = 1 << 30
-_F_T_BITS = 12
-_F_T_LIMIT = 1 << 10
-_F_T_FIELD = (1 << _F_T_BITS) - 1
-_F_OFFSET = _F_U_LIMIT + sum(_F_T_LIMIT << (_F_U_BITS + _F_T_BITS * i)
-                             for i in range(_T_VARS))
-_F_GUARD = (2 * _F_U_LIMIT) | sum((2 * _F_T_LIMIT) << (_F_U_BITS + _F_T_BITS * i)
-                                  for i in range(_T_VARS))
-
-FLAT_ONE = {0: 1}  # shared; the kernel never writes into it
-
-
-def _flat_overflow() -> OverflowError:
-    return OverflowError(
-        f"exponent outside the flat range (-{_F_U_LIMIT} <= q-exponent * scale "
-        f"< {_F_U_LIMIT}, -{_F_T_LIMIT} <= t-exponent < {_F_T_LIMIT}, at most "
-        f"{_T_VARS} t-variables)")
-
-
-def _flat_fields(key: int) -> tuple[int, list[int]]:
-    """The u-exponent of a flat key and its t-exponents, the last nonzero."""
-    e = ((key + _F_U_LIMIT * 2) & (_F_U_LIMIT * 4 - 1)) - _F_U_LIMIT * 2
-    t = (key - e) >> _F_U_BITS
-    mono = []
-    while t:
-        if len(mono) == _T_VARS:
-            raise _flat_overflow()
-        a = ((t + _F_T_LIMIT * 2) & _F_T_FIELD) - _F_T_LIMIT * 2
-        mono.append(a)
-        t = (t - a) >> _F_T_BITS
-    return e, mono
-
-
-def _flat_key(key: int, f: int) -> int:
-    """The flat key of a QScalar key at scale s, in u = q^{1/(f s)}."""
-    e = _u(key)
-    t = (key - e) >> _U_BITS
-    e *= f
-    if not -_F_U_LIMIT <= e < _F_U_LIMIT:
-        raise _flat_overflow()
-    out, shift = e, _F_U_BITS
-    while t:
-        out += (t & _T_MASK) << shift
-        t >>= _T_BITS
-        shift += _F_T_BITS
-    return out
+# scale L, u = q^{1/L}, and holds every coefficient as one dict in the key
+# layout above, with signed t-exponents, so that a monomial t-denominator is
+# a negative exponent and a product never leaves the ring.
 
 
 def flat_pair(x: QScalar, scale: int) -> tuple[dict, dict]:
@@ -965,32 +858,30 @@ def flat_pair(x: QScalar, scale: int) -> tuple[dict, dict]:
 
     A monomial denominator c * u^e * t^a is moved into the numerator as the
     exponent -(e, a), leaving den = {0: c}, which is FLAT_ONE when c is 1;
-    any other denominator is returned as it is.  num is a new dict; den may
-    be the shared FLAT_ONE."""
+    any other denominator is returned as it is.  num and den are new dicts,
+    or den the shared FLAT_ONE, so that the flat kernel never writes into
+    x's."""
     f, r = divmod(scale, x.scale)
     if r:
         raise ValueError(f"scale {scale} is not a multiple of {x.scale}")
-    num = {_flat_key(k, f): c for k, c in x._num.items()}
-    if x._den is _DEN1:
-        return num, FLAT_ONE
-    den = {_flat_key(k, f): c for k, c in x._den.items()}
-    if len(den) > 1:
-        return num, den
-    (kd, c), = den.items()
-    return flat_shift(num, -kd), (FLAT_ONE if c == 1 else {0: c})
+    num, den = flat_rescale(x._num, f), flat_rescale(x._den, f)
+    if len(den) == 1:
+        (kd, c), = den.items()
+        return flat_shift(num, -kd), (FLAT_ONE if c == 1 else {0: c})
+    return (dict(num), dict(den)) if f == 1 else (num, den)
 
 
 def flat_shift(a: dict, key: int, sign: int = 1, e: int = 0) -> dict:
-    """sign * a * u^e * (the monomial with flat key ``key``, a stored key),
-    a new dict."""
-    if not -_F_U_LIMIT <= e < _F_U_LIMIT:
-        raise _flat_overflow()
+    """sign * a * u^e * (the monomial with key ``key``, a stored key or the
+    negative of one), a new dict."""
+    if not -_U_LIMIT <= e < _U_LIMIT:
+        raise _overflow()
     key += e
     out = {}
     for k, c in a.items():
         k += key
-        if (k + _F_OFFSET) & _F_GUARD:
-            raise _flat_overflow()
+        if (k + _OFFSET) & _GUARD:
+            raise _overflow()
         out[k] = c * sign
     return out
 
@@ -1002,9 +893,9 @@ def flat_rescale(a: dict, r: int) -> dict:
         return a
     out = {}
     for k, c in a.items():
-        e = ((k + _F_U_LIMIT * 2) & (_F_U_LIMIT * 4 - 1)) - _F_U_LIMIT * 2
-        if not -_F_U_LIMIT <= e * r < _F_U_LIMIT:
-            raise _flat_overflow()
+        e = _u(k)
+        if not -_U_LIMIT <= e * r < _U_LIMIT:
+            raise _overflow()
         out[k + e * (r - 1)] = c
     return out
 
@@ -1013,7 +904,7 @@ def flat_quotient(a: dict, b: dict):
     """a / b when b divides a, for t-free a and b with lowest term 1 at
     u^0 (division from the lowest term up), else None; also None when a
     holds a t-exponent."""
-    if not all(-_F_U_LIMIT <= k < _F_U_LIMIT for k in a):
+    if not all(-_U_LIMIT <= k < _U_LIMIT for k in a):
         return None
     work, out = dict(a), {}
     top = max(a, default=0) - max(b)
@@ -1035,8 +926,8 @@ def flat_quotient(a: dict, b: dict):
 def flat_mac(acc: dict, a: dict, b: dict, e: int = 0) -> dict:
     """acc += a * b * u^e, in place; a coefficient that cancels is removed.
     Returns acc."""
-    if not -_F_U_LIMIT <= e < _F_U_LIMIT:
-        raise _flat_overflow()
+    if not -_U_LIMIT <= e < _U_LIMIT:
+        raise _overflow()
     if len(a) < len(b):
         a, b = b, a
     get = acc.get
@@ -1046,8 +937,8 @@ def flat_mac(acc: dict, a: dict, b: dict, e: int = 0) -> dict:
             k = ka + kb
             v = get(k)
             if v is None:
-                if (k + _F_OFFSET) & _F_GUARD:
-                    raise _flat_overflow()
+                if (k + _OFFSET) & _GUARD:
+                    raise _overflow()
                 acc[k] = ca * cb
             else:
                 v += ca * cb
@@ -1065,32 +956,10 @@ def flat_mul(a: dict, b: dict, e: int = 0) -> dict:
 
 def flat_qscalar(num: dict, den: dict, scale: int) -> QScalar:
     """The QScalar num / den of flat polynomials at ``scale`` (den nonzero),
-    in QScalar's normal form.  Before repacking, both are multiplied by the
-    monomial that anchors den's u-exponents at 0 and makes every t-exponent
-    nonnegative, and the u-exponents and the scale are divided by their
-    gcd, as the normal form does; a key still outside QScalar's range then
-    raises OverflowError."""
-    if den is FLAT_ONE and all(-_F_U_LIMIT <= k < _F_U_LIMIT for k in num):
-        # t-free keys: a flat key and a QScalar key are both the u-exponent
-        g = gcd(scale, *num)
-        if g > 1:
-            num, scale = {k // g: c for k, c in num.items()}, scale // g
-        if all(-_U_LIMIT <= k < _U_LIMIT for k in num):
-            return QScalar._raw(dict(num), _DEN1, scale)
-        raise _overflow()
-    parts = [[_flat_fields(k) + (c,) for k, c in part.items()] for part in (num, den)]
-    shift = min(e for e, _, _ in parts[1])
-    g = scale
-    low: list[int] = []
-    for part in parts:
-        for e, mono, _ in part:
-            g = gcd(g, e - shift)
-            for i, a in enumerate(mono):
-                if i == len(low):
-                    low.append(0)
-                if a < low[i]:
-                    low[i] = a
-    packed = [{_pack((e - shift) // g,
-                     tuple(a - lo for a, lo in zip(mono + [0] * len(low), low))): c
-               for e, mono, c in part} for part in parts]
-    return QScalar._raw(packed[0], packed[1], scale // g)
+    in QScalar's normal form, which moves both by the monomial that anchors
+    den's u-exponents at 0 and makes every t-exponent nonnegative.  Both are
+    copied, so that the flat kernel never writes into a QScalar's dicts; a
+    denominator 1 keeps the normal form's shortcut only over t-free keys."""
+    if den is FLAT_ONE and all(-_U_LIMIT <= k < _U_LIMIT for k in num):
+        return QScalar._raw(dict(num), FLAT_ONE, scale)
+    return QScalar._raw(dict(num), dict(den), scale)

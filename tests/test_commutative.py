@@ -78,10 +78,11 @@ def test_monomial_factor_whose_coefficient_quotient_is_laurent_stays():
 
 
 def test_divide_raises_overflow_past_the_packed_range():
-    # t2^2 / (t2 + t1^300): the third working term is t1^600, past the
-    # packed t-exponent range
+    # t2^2 / (t2 + t1^512): the third working term is t1^1024, just past the
+    # packed t-exponent range; one less and the quotient stops at a t-borrow
     with pytest.raises(OverflowError):
-        ts({(0, 2): 1}).divide(ts({(0, 1): 1, (300,): 1}))
+        ts({(0, 2): 1}).divide(ts({(0, 1): 1, (512,): 1}))
+    assert ts({(0, 2): 1}).divide(ts({(0, 1): 1, (511,): 1})) is None
 
 
 def tscalar_to_sympy(x: TScalar):

@@ -115,20 +115,22 @@ def test_qshift_cancels_a_gcd_that_falls_under_the_cap():
 
 
 def test_qshift_raises_past_the_packed_range():
-    big = qpow(2 ** 17)
+    big = qpow(2 ** 29)
     with pytest.raises(OverflowError):
-        big._qshift(2 ** 17, 1)
+        big._qshift(2 ** 29, 1)
     with pytest.raises(OverflowError):
-        QScalar.integer(1)._qshift(2 ** 18, 1)
+        QScalar.integer(1)._qshift(2 ** 30, 1)
     with pytest.raises(OverflowError):   # would carry into the t-exponents
-        QScalar.integer(1)._qshift(2 ** 20, 1)
+        QScalar.integer(1)._qshift(2 ** 32, 1)
     with pytest.raises(OverflowError):   # the rescale to q^(1/4) overflows
-        qpow(2 ** 16)._qshift(1, 4)
+        qpow(2 ** 28)._qshift(1, 4)
     with pytest.raises(OverflowError):
-        (tvar(0) * qpow(-(2 ** 17)))._qshift(-(2 ** 17) - 1, 1)
+        (tvar(0) * qpow(-(2 ** 29)))._qshift(-(2 ** 29) - 1, 1)
     # just inside the range
-    assert big._qshift(2 ** 17 - 1, 1).render() == f"q^{2 ** 18 - 1}"
-    assert QScalar.integer(0)._qshift(2 ** 20, 1).is_zero()
+    assert big._qshift(2 ** 29 - 1, 1).render() == f"q^{2 ** 30 - 1}"
+    assert qpow(2 ** 28 - 1)._qshift(1, 4).scale == 4
+    assert (tvar(0) * qpow(-(2 ** 29)))._qshift(-(2 ** 29), 1).render() == f"t1*q^-{2 ** 30}"
+    assert QScalar.integer(0)._qshift(2 ** 32, 1).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from qca.scalars import (
-    ONE, QPoleError, QScalar, TScalar, _divide, _pack, qpow, tpow, tvar, vpow)
+    FLAT_ONE, ONE, QPoleError, QScalar, TScalar, _divide, _pack, flat_mac, flat_pair,
+    flat_qscalar, qpow, tpow, tvar, vpow)
 
 
 def rand_scalar(rng, allow_fraction=True):
@@ -149,20 +150,27 @@ def test_fraction_past_gcd_cap_stays_unreduced():
 
 
 def test_exponents_outside_the_packed_range_raise():
-    big = qpow(2 ** 17)
+    # the packed range: -2^30 <= q-exponent * scale < 2^30, t-exponents
+    # below 2^10, at most 16 t-variables
+    big = qpow(2 ** 29)
     with pytest.raises(OverflowError):
         big * big
     with pytest.raises(OverflowError):
-        qpow(2 ** 18)
+        qpow(2 ** 30)
     with pytest.raises(OverflowError):
-        tvar(0) ** 600
+        qpow(-(2 ** 30) - 1)
+    with pytest.raises(OverflowError):
+        tvar(0) ** 1024
     with pytest.raises(OverflowError):
         tvar(16)
     with pytest.raises(OverflowError):
-        qpow(Fraction(2 ** 16, 3)) * qpow(Fraction(1, 4))
+        qpow(Fraction(2 ** 28, 3)) * qpow(Fraction(1, 4))
     # just inside the range
-    assert (qpow(2 ** 17 - 1) * qpow(2 ** 17)).render() == f"q^{2 ** 18 - 1}"
-    assert (tvar(0) ** 511).render() == "t1^511"
+    assert (qpow(2 ** 29 - 1) * qpow(2 ** 29)).render() == f"q^{2 ** 30 - 1}"
+    assert qpow(-(2 ** 30)).render() == f"q^-{2 ** 30}"
+    assert (tvar(0) ** 1023).render() == "t1^1023"
+    assert tvar(15).render() == "t16"
+    assert (qpow(Fraction(2 ** 28 - 2, 3)) * qpow(Fraction(1, 4))).scale == 12
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +315,11 @@ def test_kernel_division_keeps_u_exponents_nonnegative():
     # (1 + u) / u and t1 / u are Laurent in u
     assert _divide({u: 1, 0: 1}, {u: 1}) is None
     assert _divide({t1: 1}, {u: 1}) is None
-    # t1^2 / (t1 + u^200000): the third working term is u^400000
+    # t1^2 / (t1 + u^(2^29)): the third working term is u^(2^30), just past
+    # the packed range; one less and the quotient stops at a t-borrow
     with pytest.raises(OverflowError):
-        _divide({2 * t1: 1}, {t1: 1, 200000 * u: 1})
+        _divide({2 * t1: 1}, {t1: 1, 2 ** 29 * u: 1})
+    assert _divide({2 * t1: 1}, {t1: 1, (2 ** 29 - 1) * u: 1}) is None
 
 
 def test_limit_q1_divides_by_a_t_dependent_denominator():
@@ -355,3 +365,64 @@ def test_scale_is_reduced_after_the_denominator_is_anchored():
     want = qpow(-1) / (1 + tvar(0))
     assert (x.scale, x.num, x.den) == (want.scale, want.num, want.den) == (
         1, {-1: TScalar.integer(1)}, {0: TScalar({(): 1, (1,): 1})})
+
+
+# ---------------------------------------------------------------------------
+# One key layout for QScalar and the flat ring.
+
+def structure(x: QScalar):
+    return x.scale, x._num, x._den
+
+
+@PROPERTY
+@given(fractions(), st.integers(1, 6))
+def test_flat_pair_and_flat_qscalar_round_trip(a, k):
+    x = a[0]
+    scale = k * x.scale
+    assert structure(flat_qscalar(*flat_pair(x, scale), scale)) == structure(x)
+
+
+@PROPERTY
+@given(fractions(), st.integers(1, 6))
+def test_flat_kernel_never_writes_into_a_qscalar(a, k):
+    x = a[0]
+    before = dict(x._num), dict(x._den)
+    num, den = flat_pair(x, k * x.scale)
+    for acc in (num, den):
+        if acc is not FLAT_ONE:
+            flat_mac(acc, dict(acc), {0: 1}, 1)  # acc += u * acc
+    assert (x._num, x._den) == before
+    assert FLAT_ONE == {0: 1}
+
+
+stored_keys = st.tuples(
+    st.integers(-(2 ** 30), 2 ** 30 - 1),
+    st.lists(st.integers(0, 2 ** 10 - 1), max_size=16))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stored_keys, stored_keys)
+def test_key_order_is_lex_order_highest_field_first(a, b):
+    def lex(e, mono):
+        return (*reversed(mono + [0] * (16 - len(mono))), e)
+    assert (_pack(*a) < _pack(*b)) == (lex(*a) < lex(*b))
+    assert (_pack(*a) == _pack(*b)) == (lex(*a) == lex(*b))
+
+
+@PROPERTY
+@given(fractions(), st.sampled_from([-1, -2, 2, 3]))
+def test_subs_q_matches_sympy(a, c):
+    x, sx = a
+    assert matches(x.subs_q(c), sx.subs(S, S ** c))
+
+
+@PROPERTY
+@given(fractions(), st.sampled_from([Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 4), 5]))
+def test_subs_q_round_trips(a, c):
+    x = a[0]
+    assert structure(x.subs_q(c).subs_q(1 / Fraction(c))) == structure(x)
+
+
+def test_subs_q_by_zero_is_refused():
+    with pytest.raises(ValueError):
+        qpow(1).subs_q(0)
