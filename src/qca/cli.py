@@ -12,19 +12,26 @@ import os
 import sys
 from fractions import Fraction
 
-from .checks import SUITES, run_suites
-from .duality import PStarHom
-from .mutation import MODES, apply_mutation_sequence
-from .render import broken_line_svg, diagram_svg
-from .scatter import complete_to_order, initial_diagram
 from .seeds import Seed, load_seed_file
-from .theta import enumerate_broken_lines, theta_of_lines
-# unused here; bench/test_bench.py checks that its tracer rebinds this alias
-from .words import words_equal  # noqa: F401
 
+# Each layer is imported by the cmd_<verb> that runs it, so that a call
+# loads only what it uses.
 
 # 128 + SIGPIPE, what a shell reports for a program stopped by a closed pipe
 EXIT_BROKEN_PIPE = 141
+
+# the names of qca.checks.SUITES (a test keeps them equal), listed here so
+# that building the parser imports no check
+SUITES = ("tables", "scatter", "theta", "pstar", "poisson")
+
+
+def __getattr__(name):
+    # qca.cli.words_equal reads words.words_equal on each access, so that a
+    # rebinding of the latter shows here too
+    if name == "words_equal":
+        from .words import words_equal
+        return words_equal
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _parse_ints(text: str):
@@ -33,6 +40,14 @@ def _parse_ints(text: str):
 
 def _parse_fracs(text: str):
     return [Fraction(x) for x in text.split(",") if x != ""]
+
+
+def _parse_pair(text: str, parse, flag: str) -> tuple:
+    """A rank-2 vector: exactly two entries."""
+    entries = parse(text)
+    if len(entries) != 2:
+        raise ValueError(f"{flag} takes two comma-separated entries, got {text!r}")
+    return tuple(entries)
 
 
 def _emit(data, fmt: str, text_lines) -> None:
@@ -57,6 +72,8 @@ def _table_text(rows):
 
 
 def cmd_table(args) -> int:
+    from .mutation import apply_mutation_sequence
+
     fd = load_seed_file(args.seed)
     seq = [k - 1 for k in _parse_ints(args.sequence)] if args.sequence else []
     if any(k < 0 or k >= fd.n for k in seq):
@@ -68,6 +85,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_mutate(args) -> int:
+    from .mutation import apply_mutation_sequence
+
     fd = load_seed_file(args.seed)
     seq = [k - 1 for k in _parse_ints(args.sequence)]
     if any(k < 0 or k >= fd.n for k in seq):
@@ -80,6 +99,8 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_scatter(args) -> int:
+    from .scatter import complete_to_order, initial_diagram
+
     fd = load_seed_file(args.seed)
     dg = initial_diagram(fd, side=args.side, quantum=args.quantum,
                          order=args.order)
@@ -90,6 +111,8 @@ def cmd_scatter(args) -> int:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if args.emit_svg:
+        from .render import diagram_svg
+
         with open(args.emit_svg, "w", encoding="utf-8") as fh:
             fh.write(diagram_svg(dg))
     lines = [f"{len(data['walls'])} walls (order {args.order}, "
@@ -104,13 +127,17 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    from .scatter import complete_to_order, initial_diagram
+    from .theta import enumerate_broken_lines, theta_of_lines
+
+    m0 = _parse_pair(args.gvector, _parse_ints, "--gvector")
+    Q = _parse_pair(args.basepoint, _parse_fracs, "--basepoint")
+    filt = (_parse_pair(args.filter_exponent, _parse_ints, "--filter-exponent")
+            if args.filter_exponent else None)
     fd = load_seed_file(args.seed)
     dg = complete_to_order(
         initial_diagram(fd, side="A", quantum=not args.classical,
                         order=args.diagram_order), args.diagram_order)
-    m0 = tuple(_parse_ints(args.gvector))
-    Q = tuple(_parse_fracs(args.basepoint))
-    filt = tuple(_parse_ints(args.filter_exponent)) if args.filter_exponent else None
     # one search serves both: the filter only selects lines for display
     lines = enumerate_broken_lines(m0, Q, dg, args.order)
     theta = theta_of_lines(dg.torus, lines)
@@ -128,6 +155,8 @@ def cmd_theta(args) -> int:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if args.emit_svg:
+        from .render import broken_line_svg
+
         with open(args.emit_svg, "w", encoding="utf-8") as fh:
             fh.write(broken_line_svg(dg, lines))
     text = [f"theta_{m0} = {theta.render()}",
@@ -142,6 +171,8 @@ def cmd_theta(args) -> int:
 
 
 def cmd_pstar(args) -> int:
+    from .duality import PStarHom
+
     fd = load_seed_file(args.seed)
     hom = PStarHom(fd)
     report = {"Lambda": [list(r) for r in hom.Lambda],
@@ -184,6 +215,8 @@ def cmd_poisson(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import run_suites
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names)
     failed = 0
@@ -197,6 +230,8 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .mutation import MODES
+
     p = argparse.ArgumentParser(
         prog="qca",
         description="Exact engine for quantum cluster algebras with "
@@ -271,10 +306,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
+        # a path that cannot be read or written, or input the engine rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -73,8 +73,10 @@ _T_HALF = 1 << (_T_BITS - 1)
 _T_MASK = (1 << _T_BITS) - 1
 _T_LIMIT = 1 << 10
 _T_VARS = 16
-_OFFSET = _U_LIMIT + sum(_T_LIMIT << (_U_BITS + _T_BITS * i) for i in range(_T_VARS))
+_T_OFFSET = sum(_T_LIMIT << (_U_BITS + _T_BITS * i) for i in range(_T_VARS))
+_OFFSET = _U_LIMIT + _T_OFFSET
 _GUARD = 2 * _OFFSET
+_T_GUARD = 2 * _T_OFFSET
 
 FLAT_ONE = {0: 1}  # the shared denominator 1; nothing writes into it
 
@@ -110,6 +112,22 @@ def _nonnegative(key: int) -> bool:
     nonnegative exponents: every field of key + _OFFSET has its guard bit
     clear and its _OFFSET bit set."""
     return (key + _OFFSET) & (_GUARD | _OFFSET) == _OFFSET
+
+
+def _t_content(ts) -> int:
+    """The componentwise minimum of t-parts (stored keys with u-exponent 0,
+    t-exponents of any sign), as a key.  Adding _T_OFFSET turns every field
+    into its biased value a + 2^10, in [0, 2^11); in x + _T_GUARD - y each
+    field is then x_i + 2^11 - y_i, in (0, 2^12), so no field borrows from
+    the next and its guard bit is set exactly where x_i >= y_i."""
+    it = iter(ts)
+    low = next(it) + _T_OFFSET
+    for t in it:
+        t += _T_OFFSET
+        ge = (low + _T_GUARD - t) & _T_GUARD
+        # the value bits of every field where low >= t, taken from t
+        low ^= (low ^ t) & (ge - (ge >> (_T_BITS - 1)))
+    return low - _T_OFFSET
 
 
 def _pack(e: int, mono) -> int:
@@ -471,9 +489,7 @@ class QScalar:
         m = min(map(_u, den))
         ts = {(k + _U_HALF) & ~_U_MASK for part in (num, den) for k in part}
         if 0 not in ts or not all(map(_nonnegative, ts)):
-            monos = [_fields(t)[1] for t in ts]
-            m += _pack(0, [min(mono[i] if i < len(mono) else 0 for mono in monos)
-                           for i in range(max(map(len, monos)))])
+            m += _t_content(ts)
         if m:
             num, den = flat_shift(num, -m), flat_shift(den, -m)
         # the scale is reduced after the anchoring, which can coarsen it
@@ -839,10 +855,8 @@ def tpow(vec) -> QScalar:
     entries go to the denominator."""
     pos = [max(int(x), 0) for x in vec]
     neg = [max(-int(x), 0) for x in vec]
-    out = QScalar.t_monomial(pos)
-    if any(neg):
-        out = out / QScalar.t_monomial(neg)
-    return out
+    den = {_pack(0, tmono(neg)): 1} if any(neg) else FLAT_ONE
+    return QScalar._raw({_pack(0, tmono(pos)): 1}, den, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,47 @@ def test_seed_file_missing_key_is_a_clean_error(key, capsys, tmp_path):
     assert err.startswith("error: ") and repr(key) in err
 
 
+def test_directory_as_seed_is_a_clean_error(capsys, tmp_path):
+    code, out, err = run(capsys, ["table", "--seed", str(tmp_path),
+                                  "--mode", "x-classical"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["scatter", "theta"])
+def test_directory_as_svg_path_is_a_clean_error(verb, seeds, capsys, tmp_path):
+    argv = {"scatter": ["scatter", "--seed", seeds["a2_scat"]],
+            "theta": ["theta", "--seed", seeds["a23"], "--gvector=-3,5",
+                      "--basepoint", "1,1", "--order", "2"]}[verb]
+    code, out, err = run(capsys, argv + ["--emit-svg", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,values", [
+    ("--gvector", ["1", "1,2,3"]),
+    ("--basepoint", ["1", "1,1,1"]),
+    ("--filter-exponent", ["1", "1,-1,0"]),
+])
+def test_theta_vectors_have_two_entries(flag, values, seeds, capsys):
+    for value in values:
+        argv = {"--gvector": "-3,5", "--basepoint": "1,1"}
+        argv[flag] = value
+        code, out, err = run(capsys, ["theta", "--seed", seeds["a23"]]
+                             + [f"{k}={v}" for k, v in argv.items()])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} takes two comma-separated entries, got {value!r}\n"
+
+
+def test_parser_suites_are_the_check_suites():
+    from qca import checks, cli
+
+    assert cli.SUITES == tuple(checks.SUITES)
+
+
 def test_parser_is_reused_across_calls(seeds, capsys, monkeypatch):
     from qca import cli
 

@@ -1,17 +1,16 @@
-"""Every name a module of the package imports is read somewhere in it, and
-no module imports another module's private (underscore) names."""
+"""Every name a module of the package imports is read somewhere in it, no
+module imports another module's private (underscore) names, and each layer
+loads only when it is first used."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qca"
-
-# bench/test_bench.py checks that the benchmark tracer rebinds and restores
-# the alias qca.cli.words_equal, so cli keeps the import though it never
-# reads it
-KEPT = {("cli", "words_equal")}
 
 
 def unread_imports(path: Path) -> list[str]:
@@ -26,13 +25,8 @@ def unread_imports(path: Path) -> list[str]:
                 imported[name] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in ast.walk(tree):  # names re-exported through __all__
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read |= {elt.value for elt in node.value.elts
-                     if isinstance(elt, ast.Constant)}
     return sorted(f"{name} (line {line})" for name, line in imported.items()
-                  if name not in read and (path.stem, name) not in KEPT)
+                  if name not in read)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -54,3 +48,68 @@ def private_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_name_is_imported(path):
     assert private_imports(path) == []
+
+
+# ---------------------------------------------------------------------------
+# Import footprint: each case runs in a fresh interpreter.
+
+def run_fresh(code: str) -> str:
+    """The standard output of a fresh interpreter running ``code`` with the
+    package's sources first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def loaded_after(code: str) -> set[str]:
+    """The qca modules loaded after running ``code``."""
+    out = run_fresh(code + "\nimport sys\nprint(sorted(m for m in sys.modules"
+                           " if m == 'qca' or m.startswith('qca.')))")
+    return set(ast.literal_eval(out.splitlines()[-1]))
+
+
+def test_importing_the_package_and_cli_loads_only_seeds():
+    assert loaded_after("import qca, qca.cli") == {"qca", "qca.cli", "qca.seeds"}
+
+
+def test_a_classical_table_loads_no_other_layer():
+    demo = SRC.parent.parent / "demos" / "seeds" / "a2.json"
+    loaded = loaded_after(
+        "from qca import cli\n"
+        f"assert cli.main(['table', '--seed', {str(demo)!r}, '--sequence', '1,2',"
+        " '--mode', 'x-classical']) == 0")
+    assert "qca.mutation" in loaded
+    assert not loaded & {f"qca.{m}" for m in (
+        "scatter", "theta", "render", "duality", "poisson", "checks", "expansion")}
+
+
+def test_star_import_binds_every_public_name():
+    out = run_fresh(
+        "import qca\n"
+        "namespace = {}\n"
+        "exec('from qca import *', namespace)\n"
+        "print(sorted(set(qca.__all__) - set(namespace)))\n"
+        "print(sorted(set(qca.__all__) - set(dir(qca))))\n"
+        "print(len(qca.__all__))")
+    assert out.splitlines() == ["[]", "[]", "55"]
+
+
+def test_unknown_names_raise_and_submodules_still_import():
+    out = run_fresh(
+        "import qca, qca.cli\n"
+        "for module in (qca, qca.cli):\n"
+        "    try:\n"
+        "        module.no_such_name\n"
+        "    except AttributeError as exc:\n"
+        "        print(exc)\n"
+        "from qca import cli, words\n"
+        "print(cli.__name__, cli.words_equal is words.words_equal)\n"
+        "import qca.scalars\n"
+        "print(qca.QScalar is qca.scalars.QScalar)")
+    assert out.splitlines() == [
+        "module 'qca' has no attribute 'no_such_name'",
+        "module 'qca.cli' has no attribute 'no_such_name'",
+        "qca.cli True",
+        "True"]

@@ -5,9 +5,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from unittest import mock
+
+from qca import scalars
 from qca.scalars import (
-    FLAT_ONE, ONE, QPoleError, QScalar, TScalar, _divide, _pack, flat_mac, flat_pair,
-    flat_qscalar, qpow, tpow, tvar, vpow)
+    FLAT_ONE, ONE, QPoleError, QScalar, TScalar, _divide, _fields, _pack, _t_content,
+    flat_mac, flat_pair, flat_qscalar, qpow, tpow, tvar, vpow)
 
 
 def rand_scalar(rng, allow_fraction=True):
@@ -426,3 +429,46 @@ def test_subs_q_round_trips(a, c):
 def test_subs_q_by_zero_is_refused():
     with pytest.raises(ValueError):
         qpow(1).subs_q(0)
+
+
+# ---------------------------------------------------------------------------
+# The t-content of the normal form, taken on the biased fields.
+
+def decoded_t_content(ts) -> int:
+    """The componentwise minimum of t-parts, decoding each one."""
+    monos = [_fields(t)[1] for t in ts]
+    width = max(map(len, monos))
+    return _pack(0, [min(m[i] if i < len(m) else 0 for m in monos)
+                     for i in range(width)])
+
+
+signed_t_parts = st.lists(st.integers(-(2 ** 10), 2 ** 10 - 1), max_size=16).map(
+    lambda mono: _pack(0, mono))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(signed_t_parts, min_size=1, max_size=6))
+def test_t_content_is_the_componentwise_minimum(ts):
+    assert _t_content(ts) == decoded_t_content(ts)
+
+
+signed_flat = st.dictionaries(
+    st.builds(_pack, st.integers(-6, 6), st.lists(st.integers(-3, 3), max_size=3)),
+    st.integers(-3, 3).filter(bool), min_size=1, max_size=5)
+
+
+@PROPERTY
+@given(signed_flat, signed_flat, st.sampled_from([1, 2, 3, 6]))
+def test_normal_form_of_signed_flat_input_is_unchanged(num, den, scale):
+    got = QScalar._normalize(dict(num), dict(den), scale)
+    with mock.patch.object(scalars, "_t_content", decoded_t_content):
+        want = QScalar._normalize(dict(num), dict(den), scale)
+    assert got == want
+
+
+@PROPERTY
+@given(st.lists(st.integers(-40, 40), max_size=16))
+def test_tpow_is_the_quotient_of_two_t_monomials(vec):
+    want = (QScalar.t_monomial([max(x, 0) for x in vec])
+            / QScalar.t_monomial([max(-x, 0) for x in vec]))
+    assert structure(tpow(vec)) == structure(want)
