@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from . import fixtures
 from .commutative import CPoly, CRational
-from .duality import PStarHom
 from .mutation import (
     classical_x_table,
     quantum_x_table,
@@ -21,13 +20,13 @@ from .mutation import (
     word_to_classical,
     x_torus,
 )
-from .poisson import check_poisson_map
 from .qtorus import QTorusElement
 from .scalars import ONE, QScalar, TScalar, qpow, tvar, vpow
-from .scatter import appendix_b_closed_form, complete_to_order, initial_diagram
 from .seeds import Seed
-from .theta import enumerate_broken_lines, greedy_T
 from .words import FactoredWord, words_equal
+
+# the other suites' layers are imported where they are used, so that the
+# tables suite loads only the layers above
 
 # ---------------------------------------------------------------------------
 # The A2 tables (Tables 1 and 2): mu_2, mu_1, mu_2, mu_1, mu_2, 0-indexed.
@@ -156,6 +155,8 @@ def new_walls(dg):
 
 
 def classical_a2_diagram(order):
+    from .scatter import complete_to_order, initial_diagram
+
     return complete_to_order(initial_diagram(fixtures.a2_scattering(),
                                              quantum=False, order=order), order)
 
@@ -178,6 +179,8 @@ def loop_coefficient(dg, u):
 def loop_matches_closed_form(dg, radius) -> bool:
     """On the initial quantum A(2,3) diagram the loop's coefficient is minus
     the Appendix-B closed form at every u in grid(radius)."""
+    from .scatter import appendix_b_closed_form
+
     return all(loop_coefficient(dg, u) == -appendix_b_closed_form(u)
                for u in grid(radius))
 
@@ -194,6 +197,8 @@ def has_negative_coefficient(val) -> bool:
 
 
 def check_scatter():
+    from .scatter import appendix_b_closed_form, complete_to_order, initial_diagram
+
     dg = classical_a2_diagram(2)
     qdg = initial_diagram(fixtures.a23(), quantum=True, order=2)
     out = [
@@ -221,6 +226,9 @@ def fig3_coefficient():
 
 
 def check_theta():
+    from .scatter import complete_to_order, initial_diagram
+    from .theta import enumerate_broken_lines, greedy_T
+
     dg = complete_to_order(initial_diagram(fixtures.a23(), quantum=True,
                                            order=2), 2)
     Q = (Fraction(1), Fraction(1))
@@ -237,6 +245,8 @@ def check_theta():
 
 
 def check_pstar():
+    from .duality import PStarHom
+
     return [(f"pstar: mutation intertwining on {name}",
              all(ok for _, _, ok in PStarHom(fd).intertwining(8)), "")
             for name, fd in (("A(2,3)", fixtures.a23()),
@@ -245,6 +255,8 @@ def check_pstar():
 
 def mutations_are_poisson(fd) -> bool:
     """Classical family mutation in every unfrozen direction is a Poisson map."""
+    from .poisson import check_poisson_map
+
     seed = Seed(fd)
     return all(check_poisson_map(seed, k)["ok"] for k in fd.unfrozen)
 

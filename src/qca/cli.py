@@ -42,6 +42,24 @@ def _parse_fracs(text: str):
     return [Fraction(x) for x in text.split(",") if x != ""]
 
 
+def _directions(entries, fd) -> list[int]:
+    """1-based mutation directions as 0-based indices of unfrozen directions."""
+    if any(k < 1 or k > fd.n for k in entries):
+        raise ValueError("mutation indices are 1-based directions")
+    for k in entries:
+        if k - 1 not in fd.unfrozen:
+            raise ValueError(f"direction {k} is frozen")
+    return [k - 1 for k in entries]
+
+
+def nonnegative_int(text: str) -> int:
+    """A truncation order: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _parse_pair(text: str, parse, flag: str) -> tuple:
     """A rank-2 vector: exactly two entries."""
     entries = parse(text)
@@ -71,29 +89,22 @@ def _table_text(rows):
     return out
 
 
-def cmd_table(args) -> int:
+def _table_rows(args):
     from .mutation import apply_mutation_sequence
 
     fd = load_seed_file(args.seed)
-    seq = [k - 1 for k in _parse_ints(args.sequence)] if args.sequence else []
-    if any(k < 0 or k >= fd.n for k in seq):
-        print("error: mutation indices are 1-based directions", file=sys.stderr)
-        return 2
-    rows = apply_mutation_sequence(fd, seq, args.mode)
+    return apply_mutation_sequence(fd, _directions(_parse_ints(args.sequence), fd),
+                                   args.mode)
+
+
+def cmd_table(args) -> int:
+    rows = _table_rows(args)
     _emit(rows, args.format, _table_text(rows))
     return 0
 
 
 def cmd_mutate(args) -> int:
-    from .mutation import apply_mutation_sequence
-
-    fd = load_seed_file(args.seed)
-    seq = [k - 1 for k in _parse_ints(args.sequence)]
-    if any(k < 0 or k >= fd.n for k in seq):
-        print("error: mutation indices are 1-based directions", file=sys.stderr)
-        return 2
-    rows = apply_mutation_sequence(fd, seq, args.mode)
-    last = rows[-1]
+    last = _table_rows(args)[-1]
     _emit(last, args.format, _table_text([last]))
     return 0
 
@@ -198,7 +209,7 @@ def cmd_poisson(args) -> int:
 
     fd = load_seed_file(args.seed)
     seed = Seed(fd)
-    ks = [args.k - 1] if args.k else list(fd.unfrozen)
+    ks = list(fd.unfrozen) if args.k is None else _directions([args.k], fd)
     ok_all = True
     reports = []
     lines = []
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scatter", help="complete a rank-2 scattering diagram")
     add_common(sp)
-    sp.add_argument("--order", type=int, default=2)
+    sp.add_argument("--order", type=nonnegative_int, default=2)
     sp.add_argument("--quantum", action="store_true")
     sp.add_argument("--side", choices=("A", "X"), default="A")
     sp.add_argument("--emit-svg")
@@ -265,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--gvector", required=True, help="a,b")
     sp.add_argument("--basepoint", required=True, help="x,y (fractions)")
-    sp.add_argument("--order", type=int, default=4, help="total bend degree")
-    sp.add_argument("--diagram-order", type=int, default=2)
+    sp.add_argument("--order", type=nonnegative_int, default=4, help="total bend degree")
+    sp.add_argument("--diagram-order", type=nonnegative_int, default=2)
     sp.add_argument("--filter-exponent", help="p,q")
     sp.add_argument("--classical", action="store_true")
     sp.add_argument("--emit-svg")
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pstar", help="compatible pair and p* intertwining")
     add_common(sp)
     sp.add_argument("--check-intertwining", action="store_true")
-    sp.add_argument("--order", type=int, default=8)
+    sp.add_argument("--order", type=nonnegative_int, default=8)
 
     sp = sub.add_parser("poisson", help="Poisson-map verification")
     add_common(sp)

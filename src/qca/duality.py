@@ -83,11 +83,8 @@ class CompatiblePair:
 
 def btilde_of(fd: FixedData) -> tuple[tuple[int, ...], ...]:
     """Btilde (|I| x |I_uf|): column per unfrozen k with entries eps_kj."""
-    eps = Seed(fd).epsilon()
-    cols = []
-    for k in fd.unfrozen:
-        cols.append([int(eps[k][j]) for j in range(fd.n)])
-    return tuple(tuple(cols[c][r] for c in range(len(cols))) for r in range(fd.n))
+    seed = Seed(fd)
+    return tuple(tuple(seed.exchange(k, j) for k in fd.unfrozen) for j in range(fd.n))
 
 
 def check_compatible_pair(Lambda, Btilde, unfrozen_cols=None) -> tuple[int, ...]:
@@ -159,15 +156,14 @@ def principal_compatible_pair(fd: FixedData) -> CompatiblePair:
         return v
 
     rows, rhs = [], []
-    eps = Seed(fd).epsilon()
-    uf = list(fd.unfrozen)
-    for pos, k in enumerate(uf):
+    bt = btilde_of(fd)
+    for col, k in enumerate(fd.unfrozen):
         for j in range(n):
             # sum_i eps_ki Lambda[i][j] = delta (target)
             acc = [Fraction(0)] * len(unknowns)
-            for i in range(n):
-                if eps[k][i]:
-                    acc = [a + eps[k][i] * b for a, b in zip(acc, lam_coeff(i, j))]
+            for i, row in enumerate(bt):
+                if row[col]:
+                    acc = [a + row[col] * b for a, b in zip(acc, lam_coeff(i, j))]
             target = Fraction(d, fd.d[k]) if j == k else Fraction(0)
             rows.append(acc)
             rhs.append(target)
@@ -196,7 +192,6 @@ def principal_compatible_pair(fd: FixedData) -> CompatiblePair:
         Lambda[i][j] = int(sol[a])
         Lambda[j][i] = -int(sol[a])
     Lt = tuple(tuple(r) for r in Lambda)
-    bt = btilde_of(fd)
     dprime = check_compatible_pair(Lt, bt, unfrozen_cols=fd.unfrozen)
     return CompatiblePair(Lt, bt, dprime)
 
@@ -250,17 +245,16 @@ class PStarHom:
         (k, i, ok) per unfrozen k and generator X_{i;mu_k(s)}, comparing the
         image of its X-side mutation with the A-side mutation of
         A^{p*(e_{i;mu_k(s)})} to the given order."""
-        from .mutation import mutate_a_word, mutate_word, x_torus
+        from .mutation import AMutationStep, XMutationStep, x_torus
 
         xalg = x_torus(self.fd)
         seed = Seed(self.fd)
         out = []
         for k in self.fd.unfrozen:
-            nxt = seed.mutate(k)
-            for i in range(self.fd.n):
-                w = FactoredWord.monomial(xalg, nxt.basis[i])
-                lhs = self.apply(mutate_word(w, k, seed))
-                aw = FactoredWord.monomial(self.atorus, self.pmap.apply(nxt.basis[i]))
-                rhs = mutate_a_word(aw, k, seed)
+            xstep = XMutationStep(seed, k, True, xalg)
+            astep = AMutationStep(seed, k, True, self.atorus)
+            for i, e in enumerate(seed.mutate(k).basis):
+                lhs = self.apply(xstep.apply(FactoredWord.monomial(xalg, e)))
+                rhs = astep.apply(FactoredWord.monomial(self.atorus, self.pmap.apply(e)))
                 out.append((k, i, words_equal(lhs, rhs, order)))
         return out

@@ -1,21 +1,28 @@
 """Mutation of cluster variables: classical and quantum, X- and A-side,
 with and without principal coefficients.
 
-Quantum X-mutation acts on factored words through the decomposition
-mu = mu# o mu': mu' is the coefficient twist X^v -> t^{-{v,e_k}d_k[-c_k]+} X^v
-(the exponent is unchanged because X^v is Weyl-ordered), and mu# is
-conjugation by the coefficient dilogarithm, evaluated with the finite
-factor-product formulas.  One :class:`XMutationStep` per mutation holds
-both parts (the twist's t-powers, the binomials and their running
-products), built once and applied to every word; iterating the steps
-backwards along a seed history expresses any chart's cluster variables in
-the initial chart, and a mutation table shares one step per mutation
-among all its rows.
+Each quantum side has one step object per mutation, built once and applied
+to any number of words.  An :class:`XMutationStep` holds mu = mu# o mu':
+mu' is the coefficient twist X^v -> t^{-{v,e_k}d_k[-c_k]+} X^v (the exponent
+is unchanged because X^v is Weyl-ordered), and mu# is conjugation by the
+coefficient dilogarithm, evaluated with the finite factor-product formulas.
+An :class:`AMutationStep` holds the Berenstein-Zelevinsky mutation: a
+monomial A^m decomposes over the mutated chart's f-basis, and only f'_k
+moves, to the exchange binomial B, whose powers the step builds once.  The
+seed carries that f-basis as integers, updated at each mutation by the
+dual-basis rule f'_k = -f_k + sum_j [-eps_kj]_+ f_j, f'_i = f_i (i != k).
+
+One pull-back serves both sides: the seeds along a sequence, one step per
+mutation, and each basis monomial of a seed (its basis on the X side, its
+f-basis on the A side) pulled back through the steps before it, last step
+first, gives that seed's cluster variables in the initial chart; a mutation
+table shares the steps among all its rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import mul
 
 from .commutative import CPoly, CRational
@@ -24,27 +31,17 @@ from .scalars import ONE, QScalar, tpow
 from .seeds import FixedData, Seed
 from .words import DilogConjugation, FactoredWord
 
-X_MODES = ("x-classical", "x-family", "x-quantum", "x-quantum-coeff")
-A_MODES = ("a-classical", "a-prin", "a-quantum")
-MODES = X_MODES + A_MODES
-
-
 def x_torus(fd: FixedData) -> SkewLattice:
     """The quantum X-torus: the form {.,.} itself is the q-exponent."""
     return SkewLattice(fd.n, fd.skew, fd.labels)
 
 
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _cvec_parts(seed: Seed, k: int, with_coefficients: bool):
+    """t^{[c_k]_+} and t^{[-c_k]_+}, or 1 and 1 without coefficients."""
     if not with_coefficients:
-        return None, ONE, ONE
+        return ONE, ONE
     c = seed.cvector(k)
-    cplus = tpow([max(x, 0) for x in c])
-    cminus = tpow([max(-x, 0) for x in c])
-    return c, cplus, cminus
+    return tpow([max(x, 0) for x in c]), tpow([max(-x, 0) for x in c])
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +62,8 @@ def _mutate_x_commutative(vars, k, seed, with_coefficients):
     fd = seed.fixed
     if k not in fd.unfrozen:
         raise ValueError(f"direction {k} is frozen")
-    eps = seed.epsilon()
     rank = fd.n
-    _, cplus, cminus = _cvec_parts(seed, k, with_coefficients)
+    cplus, cminus = _cvec_parts(seed, k, with_coefficients)
     tp = _scalar_to_cpoly(cplus, rank)
     tm = _scalar_to_cpoly(cminus, rank)
     out = []
@@ -75,11 +71,11 @@ def _mutate_x_commutative(vars, k, seed, with_coefficients):
         if i == k:
             out.append(vars[k].inverse())
             continue
-        e = int(eps[i][k])
+        e = seed.exchange(i, k)
         if e == 0:
             out.append(vars[i])
             continue
-        s = _sgn(e)
+        s = 1 if e > 0 else -1
         tpos = tp if s > 0 else tm          # t^{[sgn(eps_ik) c_k]_+}
         tneg = tm if s > 0 else tp          # t^{[-sgn(eps_ik) c_k]_+}
         inner = CRational(tpos) + CRational(tneg) * vars[k] ** (-s)
@@ -93,13 +89,12 @@ def mutate_a_classical(vars: list[CRational], k: int, seed: Seed,
     fd = seed.fixed
     if k not in fd.unfrozen:
         raise ValueError(f"direction {k} is frozen")
-    eps = seed.epsilon()
     rank = fd.n
-    _, cplus, cminus = _cvec_parts(seed, k, with_coefficients)
+    cplus, cminus = _cvec_parts(seed, k, with_coefficients)
     plus = CRational(_scalar_to_cpoly(cplus, rank))
     minus = CRational(_scalar_to_cpoly(cminus, rank))
     for j in range(rank):
-        e = int(eps[k][j])
+        e = seed.exchange(k, j)
         if e > 0:
             plus = plus * vars[j] ** e
         elif e < 0:
@@ -201,36 +196,6 @@ def mutate_word(w: FactoredWord, k: int, seed: Seed,
     return XMutationStep(seed, k, with_coefficients, w.algebra).apply(w)
 
 
-def _x_steps(fd: FixedData, sequence, with_coefficients: bool):
-    """The X-torus, the seeds along ``sequence`` (initial seed first) and
-    one step per mutation."""
-    alg = x_torus(fd)
-    seeds = [Seed(fd)]
-    for k in sequence:
-        seeds.append(seeds[-1].mutate(k))
-    return alg, seeds, [XMutationStep(s, k, with_coefficients, alg)
-                        for s, k in zip(seeds, sequence)]
-
-
-def _x_words(alg: SkewLattice, seed: Seed, steps) -> list[FactoredWord]:
-    """The cluster variables of ``seed`` in the initial chart: each basis
-    monomial pulled back through ``steps``, last step first."""
-    out = []
-    for v in seed.basis:
-        w = FactoredWord.monomial(alg, v)
-        for step in reversed(steps):
-            w = step.apply(w)
-        out.append(w.tidy())
-    return out
-
-
-def quantum_x_variables(fd: FixedData, sequence, with_coefficients: bool = True):
-    """Cluster variables of the seed reached by ``sequence``, expressed in
-    the initial chart as factored words.  Returns (seed, [words])."""
-    alg, seeds, steps = _x_steps(fd, sequence, with_coefficients)
-    return seeds[-1], _x_words(alg, seeds[-1], steps)
-
-
 # ---------------------------------------------------------------------------
 # quantum A-mutation (Berenstein-Zelevinsky with principal coefficients)
 
@@ -249,140 +214,169 @@ def a_mutation_binomial(alg: SkewLattice, k: int, seed: Seed,
                         with_coefficients: bool = True) -> QTorusElement:
     """mu(A_{k;s'}) = t^{[c_k]+} A^{-f_k + sum_{eps_kj>0} eps_kj f_j}
                     + t^{[-c_k]+} A^{-f_k - sum_{eps_kj<0} eps_kj f_j}."""
-    fd = seed.fixed
-    eps = seed.epsilon()
     f = seed.f_basis()
-    _, cplus, cminus = _cvec_parts(seed, k, with_coefficients)
-    vplus = list(int(-x) for x in f[k])
+    cplus, cminus = _cvec_parts(seed, k, with_coefficients)
+    vplus = [-x for x in f[k]]
     vminus = list(vplus)
-    for j in range(fd.n):
-        e = int(eps[k][j])
+    for j, fj in enumerate(f):
+        e = seed.exchange(k, j)
         if e > 0:
-            vplus = [a + e * b for a, b in zip(vplus, f[j])]
+            vplus = [a + e * b for a, b in zip(vplus, fj)]
         elif e < 0:
-            vminus = [a - e * b for a, b in zip(vminus, f[j])]
+            vminus = [a - e * b for a, b in zip(vminus, fj)]
     return QTorusElement(alg, {tuple(vplus): cplus}) \
         + QTorusElement(alg, {tuple(vminus): cminus})
 
 
-def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
-                  with_coefficients: bool = True) -> FactoredWord:
-    """BZ quantum A-mutation applied to a word.
+class AMutationStep:
+    """One quantum A-mutation at direction k of ``seed``, built once and
+    applied to any number of words on ``algebra``, a quantum A-torus of the
+    seed's fixed data.
 
-    Monomials decompose over the mutated chart's f-basis; the only moving
-    generator contributes powers of the two-term element B.  A polynomial
-    atom whose monomials have different coordinates a_m along the mutated
-    direction keeps the common power B^amin as separate atoms and expands
-    the rest.
+    A monomial A^m decomposes over the mutated chart's f-basis; only the
+    generator f'_k = f_{k;mu_k(s)} moves, to the two-term element B of
+    :func:`a_mutation_binomial`.  The step holds f'_k, the pairing row that
+    reads off the coordinate a_k(m) = <d_k e'_k, m> of m along f'_k, B, and
+    the powers B^j, each built the first time it is needed.  :meth:`apply`
+    maps each atom in one pass.
     """
-    fd = seed.fixed
-    if k not in fd.unfrozen:
-        raise ValueError(f"direction {k} is frozen")
-    alg = w.algebra
-    new_seed = seed.mutate(k)
-    ekp = new_seed.basis[k]    # e_{k;s'} = -e_{k;s}
-    fkp = new_seed.f_basis()[k]
-    dk = fd.d[k]
-    binom = a_mutation_binomial(alg, k, seed, with_coefficients)
 
-    def mono_image(m, c):
-        """Image of c A^m as (element, list of binomial powers)."""
-        # <d_k e_{k;s'}, m>, the coordinate of m along the mutated direction
-        ak = fd.integral(fd.pair_int(ekp, m) * dk, "A-mutation coordinate")
+    __slots__ = ("fixed", "algebra", "binomial", "_arow", "_fkp", "_powers")
+
+    def __init__(self, seed: Seed, k: int, with_coefficients: bool,
+                 algebra: SkewLattice):
+        fd = seed.fixed
+        self.fixed, self.algebra = fd, algebra
+        self._fkp = seed.mutate(k).f_basis()[k]  # raises on a frozen k
+        # form_den * <d_k e'_k, m> = arow . m, with e'_k = -e_{k;s}
+        dk = fd.d[k]
+        self._arow = [-dk * x * fd.prin[i][fd.n + i] for i, x in enumerate(seed.basis[k])]
+        self.binomial = a_mutation_binomial(algebra, k, seed, with_coefficients)
+        self._powers = [QTorusElement.one(algebra)]
+
+    def _image(self, m, c):
+        """c A^m = lead B^(a_k) as (lead, a_k)."""
+        alg, fkp = self.algebra, self._fkp
+        ak = self.fixed.integral(sum(map(mul, self._arow, m)), "A-mutation coordinate")
         if ak == 0:
             return QTorusElement(alg, {vec(m): c}), 0
         mbar = tuple(x - ak * y for x, y in zip(m, fkp))
         kappa = alg.omega_int(mbar, tuple(ak * y for y in fkp))
-        lead = QTorusElement(alg, {mbar: c._qshift(-kappa, alg.form_den)})
-        return lead, ak
+        return QTorusElement(alg, {mbar: c._qshift(-kappa, alg.form_den)}), ak
 
-    # B^j = (...((1 * B) * B)...) * B, built once each, as B ** j builds it
-    powers = [QTorusElement.one(alg)]
-    out_atoms = []
-    prefix = w.prefix
-    for p, s in w.atoms:
-        # sum_m lead_m B^(a_m) = (sum_m lead_m B^(a_m - amin)) B^amin
-        images = [mono_image(m, c) for m, c in p.terms.items()]
-        amin = min(ak for _, ak in images)
-        mapped = QTorusElement(alg, {})
-        for lead, ak in images:
-            j = ak - amin
-            if j:
-                while len(powers) <= j:
-                    powers.append(powers[-1] * binom)
-                lead = lead * powers[j]
-            mapped = mapped + lead
-        piece = FactoredWord.from_element(mapped) * _power_word(binom, amin)
-        if s == -1:
-            piece = piece.inverse()
-        prefix = prefix * piece.prefix
-        out_atoms.extend(piece.atoms)
-    return FactoredWord(alg, prefix, out_atoms)
+    def apply(self, w: FactoredWord) -> FactoredWord:
+        """The mutation of w.  A polynomial atom whose monomials have
+        different coordinates a_m along the mutated direction keeps the
+        common power B^amin as separate atoms and expands the rest:
+        sum_m lead_m B^(a_m) = (sum_m lead_m B^(a_m - amin)) B^amin."""
+        alg, binom, powers = self.algebra, self.binomial, self._powers
+        atoms = []
+        for p, s in w.atoms:
+            images = [self._image(m, c) for m, c in p.terms.items()]
+            amin = min(ak for _, ak in images)
+            mapped = QTorusElement(alg, {})
+            for lead, ak in images:
+                if ak != amin:
+                    # B^j = (...((1 * B) * B)...) * B, built once each
+                    while len(powers) <= ak - amin:
+                        powers.append(powers[-1] * binom)
+                    lead = lead * powers[ak - amin]
+                mapped = mapped + lead
+            piece = ((mapped, 1),) + ((binom, 1 if amin > 0 else -1),) * abs(amin)
+            atoms.extend(piece if s == 1 else [(q, -e) for q, e in reversed(piece)])
+        return FactoredWord(alg, w.prefix, atoms)
 
 
-def _power_word(elem: QTorusElement, k: int) -> FactoredWord:
-    if k == 0:
-        return FactoredWord.one(elem.algebra)
-    sign = 1 if k > 0 else -1
-    return FactoredWord(elem.algebra, ONE, ((elem, sign),) * abs(k))
+def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
+                  with_coefficients: bool = True) -> FactoredWord:
+    """One quantum A-mutation applied to a word.  Each call builds its own
+    step; a caller mutating many words builds one :class:`AMutationStep`
+    and applies it to each."""
+    return AMutationStep(seed, k, with_coefficients, w.algebra).apply(w)
+
+
+# ---------------------------------------------------------------------------
+# cluster variables in the initial chart, X- and A-side
+
+
+def _steps(fd: FixedData, sequence, step, with_coefficients: bool,
+           algebra: SkewLattice):
+    """The seeds along ``sequence`` (initial seed first) and one ``step``
+    (XMutationStep or AMutationStep) per mutation."""
+    seeds = [Seed(fd)]
+    for k in sequence:
+        seeds.append(seeds[-1].mutate(k))
+    return seeds, [step(s, k, with_coefficients, algebra)
+                   for s, k in zip(seeds, sequence)]
+
+
+def _pull_back(algebra: SkewLattice, exponents, steps) -> list[FactoredWord]:
+    """Each monomial of ``exponents`` pulled back through ``steps``, last
+    step first: for the basis (X-side) or f-basis (A-side) of the seed that
+    the steps reach, its cluster variables in the initial chart."""
+    out = []
+    for v in exponents:
+        w = FactoredWord.monomial(algebra, v)
+        for step in reversed(steps):
+            w = step.apply(w)
+        out.append(w)
+    return out
+
+
+def quantum_x_variables(fd: FixedData, sequence, with_coefficients: bool = True):
+    """Cluster variables of the seed reached by ``sequence``, expressed in
+    the initial chart as factored words.  Returns (seed, [words])."""
+    alg = x_torus(fd)
+    seeds, steps = _steps(fd, sequence, XMutationStep, with_coefficients, alg)
+    return seeds[-1], [w.tidy() for w in _pull_back(alg, seeds[-1].basis, steps)]
 
 
 # ---------------------------------------------------------------------------
 # mutation tables
 
 
-def classical_x_table(fd: FixedData, sequence, with_coefficients: bool):
-    """Rows of (seed, [CRational variables in the initial chart])."""
-    rank = fd.n
+def _classical_table(fd: FixedData, sequence, mutate):
+    """Rows of (seed, [CRational variables in the initial chart]), one
+    ``mutate(variables, k, seed)`` per step."""
     seed = Seed(fd)
-    vars_now = [CRational.variable(rank, i) for i in range(rank)]
-    rows = [(seed, list(vars_now))]
-    mut = mutate_x_family if with_coefficients else mutate_x_classical
+    variables = [CRational.variable(fd.n, i) for i in range(fd.n)]
+    rows = [(seed, variables)]
     for k in sequence:
-        vars_now = mut(vars_now, k, seed)
+        variables = mutate(variables, k, seed)
         seed = seed.mutate(k)
-        rows.append((seed, list(vars_now)))
+        rows.append((seed, variables))
     return rows
+
+
+def classical_x_table(fd: FixedData, sequence, with_coefficients: bool):
+    return _classical_table(fd, sequence, mutate_x_family if with_coefficients
+                            else mutate_x_classical)
 
 
 def classical_a_table(fd: FixedData, sequence, with_coefficients: bool):
-    rank = fd.n
-    seed = Seed(fd)
-    vars_now = [CRational.variable(rank, i) for i in range(rank)]
-    rows = [(seed, list(vars_now))]
-    for k in sequence:
-        vars_now = mutate_a_classical(vars_now, k, seed, with_coefficients)
-        seed = seed.mutate(k)
-        rows.append((seed, list(vars_now)))
-    return rows
+    return _classical_table(fd, sequence, partial(
+        mutate_a_classical, with_coefficients=with_coefficients))
 
 
 def quantum_x_table(fd: FixedData, sequence, with_coefficients: bool):
     """Rows of (seed, [X-variable words in the initial chart]); the seeds
     and steps are built once and shared by every row."""
-    alg, seeds, steps = _x_steps(fd, sequence, with_coefficients)
-    return [(seed, _x_words(alg, seed, steps[:i])) for i, seed in enumerate(seeds)]
+    alg = x_torus(fd)
+    seeds, steps = _steps(fd, sequence, XMutationStep, with_coefficients, alg)
+    return [(s, [w.tidy() for w in _pull_back(alg, s.basis, steps[:i])])
+            for i, s in enumerate(seeds)]
 
 
 def quantum_a_table(fd: FixedData, sequence):
     """Rows of (seed, [A-variable words in the initial chart]) on the
-    quantum A-torus of the principal compatible pair."""
+    quantum A-torus of the principal compatible pair, with principal
+    coefficients; the seeds and steps are built once and shared by every
+    row."""
     from .duality import principal_compatible_pair
 
     alg = a_torus(fd, principal_compatible_pair(fd).Lambda)
-    seeds = [Seed(fd)]
-    for k in sequence:
-        seeds.append(seeds[-1].mutate(k))
-    rows = []
-    for step, s in enumerate(seeds):
-        out = []
-        for f in s.f_basis():
-            w = FactoredWord.monomial(alg, f)
-            for j in range(step - 1, -1, -1):
-                w = mutate_a_word(w, sequence[j], seeds[j], True)
-            out.append(w)
-        rows.append((s, out))
-    return rows
+    seeds, steps = _steps(fd, sequence, AMutationStep, True, alg)
+    return [(s, _pull_back(alg, s.f_basis(), steps[:i])) for i, s in enumerate(seeds)]
 
 
 def word_to_classical(w: FactoredWord) -> CRational:
@@ -409,35 +403,31 @@ def _scalar_to_crational(scalar: QScalar, rank: int) -> CRational:
     return CRational(CPoly(rank, {zero: cn}), [CPoly(rank, {zero: cd})])
 
 
+# mode -> its table, a function of (fixed data, sequence)
+TABLES = {
+    "x-classical": partial(classical_x_table, with_coefficients=False),
+    "x-family": partial(classical_x_table, with_coefficients=True),
+    "x-quantum": partial(quantum_x_table, with_coefficients=False),
+    "x-quantum-coeff": partial(quantum_x_table, with_coefficients=True),
+    "a-classical": partial(classical_a_table, with_coefficients=False),
+    "a-prin": partial(classical_a_table, with_coefficients=True),
+    "a-quantum": quantum_a_table,
+}
+MODES = tuple(TABLES)
+
+
 def apply_mutation_sequence(fd: FixedData, sequence, mode: str):
     """Table rows for any mode; variables rendered deterministically."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
     if mode in ("x-family", "a-prin") and fd.coefficients != "principal":
         raise ValueError(f"mode {mode} requires principal coefficients")
-    rows = []
-    if mode == "x-classical":
-        data = classical_x_table(fd, sequence, with_coefficients=False)
-    elif mode == "x-family":
-        data = classical_x_table(fd, sequence, with_coefficients=True)
-    elif mode == "a-classical":
-        data = classical_a_table(fd, sequence, with_coefficients=False)
-    elif mode == "a-prin":
-        data = classical_a_table(fd, sequence, with_coefficients=True)
-    elif mode in ("x-quantum", "x-quantum-coeff"):
-        data = quantum_x_table(fd, sequence, mode == "x-quantum-coeff")
-    else:  # a-quantum
-        data = quantum_a_table(fd, sequence)
-    for step, (seed, variables) in enumerate(data):
-        rows.append({
-            "step": step,
-            "mutation": seed.history[-1] + 1 if seed.history else None,
-            "epsilon": [[int(x) if x.denominator == 1 else str(x) for x in r]
-                        for r in seed.epsilon()],
-            "cvectors": [list(c) for c in seed.cvectors()],
-            "variables": [
-                v.render(fd.labels) if isinstance(v, CRational) else v.render()
-                for v in variables
-            ],
-        })
-    return rows
+    return [{
+        "step": step,
+        "mutation": seed.history[-1] + 1 if seed.history else None,
+        "epsilon": [[int(x) if x.denominator == 1 else str(x) for x in r]
+                    for r in seed.epsilon()],
+        "cvectors": [list(c) for c in seed.cvectors()],
+        "variables": [v.render(fd.labels) if isinstance(v, CRational) else v.render()
+                      for v in variables],
+    } for step, (seed, variables) in enumerate(TABLES[mode](fd, sequence))]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .commutative import CPoly, CRational
-from .mutation import mutate_x_family, mutate_x_classical
+from .mutation import mutate_x_family
 from .qtorus import QTorusElement
 from .scalars import TScalar
 from .seeds import Seed
@@ -65,18 +65,16 @@ def poisson_bracket(f: CRational, g: CRational, seed: Seed) -> CRational:
     return out
 
 
-def check_poisson_map(seed: Seed, k: int, extra_pairs=(),
-                      with_coefficients: bool = True) -> dict:
+def check_poisson_map(seed: Seed, k: int) -> dict:
     """Verify mu*{f,g}_{G'} = {mu*f, mu*g}_G for all generator pairs of the
-    mutated chart (plus any extra pairs), as exact rational identities."""
+    mutated chart, mu the family mutation with principal coefficients, as
+    exact rational identities."""
     fd = seed.fixed
     rank = fd.n
     primed = seed.mutate(k)
     gens = [CRational.variable(rank, i) for i in range(rank)]
-    mut = mutate_x_family if with_coefficients else mutate_x_classical
-    images = mut(gens, k, seed)  # pullbacks of the primed coordinates
+    images = mutate_x_family(gens, k, seed)  # pullbacks of the primed coordinates
     pairs = [(gens[i], gens[j]) for i in range(rank) for j in range(i + 1, rank)]
-    pairs += list(extra_pairs)
     report = {"pairs": [], "ok": True}
     for f, g in pairs:
         lhs = poisson_bracket(f, g, primed).substitute(images)

@@ -74,7 +74,7 @@ class ScatteringDiagram:
     """Rank-2 diagram over a seed, classical or quantum, A- or X-side."""
 
     def __init__(self, fd: FixedData, side: str = "A", quantum: bool = False,
-                 order: int = 2, degree_weights=None, Lambda=None):
+                 order: int = 2, Lambda=None):
         if fd.n != 2 or len(fd.unfrozen) != 2:
             raise ValueError("scattering diagrams are implemented in rank 2")
         if side not in ("A", "X"):
@@ -90,7 +90,6 @@ class ScatteringDiagram:
             raise ValueError(
                 "p1* is not injective on the unfrozen sublattice "
                 "(known as the injectivity assumption)")
-        self.delta = tuple(degree_weights or (1,) * fd.n)  # degree on N+
         if side == "A":
             self.dir_map = self.pmap.apply
             if quantum:
@@ -107,9 +106,16 @@ class ScatteringDiagram:
             self.dir_map = lambda n: vec(n)
             self.Lambda = None
             self.torus = x_torus(fd)
-        # integer grading on torus exponents: dvec . m = dscale * degree(n)
-        # for m = dir_map(n)
-        self.dvec, self.dscale = self._torus_grading()
+        # dir_map's matrix, inverted once: n = inv . m solves dir_map(n) = m,
+        # and the degree n1 + n2 on N+ is the integer grading dvec . m / dscale
+        (a, b), (c, d) = (self.dir_map(e) for e in ((1, 0), (0, 1)))
+        det = a * d - b * c
+        if det == 0:
+            raise ValueError("p1* image is degenerate")
+        self._inv = tuple(tuple(Fraction(x, det) for x in row) for row in ((d, -c), (-b, a)))
+        grading = [x + y for x, y in zip(*self._inv)]
+        self.dscale = lcm(*(x.denominator for x in grading))
+        self.dvec = tuple(int(x * self.dscale) for x in grading)
         self.walls: list[Wall] = []
         # (wall id, sign, p) -> the crossing factor F, a FlatSeries at the
         # highest relative order asked for; a dilogarithm or classical F_p is
@@ -117,7 +123,7 @@ class ScatteringDiagram:
         self._fcache: dict = {}
         self._scale = self.torus.form_den  # L: u = q^{1/L} in _fcache
         self._f = 1                        # L / form_den
-        self._seq_cache: dict = {}  # (orientation, base) -> crossing list
+        self._seq_cache: dict = {}  # orientation -> crossing list
 
     def _forget(self, wall: Wall):
         """Drop the cached factors of ``wall``, whose function changed."""
@@ -134,18 +140,6 @@ class ScatteringDiagram:
             self._fcache = {key: f.rescale(r) for key, f in self._fcache.items()}
             self._scale, self._f = scale, scale // self.torus.form_den
         return scale
-
-    # -- grading -------------------------------------------------------------
-    def _torus_grading(self):
-        cols = [self.dir_map(b) for b in ((1, 0), (0, 1))]
-        det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-        if det == 0:
-            raise ValueError("p1* image is degenerate")
-        # solve dvec . cols[i] = delta_i over Q, then clear denominators
-        d1 = Fraction(self.delta[0] * cols[1][1] - self.delta[1] * cols[0][1], det)
-        d2 = Fraction(self.delta[1] * cols[0][0] - self.delta[0] * cols[1][0], det)
-        scale = lcm(d1.denominator, d2.denominator)
-        return (int(d1 * scale), int(d2 * scale)), scale
 
     # -- pairings -----------------------------------------------------------------
     def nprime(self, n0) -> tuple[int, ...]:
@@ -288,13 +282,13 @@ class ScatteringDiagram:
             b = g1
         return b
 
-    def crossing_sequence(self, orientation: str = "ccw", base=None):
-        """All (ray, wall, sign) crossings of the full loop in order."""
-        key = (orientation, base)  # base None: the chamber's, found once
-        cached = self._seq_cache.get(key)
+    def crossing_sequence(self, orientation: str = "ccw"):
+        """All (ray, wall, sign) crossings of the full loop in order, from
+        the initial chamber's base direction."""
+        cached = self._seq_cache.get(orientation)
         if cached is not None:
             return cached
-        base = base or self.base_direction()
+        base = self.base_direction()
         items = [(r, w) for w in self.walls for r in w.rays()]
         if any(cross2(base, r) == 0 for r, _ in items):
             raise ValueError("loop base point lies on a wall; move it")
@@ -304,7 +298,7 @@ class ScatteringDiagram:
             out = [(r, w, -s) for r, w, s in reversed(out)]
         elif orientation != "ccw":
             raise ValueError("orientation must be 'ccw' or 'cw'")
-        self._seq_cache[key] = out
+        self._seq_cache[orientation] = out
         return out
 
     def _loop_sign(self, normal, r) -> int:
@@ -314,7 +308,7 @@ class ScatteringDiagram:
             raise ConsistencyError(f"the loop is tangent to the wall on {r}")
         return 1 if s > 0 else -1
 
-    def _loop(self, monomial, order, orientation, base):
+    def _loop(self, monomial, order, orientation):
         """The full-loop product applied to X^monomial on the flat ring:
         (terms, den, cutoff), the product being the terms over den."""
         order = order if order is not None else self.order
@@ -322,23 +316,22 @@ class ScatteringDiagram:
         cutoff = degree(self.dvec, m) + order * self.dscale
         self._flat_scale()
         terms, den = {m: FLAT_ONE}, FLAT_ONE
-        for _, wall, sgn in self.crossing_sequence(orientation, base):
+        for _, wall, sgn in self.crossing_sequence(orientation):
             terms, d = self._cross(wall, terms, sgn, cutoff)
             if d is not FLAT_ONE:
                 den = flat_mul(den, d)
         return terms, den, cutoff
 
-    def path_ordered_product(self, monomial, order=None, orientation="ccw",
-                             base=None) -> Series:
+    def path_ordered_product(self, monomial, order=None, orientation="ccw") -> Series:
         """The full-loop product applied to A^monomial, exact to the given
         order (in paper degrees) above the monomial's own degree."""
-        return self._series(*self._loop(monomial, order, orientation, base))
+        return self._series(*self._loop(monomial, order, orientation))
 
     def is_consistent(self, monomials, order=None, orientation="ccw") -> bool:
         """True iff the loop fixes each monomial to ``order``: its flat
         product is that monomial over its own denominator exactly."""
         for m in monomials:
-            terms, den, _ = self._loop(m, order, orientation, None)
+            terms, den, _ = self._loop(m, order, orientation)
             if terms != {vec(m): den}:
                 return False
         return True
@@ -400,9 +393,9 @@ def _ccw_key(base, r):
 
 
 def initial_diagram(fd: FixedData, side: str = "A", quantum: bool = False,
-                    order: int = 2, degree_weights=None, Lambda=None) -> ScatteringDiagram:
+                    order: int = 2, Lambda=None) -> ScatteringDiagram:
     """One full-line incoming wall per unfrozen direction."""
-    dg = ScatteringDiagram(fd, side, quantum, order, degree_weights, Lambda)
+    dg = ScatteringDiagram(fd, side, quantum, order, Lambda)
     d = fd.d_lcm
     for i in fd.unfrozen:
         n0 = (1 if i == 0 else 0, 1 if i == 1 else 0)
@@ -443,7 +436,7 @@ def complete_to_order(diagram: ScatteringDiagram, order: int) -> ScatteringDiagr
     is the identity to a given order as soon as it fixes +-e1 and +-e2 to
     that order (Kontsevich-Soibelman; Gross-Pandharipande-Siebert)."""
     dg = ScatteringDiagram(diagram.fd, diagram.side, diagram.quantum, order,
-                           diagram.delta, diagram.Lambda)
+                           diagram.Lambda)
     dg.walls = [_copy_wall(w) for w in diagram.walls]
     for k in range(2, order + 1):
         _complete_degree(dg, k)
@@ -532,10 +525,7 @@ def _insert_wall(dg: ScatteringDiagram, m, k: int, entries) -> None:
 
 def _normal_of_direction(dg: ScatteringDiagram, m) -> tuple[int, int]:
     """Solve p1*(n) = m for n in N+, integral."""
-    cols = [dg.dir_map(b) for b in ((1, 0), (0, 1))]
-    det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-    a = Fraction(m[0] * cols[1][1] - m[1] * cols[1][0], det)
-    b = Fraction(m[1] * cols[0][0] - m[0] * cols[0][1], det)
+    a, b = (sum(map(mul, row, m)) for row in dg._inv)
     if a.denominator != 1 or b.denominator != 1:
         raise ConsistencyError(f"direction {m} is not in the image of p1*")
     if a < 0 or b < 0 or (a == 0 and b == 0):

@@ -117,25 +117,23 @@ def make_fixed_data(skew, d=None, unfrozen=None, labels=None,
 
 class Seed:
     """A seed of the fixed data: the current basis of N and of the principal
-    extension, the exchange matrices, c-vectors, and the mutation history.
+    extension, the exchange matrices, c-vectors, the f-basis of M* and the
+    mutation history.
 
     ``gram`` holds form_den * {e~_i, e~_j}_prin over the basis rows ``ext``;
-    the exchange matrices and c-vectors are read off it."""
+    the exchange matrices and c-vectors are read off it.  ``fbasis`` holds the
+    rows f_{i;s}, the dual basis of {d_i e_{i;s}}, carried along by mutation
+    as integers."""
 
-    __slots__ = ("fixed", "ext", "history", "gram")
+    __slots__ = ("fixed", "ext", "history", "gram", "fbasis")
 
-    def __init__(self, fixed: FixedData, ext=None, history=(), gram=None):
-        self.fixed = fixed
+    def __init__(self, fixed: FixedData, ext=None, history=(), gram=None, fbasis=None):
+        """The initial seed of ``fixed``; ``mutate`` passes the mutated
+        ``ext``, ``gram`` and ``fbasis``."""
         if ext is None:
-            n = fixed.n
-            ext = tuple(tuple(1 if i == j else 0 for j in range(2 * n))
-                        for i in range(2 * n))
-            gram = fixed.prin
-        elif gram is None:
-            gram = tuple(tuple(fixed.form_int(a, b) for b in ext) for a in ext)
-        self.ext = ext
-        self.history = tuple(history)
-        self.gram = gram
+            ext, gram, fbasis = _identity(2 * fixed.n), fixed.prin, _identity(fixed.n)
+        self.fixed, self.ext, self.history = fixed, ext, tuple(history)
+        self.gram, self.fbasis = gram, fbasis
 
     # -- views ------------------------------------------------------------------
     @property
@@ -150,9 +148,17 @@ class Seed:
                      for row in self.gram[:fd.n])
 
     def epsilon(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exchange matrix for display: an entry between two frozen
+        directions may be a fraction."""
         fd = self.fixed
         return tuple(tuple(Fraction(x * dj, fd.form_den) for x, dj in zip(row, fd.d))
                      for row in self.gram[:fd.n])
+
+    def exchange(self, i: int, j: int) -> int:
+        """eps~_ij = {e~_i, e~_j}_prin d_j (j < n), the integer exchange entry
+        every mutation formula reads: integral whenever i or j is unfrozen."""
+        fd = self.fixed
+        return fd.integral(self.gram[i][j] * fd.d[j], "exchange matrix entry")
 
     def cvector(self, k: int) -> tuple[int, ...]:
         """c_{k;s}: the k-th row of the mixed block of the extended exchange
@@ -167,21 +173,7 @@ class Seed:
     def f_basis(self) -> tuple[tuple[int, ...], ...]:
         """Rows f_{i;s} in initial f-coordinates: the dual basis of
         {d_i e_{i;s}}, integral because both are bases of M*."""
-        fd = self.fixed
-        n = fd.n
-        e = [[Fraction(x) for x in row[:n]] for row in self.ext[:n]]
-        inv = _mat_inverse(e)
-        # f_{i;s} coords: F = D^{-1} (E^{-1})^T D
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                v = inv[j][i] * Fraction(fd.d[j], fd.d[i])
-                if v.denominator != 1:
-                    raise ArithmeticError("f-basis is not integral")
-                row.append(int(v))
-            out.append(tuple(row))
-        return tuple(out)
+        return self.fbasis
 
     # -- mutation ------------------------------------------------------------------
     def mutate(self, k: int) -> "Seed":
@@ -189,10 +181,9 @@ class Seed:
         if k not in fd.unfrozen:
             raise ValueError(f"direction {k} is frozen")
         # e~_i -> e~_i + a_i e~_k (i != k), e~_k -> -e~_k with
-        # a_i = [eps~_ik]_+ = [{e~_i, e~_k}_prin d_k]_+ (a_k = 0)
+        # a_i = [eps~_ik]_+ (a_k = 0)
         g, gk, ek = self.gram, self.gram[k], self.ext[k]
-        a = [max(fd.integral(row[k] * fd.d[k], "extended exchange entry"), 0)
-             for row in g]
+        a = [max(self.exchange(i, k), 0) for i in range(len(g))]
         ext = tuple(tuple(-x for x in ek) if i == k
                     else tuple(x + ai * y for x, y in zip(row, ek)) if ai else row
                     for i, (row, ai) in enumerate(zip(self.ext, a)))
@@ -201,7 +192,15 @@ class Seed:
         gram = tuple(tuple(-x if (i == k) != (j == k) else x - aj * gk[i] + ai * gk[j]
                            for j, (x, aj) in enumerate(zip(row, a)))
                      for i, (row, ai) in enumerate(zip(g, a)))
-        return Seed(fd, ext, self.history + (k,), gram)
+        # the dual basis: f_k -> -f_k + sum_j [-eps_kj]_+ f_j, f_i fixed (i != k)
+        f = self.fbasis
+        fk = [-x for x in f[k]]
+        for j, fj in enumerate(f):
+            b = max(-self.exchange(k, j), 0)
+            if b:
+                fk = [x + b * y for x, y in zip(fk, fj)]
+        fbasis = f[:k] + (tuple(fk),) + f[k + 1:]
+        return Seed(fd, ext, self.history + (k,), gram, fbasis)
 
     def mutate_sequence(self, ks) -> "Seed":
         s = self
@@ -211,6 +210,10 @@ class Seed:
 
     def __repr__(self):
         return f"Seed(history={list(self.history)})"
+
+
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def row_reduce(rows, ncols):
@@ -233,15 +236,6 @@ def row_reduce(rows, ncols):
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
-
-
-def _mat_inverse(m):
-    n = len(m)
-    a, pivots = row_reduce([list(row) + [Fraction(int(i == j)) for j in range(n)]
-                            for i, row in enumerate(m)], n)
-    if len(pivots) < n:
-        raise ArithmeticError("singular matrix")
-    return [row[n:] for row in a]
 
 
 def langlands_dual(fd: FixedData) -> FixedData:

@@ -205,6 +205,43 @@ def test_theta_vectors_have_two_entries(flag, values, seeds, capsys):
         assert err == f"error: {flag} takes two comma-separated entries, got {value!r}\n"
 
 
+@pytest.mark.parametrize("k", ["0", "3", "-1"])
+def test_poisson_direction_is_checked(k, seeds, capsys):
+    # --k 0 used to check every direction; 3 and -1 named directions 2, -2
+    code, out, err = run(capsys, ["poisson", "--seed", seeds["a2"], f"--k={k}"])
+    assert (code, out) == (2, "")
+    assert err == "error: mutation indices are 1-based directions\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["poisson", "--k", "3"],
+    ["table", "--sequence", "1,3", "--mode", "x-classical"],
+    ["mutate", "--sequence", "3", "--mode", "a-quantum"],
+])
+def test_frozen_direction_is_named_one_based(argv, capsys, tmp_path):
+    path = tmp_path / "rank3_frozen.json"
+    save_seed_file(fixtures.rank3_frozen(), path)
+    code, out, err = run(capsys, [argv[0], "--seed", str(path)] + argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: direction 3 is frozen\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pstar", "--seed", "a2", "--check-intertwining", "--order=-1"],
+    ["theta", "--seed", "a23", "--gvector=-3,5", "--basepoint", "1,1", "--order=-1"],
+    ["theta", "--seed", "a23", "--gvector=-3,5", "--basepoint", "1,1",
+     "--diagram-order=-1"],
+    ["scatter", "--seed", "a23", "--quantum", "--order=-1"],
+])
+def test_negative_orders_are_usage_errors(argv, seeds, capsys):
+    argv = [seeds.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag = argv[-1].split("=")[0]
+    assert f"argument {flag}: must be nonnegative, got -1" in capsys.readouterr().err
+
+
 def test_parser_suites_are_the_check_suites():
     from qca import checks, cli
 

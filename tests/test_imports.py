@@ -85,6 +85,15 @@ def test_a_classical_table_loads_no_other_layer():
         "scatter", "theta", "render", "duality", "poisson", "checks", "expansion")}
 
 
+def test_the_tables_suite_loads_only_its_layers():
+    loaded = loaded_after(
+        "from qca import cli\n"
+        "assert cli.main(['check', '--suite', 'tables']) == 0")
+    assert "qca.checks" in loaded and "qca.mutation" in loaded
+    assert not loaded & {f"qca.{m}" for m in (
+        "scatter", "theta", "render", "duality", "poisson")}
+
+
 def test_star_import_binds_every_public_name():
     out = run_fresh(
         "import qca\n"

@@ -1,11 +1,14 @@
+import itertools
 import os
 
 import pytest
 
+from qca import fixtures, mutation
 from qca.checks import A2_SEQ, double_mutation_is_identity
 from qca.commutative import CPoly, CRational
 from qca.fixtures import a2_tables
 from qca.mutation import (
+    AMutationStep,
     apply_mutation_sequence,
     classical_a_table,
     mu_prime_word,
@@ -149,3 +152,49 @@ def test_a2_quantum_pentagon_ends_in_the_swapped_initial_cluster():
     alg = words[0].algebra
     for w, e in zip(words, ((0, 1), (1, 0))):
         assert words_equal(w, FactoredWord.monomial(alg, e), 6)
+
+
+@pytest.mark.parametrize("name", ["a2", "a23", "a2-scattering", "rank3-frozen"])
+def test_a_side_double_mutation_is_the_identity(name):
+    # for every prefix of length <= 2 and every direction k, the row after
+    # prefix + [k, k] equals the row after prefix
+    fd = fixtures.ALL[name]()
+    failed = []
+    for length in range(3):
+        for prefix in itertools.product(fd.unfrozen, repeat=length):
+            for k in fd.unfrozen:
+                rows = quantum_a_table(fd, list(prefix) + [k, k])
+                before, after = rows[length][1], rows[-1][1]
+                if not all(words_equal(a, b, 6) for a, b in zip(after, before)):
+                    failed.append((prefix, k))
+    assert failed == []
+
+
+def test_a_quantum_table_builds_one_binomial_per_mutation(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return binomial(*args, **kwargs)
+
+    binomial = mutation.a_mutation_binomial
+    monkeypatch.setattr(mutation, "a_mutation_binomial", counted)
+    fd, seq = _seed_and_sequence("a2", "2,1,2,1,2")
+    quantum_a_table(fd, seq)
+    assert calls == seq
+
+
+def test_a_mutation_step_is_mutate_a_word():
+    # one step serves every word as the one-call form does, powers included
+    fd, seq = _seed_and_sequence("a23", "2,2,1")
+    rows = quantum_a_table(fd, seq)
+    alg = rows[0][1][0].algebra
+    seed = Seed(fd)
+    for k in fd.unfrozen:
+        step = AMutationStep(seed, k, True, alg)
+        for _, words in rows:
+            for w in words:
+                assert step.apply(w).render() == mutation.mutate_a_word(w, k, seed).render()
+    # a frozen direction is rejected before the torus is read
+    with pytest.raises(ValueError, match="direction 2 is frozen"):
+        AMutationStep(Seed(fixtures.rank3_frozen()), 2, True, None)

@@ -225,6 +225,23 @@ def reference_mutate(fd, ext, k):
     return tuple(out)
 
 
+def reference_f_basis(fd, ext):
+    """The dual basis of {d_i e_i} over the rows e_i of ``ext``, in initial
+    f-coordinates: F = D^-1 (E^-1)^T D, E^-1 by Fraction Gauss-Jordan."""
+    n = fd.n
+    m = [[Fraction(x) for x in row[:n]] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(ext[:n])]
+    for c in range(n):
+        p = next(r for r in range(c, n) if m[r][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    return tuple(tuple(m[j][n + i] * Fraction(fd.d[j], fd.d[i]) for j in range(n))
+                 for i in range(n))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(fixed_data(), st.data())
 def test_seed_data_matches_the_fraction_form(fd, data):
@@ -242,8 +259,11 @@ def test_seed_data_matches_the_fraction_form(fd, data):
         assert s.cvectors() == tuple(
             tuple(reference_form(fd, ext[k], ext[n + j]) * fd.d[j] for j in range(n))
             for k in fd.unfrozen)
-        # the Gram matrix of an explicit basis agrees with the mutated one
-        assert Seed(fd, s.ext).gram == s.gram
+        # the Gram matrix of the basis agrees with the mutated one
+        assert tuple(tuple(fd.form_int(a, b) for b in s.ext) for a in s.ext) == s.gram
+        # the carried integer f-basis is the dual basis of the reference one
+        assert s.f_basis() == reference_f_basis(fd, ext)
+        assert all(type(x) is int for row in s.f_basis() for x in row)
         for k in fd.unfrozen:
             assert s.mutate(k).mutate(k).gram == s.gram
     vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
