@@ -8,9 +8,9 @@
 Run: python3 demos/scattering.py
 """
 
+from qca.checks import loop_coefficient
 from qca.fixtures import a23, a2_scattering
 from qca.render import diagram_svg
-from qca.scalars import qpow
 from qca.scatter import appendix_b_closed_form, complete_to_order, initial_diagram
 
 print("=== classical A2 ===")
@@ -35,11 +35,8 @@ for w in qdg.walls:
           f"argument A^{list(w.direction)}")
 
 print("full-loop automorphism, degree-2 coefficient (closed form check):")
-m = (2, -3)
 for u in [(1, 0), (0, 1), (1, 1), (1, -1)]:
-    got = qdg.path_ordered_product(u, 2)
-    mm = tuple(a + b for a, b in zip(m, u))
-    delta = got.coefficient(mm) * qpow(-qdg.torus.omega(m, u))
+    delta = loop_coefficient(qdg, u)
     closed = appendix_b_closed_form(u)
     print(f"  u = {u}: engine {(-delta).render_v()}   closed form "
           f"{closed.render_v()}   match: {-delta == closed}")

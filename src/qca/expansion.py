@@ -3,70 +3,62 @@ scattering crossings.
 
 Both run at one scale L (u = q^{1/L}) and hold each coefficient as one dict
 {packed key: int} of scalars.py's flat ring, with signed t-exponents, so
-that monomial denominators are negative exponents; denominators that are
-not monomials are collected in one central flat polynomial.  A product of
-two coefficients with its factor q^{omega(n, m)} is one fused
-multiply-accumulate on keys.  The truncated product :func:`times` and the
-exact right division :func:`over` (the bucket sweep of
-:meth:`Series.over <qca.words.Series.over>` on flat coefficients) serve
-:class:`WordExpansion`, behind :meth:`FactoredWord.expand
-<qca.words.FactoredWord.expand>`, and the chain of crossing factors of
-scatter.py, each kept as a :class:`FlatSeries`; :func:`exp_terms` is the
-univariate exponential of a log wall's factor.  Only the terms that survive
-are converted to QScalars, once each.
+that monomial denominators are negative exponents.  :class:`FlatSeries` is
+the one flat truncated series, over one central flat denominator.
+:func:`times` and :func:`over` (the bucket sweep of :meth:`Series.over
+<qca.words.Series.over>`) multiply or divide it on the right by an exact
+one; :func:`accumulate` is the multiply-accumulate kernel of every product,
+crossings included.  :func:`fold` applies a word of atoms P^{+-1} step by
+step: :func:`expand`, behind :meth:`FactoredWord.expand
+<qca.words.FactoredWord.expand>`, is its last value, and each value is one
+of scatter.py's crossing factors.  :func:`one_den` is the one denominator
+policy, and :meth:`FlatSeries.series` the one conversion back to QScalars,
+of the terms that survive.  :func:`exp_terms` is the univariate exponential
+of a log wall's factor.
 
-words.py and scatter.py import this module when they first expand a word
-or cross a wall, so importing the package does not compile it.
+words.py imports this module when it first expands a word and scatter.py
+when it is loaded; importing the package loads neither.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from operator import add, mul
+from functools import reduce
+from math import gcd, inf, lcm
+from operator import add, itemgetter, mul
 
 from .qtorus import vec_neg
 from .scalars import (
     FLAT_ONE, flat_mac, flat_mul, flat_pair, flat_qscalar, flat_quotient, flat_rescale, flat_shift)
-from .words import ExpansionError, FactoredWord, Series, degree, product_cut
+from .words import ExpansionError, Series, degree, product_cut
+
+
+def one_den(nums: list, dens: list):
+    """(nums', den) with nums'[i] / den = nums[i] / dens[i], the one
+    denominator policy of the flat ring: den is the lcm of the dens when
+    each is an integer constant, else the product of the distinct ones.
+    When all dens are equal, den is that one and nums' is nums itself."""
+    den = dens[0] if dens else FLAT_ONE
+    if dens.count(den) == len(dens):
+        return nums, den
+    distinct: list = []
+    for d in dens:
+        if d not in distinct:
+            distinct.append(d)
+    if all(d.keys() == {0} for d in distinct):
+        top = lcm(*(d[0] for d in distinct))
+        den, mults = {0: top}, [{0: top // d[0]} for d in distinct]
+    else:
+        den = reduce(flat_mul, distinct)
+        mults = [reduce(flat_mul, distinct[:i] + distinct[i + 1:]) for i in range(len(distinct))]
+    return [flat_mul(num, mults[distinct.index(d)]) for num, d in zip(nums, dens)], den
 
 
 def flat_terms(terms: dict, scale: int):
-    """QScalar ``terms`` {n: c} as (sum of the returned flat terms) / b at
-    ``scale``; b multiplies the denominators that are not monomials, each
-    distinct one once."""
-    pairs = [(n, *flat_pair(c, scale)) for n, c in terms.items()]
-    dens: list = []
-    for _, _, d in pairs:
-        if d is not FLAT_ONE and d not in dens:
-            dens.append(d)
-    out = {}
-    for n, a, d in pairs:
-        for e in dens:
-            if e != d:
-                a = flat_mul(a, e)
-        out[n] = a
-    b = FLAT_ONE
-    for e in dens:
-        b = flat_mul(b, e)
-    return out, b
-
-
-def common_den(dens: list):
-    """(den, multipliers) with den = dens[i] * multipliers[i] for each of
-    the distinct flat polynomials ``dens``: their lcm when all are integer
-    constants, else their product.  A multiplier of 1 is FLAT_ONE."""
-    if all(len(d) == 1 and 0 in d for d in dens):
-        top = lcm(*(d[0] for d in dens))
-        return ({0: top} if top != 1 else FLAT_ONE,
-                [{0: top // d[0]} if top != d[0] else FLAT_ONE for d in dens])
-    mults = []
-    for i in range(len(dens)):
-        m = FLAT_ONE
-        for j, d in enumerate(dens):
-            if j != i:
-                m = flat_mul(m, d)
-        mults.append(m)
-    return flat_mul(dens[0], mults[0]), mults
+    """QScalar ``terms`` {n: c} as flat terms over one denominator b at
+    ``scale``, by :func:`one_den`: (the terms, b)."""
+    pairs = [flat_pair(c, scale) for c in terms.values()]
+    nums, den = one_den([num for num, _ in pairs], [d for _, d in pairs])
+    return dict(zip(terms, nums)), den
 
 
 def scaled(a: dict, k: int) -> dict:
@@ -77,88 +69,120 @@ def scaled(a: dict, k: int) -> dict:
 class FlatSeries:
     """(1 / den) * sum terms[n] X^n with flat coefficients, truncated: exact
     on degrees <= ``cutoff`` (None: exact), as :class:`Series`.  ``deg``
-    holds each term's degree and ``items`` the (n, c, degree) triples by
-    degree, lowest first."""
+    holds each term's degree (None on a series that is only converted) and
+    ``items`` the (n, c, degree) triples by degree, lowest first, sorted on
+    first use."""
 
-    __slots__ = ("terms", "deg", "cutoff", "den", "items")
+    __slots__ = ("terms", "deg", "cutoff", "den", "_items")
 
-    def __init__(self, terms: dict, deg: dict, cutoff, den: dict = FLAT_ONE):
+    def __init__(self, terms: dict, deg, cutoff, den: dict = FLAT_ONE):
         self.terms, self.deg, self.cutoff, self.den = terms, deg, cutoff, den
-        self.items = sorted(((n, c, deg[n]) for n, c in terms.items()),
-                            key=lambda t: t[2])
+        self._items = None
+
+    @staticmethod
+    def exact(terms: dict, scale: int, dvec) -> "FlatSeries":
+        """The exact series of QScalar ``terms`` {n: c} at ``scale``: an
+        atom of a word, or a classical wall function."""
+        flat, den = flat_terms(terms, scale)
+        return FlatSeries(flat, {n: degree(dvec, n) for n in flat}, None, den)
+
+    @property
+    def items(self) -> list:
+        if self._items is None:
+            deg = self.deg
+            self._items = sorted(((n, c, deg[n]) for n, c in self.terms.items()),
+                                 key=itemgetter(2))
+        return self._items
 
     def truncate(self, cutoff: int) -> "FlatSeries":
         if self.cutoff is not None and self.cutoff <= cutoff:
             return self
-        deg = self.deg
-        terms = {n: c for n, c in self.terms.items() if deg[n] <= cutoff}
-        return FlatSeries(terms, {n: deg[n] for n in terms}, cutoff, self.den)
+        terms, deg = self.terms, self.deg
+        if any(d > cutoff for d in deg.values()):
+            terms = {n: c for n, c in terms.items() if deg[n] <= cutoff}
+            deg = {n: deg[n] for n in terms}
+        return FlatSeries(terms, deg, cutoff, self.den)
 
     def rescale(self, r: int) -> "FlatSeries":
         """This series at r times its scale: u becomes u^r."""
         return FlatSeries({n: flat_rescale(c, r) for n, c in self.terms.items()},
                           self.deg, self.cutoff, flat_rescale(self.den, r))
 
+    def series(self, alg, dvec, scale: int) -> Series:
+        """This series as a Series at ``scale``: each term converted to a
+        QScalar once."""
+        den = self.den
+        return Series(alg, dvec, self.cutoff, {
+            n: flat_qscalar(c, den, scale) for n, c in self.terms.items()})
 
-def times(alg, f: int, terms: dict, deg: dict, cutoff, pterms: dict, pdeg: dict):
-    """(sum terms) * (sum pterms) on the right, as Series.__mul__ with the
-    right factor exact: the product terms, their degrees and the cutoff.
-    Coefficients are flat at a scale where u^f is q^{1/form_den}."""
-    if not terms and cutoff is None:
-        return terms, deg, cutoff  # an exact zero stays one
-    cut = product_cut(min(deg.values(), default=None), cutoff,
-                      min(pdeg.values()), None)
-    items = [(m, c, pdeg[m]) for m, c in pterms.items()]
+
+def accumulate(alg, f: int, coeffs, rows):
+    """The multiply-accumulate kernel of every flat product: the nonzero
+    terms, and their degrees, of the sum over ``coeffs`` c and ``rows``
+    (n, dn, items, limit) of c X^n (of degree dn) times each (m, cm, dm) of
+    ``items``, sorted by degree, with dn + dm <= limit.  u^f is
+    q^{1/form_den}."""
     out: dict = {}
     odeg: dict = {}
-    for n, cn in terms.items():
-        dn = deg[n]
+    for c, (n, dn, items, limit) in zip(coeffs, rows):
         row = alg.row_pairing(n)
         for m, cm, dm in items:
             d = dn + dm
-            if cut is not None and d > cut:
-                continue
+            if d > limit:
+                break
             k = tuple(map(add, n, m))
             acc = out.get(k)
             if acc is None:
                 acc = out[k] = {}
                 odeg[k] = d
-            flat_mac(acc, cn, cm, sum(map(mul, row, m)) * f)
-    out = {k: c for k, c in out.items() if c}
-    return out, {k: odeg[k] for k in out}, cut
+            flat_mac(acc, c, cm, sum(map(mul, row, m)) * f)
+    for k in [k for k, c in out.items() if not c]:
+        del out[k], odeg[k]
+    return out, odeg
 
 
-def over(alg, f: int, terms: dict, deg: dict, cutoff, pterms: dict, pdeg: dict,
-         order: int, what):
-    """(sum terms) * P^{-1} for P = sum pterms, by exact right division: the
-    bucket sweep of Series.over on flat coefficients, with its cutoff for
-    P^{-1} exact to relative order ``order``.  Returns the quotient terms,
-    their degrees, the cutoff and a denominator.  A unit leading coefficient
-    +-u^a t^b is inverted by a key shift; any other lead L stays a
+def times(alg, f: int, s: FlatSeries, p: FlatSeries) -> FlatSeries:
+    """s * p for an exact p, with the cutoff of Series.__mul__: the product
+    terms over s.den * p.den."""
+    if not s.terms and s.cutoff is None:
+        return s  # an exact zero stays one
+    deg, items = s.deg, p.items
+    cut = product_cut(min(deg.values(), default=None), s.cutoff, items[0][2], None)
+    limit = inf if cut is None else cut
+    rows = [(n, deg[n], items, limit) for n in s.terms]
+    terms, odeg = accumulate(alg, f, s.terms.values(), rows)
+    den = s.den if p.den is FLAT_ONE else flat_mul(s.den, p.den)
+    return FlatSeries(terms, odeg, cut, den)
+
+
+def over(alg, f: int, s: FlatSeries, p: FlatSeries, order: int, what) -> FlatSeries:
+    """s * p^{-1} for an exact p = P' / b, as (s / P') * b: the bucket sweep
+    of Series.over, with its cutoff, on flat coefficients.  A unit lead
+    +-u^a t^b of P' is inverted by a key shift; any other lead L stays a
     denominator: each residual and quotient term carries its power of L,
-    terms of different powers are brought to the larger one before they are
-    added, and at the end the quotient is put over L^J, J its largest power,
-    which is the returned denominator (else FLAT_ONE).  ``what`` names P in
-    an ExpansionError, as in Series.over."""
-    mdeg = min(pdeg.values())
-    anchors = [n for n, d in pdeg.items() if d == mdeg]
+    terms are brought to the larger power before they are added, and the
+    quotient is put over L^J, J the largest power.  ``what`` names p in an
+    ExpansionError."""
+    items = p.items
+    mdeg = items[0][2]
+    anchors = [n for n, _, d in items if d == mdeg]
     if len(anchors) > 1:
         label = what if isinstance(what, str) else what.render()
         raise ExpansionError(
             f"no unique leading monomial in {label}: "
             f"degree-{mdeg} exponents {sorted(anchors)}")
-    if not terms and cutoff is None:
-        return terms, deg, cutoff, FLAT_ONE  # an exact zero stays one
-    cut = product_cut(min(deg.values(), default=None), cutoff,
+    if not s.terms and s.cutoff is None:
+        return s  # an exact zero stays one
+    deg = s.deg
+    cut = product_cut(min(deg.values(), default=None), s.cutoff,
                       -mdeg if order >= 0 else None, order - mdeg)
     top = cut + mdeg  # residual terms above it give quotients above cut
     n0 = anchors[0]
-    lead = pterms[n0]
+    lead = p.terms[n0]
     lrow = alg.row_pairing(n0)  # X^m L^{-1} carries q^{omega(n0, m)}
     neg_n0 = vec_neg(n0)
-    # -(P - L) by degree above L; all those degrees are positive
-    rest = sorted(((k, flat_shift(c, 0, -1), pdeg[k] - mdeg)
-                   for k, c in pterms.items() if k != n0), key=lambda t: t[2])
+    # -(P' - L) by degree above L; all those degrees are positive
+    rest = [(k, flat_shift(c, 0, -1), d - mdeg) for k, c, d in items if k != n0]
     unit = len(lead) == 1 and abs(next(iter(lead.values()))) == 1
     if unit:
         (lkey, lsign), = lead.items()
@@ -175,7 +199,7 @@ def over(alg, f: int, terms: dict, deg: dict, cutoff, pterms: dict, pdeg: dict,
     qpow: dict = {}  # lead power of each quotient term
     j = 0  # the power of the quotient term being subtracted
     buckets: dict = {}
-    for m, r in terms.items():
+    for m, r in s.terms.items():
         d = deg[m]
         if d <= top:  # a copy: the sweep adds into bucket entries in place
             buckets.setdefault(d, {})[m] = dict(r)
@@ -217,35 +241,60 @@ def over(alg, f: int, terms: dict, deg: dict, cutoff, pterms: dict, pdeg: dict,
                 if not acc:
                     del bucket[key]
                     rpow.pop(key, None)
-    den = FLAT_ONE
+    den = s.den
     if qpow:
         J = max(qpow.values())
         out = {mq: c if qpow[mq] == J else flat_mul(c, lead_power(J - qpow[mq]))
                for mq, c in out.items()}
-        den = lead_power(J)
-    return out, odeg, cut, den
+        den = flat_mul(den, lead_power(J))
+    b = p.den
+    if b is not FLAT_ONE:
+        out = {mq: flat_mul(c, b) for mq, c in out.items()}
+    return FlatSeries(out, odeg, cut, den)
 
 
-def factor_chain(alg, f: int, dvec, factor: FlatSeries, binomials, rel: int):
-    """Yield factor * B_1^{e_1}, then that times B_2^{e_2}, and so on, for
-    the (flat terms, b, e) of ``binomials``, B = (sum of the terms) / b and
-    e = +-1: a scattering wall's factors F_p = F_{p -+ 1} * B^{+-1}, each a
-    product or an exact right division with the cutoffs of the factored
-    word of |p| binomials expanded to relative order ``rel``."""
-    terms, deg, cut, den = factor.terms, factor.deg, factor.cutoff, factor.den
-    for bterms, b, e in binomials:
-        bdeg = {n: degree(dvec, n) for n in bterms}
+def fold(alg, f: int, s: FlatSeries, atoms, order: int):
+    """Yield s * P_1^{e_1}, then that times P_2^{e_2}, and so on, for the
+    (P, e, what) of ``atoms``: P an exact FlatSeries, e = +-1, ``what`` its
+    name in an ExpansionError.  Each step is :func:`times` or :func:`over`
+    truncated to the running lowest degree plus ``order``, so each value has
+    the terms and cutoff that Series.__mul__ and Series.over would give."""
+    anchor = 0
+    for p, e, what in atoms:
+        low = p.items[0][2]
         if e == 1:
-            terms, deg, cut = times(alg, f, terms, deg, cut, bterms, bdeg)
-            lead = b
-        else:  # F / (B' / b) = (F / B') * b
-            terms, deg, cut, lead = over(alg, f, terms, deg, cut, bterms, bdeg,
-                                         rel, "crossing binomial")
-            if b is not FLAT_ONE:
-                terms = {n: flat_mul(c, b) for n, c in terms.items()}
-        if lead is not FLAT_ONE:
-            den = flat_mul(den, lead)
-        yield FlatSeries(terms, deg, cut, den)
+            s = times(alg, f, s, p)
+            anchor += low
+        else:
+            s = over(alg, f, s, p, order, what)
+            anchor -= low
+        s = s.truncate(anchor + order)
+        yield s
+
+
+def expand(word, dvec, order: int) -> Series:
+    """A factored word's expansion, exact to relative order ``order``: the
+    last value of :func:`fold` from its prefix over its atoms, at the lcm
+    L of form_den and of every coefficient's scale."""
+    alg, dvec = word.algebra, tuple(dvec)
+    scale = lcm(alg.form_den, word.prefix.scale, *(
+        c.scale for p, _ in word.atoms for c in p.terms.values()))
+    c0, den = flat_pair(word.prefix, scale)
+    zero = alg.zero()
+    terms = {zero: c0} if c0 else {}
+    s = FlatSeries(terms, dict.fromkeys(terms, 0), None, den)
+    made: dict = {}  # id of an atom -> its FlatSeries
+
+    def atoms():
+        for p, e in word.atoms:
+            flat = made.get(id(p))
+            if flat is None:
+                flat = made[id(p)] = FlatSeries.exact(p.terms, scale, dvec)
+            yield flat, e, p
+
+    for s in fold(alg, scale // alg.form_den, s, atoms(), order):
+        pass  # the last value; a word without atoms is its prefix
+    return s.series(alg, dvec, scale)
 
 
 def log_factor(v, dvec, coeffs: dict, A: int, scale: int, sign: int, rel: int) -> FlatSeries:
@@ -289,19 +338,13 @@ def exp_terms(coeffs: dict, top: int):
     """exp(sum_j b_j y^j) up to y^top for a central y, b_j = num / den the
     flat pair ``coeffs[j]``: ({n: E_n}, den) with the exponential
     (1 / den) * sum_n E_n y^n.  With b_j = H_j / d over one common
-    denominator d, n e_n = sum_j j b_j e_{n-j} gives e_n = E'_n / (d^n n!)
-    for E'_0 = 1 and E'_n = sum_j j (n-1)!/(n-j)! d^{j-1} H_j E'_{n-j};
-    then E_n = E'_n d^{N-n} N!/n! and den = d^N N!, N the highest n with
+    denominator d (:func:`one_den`), n e_n = sum_j j b_j e_{n-j} gives
+    e_n = E'_n / (d^n n!) for E'_0 = 1 and
+    E'_n = sum_j j (n-1)!/(n-j)! d^{j-1} H_j E'_{n-j}; then
+    E_n = E'_n d^{N-n} N!/n! and den = d^N N!, N the highest n with
     E'_n != 0."""
-    dens = []
-    for _, dj in coeffs.values():
-        if dj not in dens:
-            dens.append(dj)
-    d, mults = common_den(dens) if dens else (FLAT_ONE, [])
-    h = {}  # H_j
-    for j, (num, dj) in coeffs.items():
-        m = mults[dens.index(dj)]
-        h[j] = num if m is FLAT_ONE else flat_mul(num, m)
+    nums, d = one_den([num for num, _ in coeffs.values()], [d for _, d in coeffs.values()])
+    h = dict(zip(coeffs, nums))  # H_j
     dpow = [FLAT_ONE]
     while len(dpow) <= top:
         dpow.append(dpow[-1] if d is FLAT_ONE else flat_mul(dpow[-1], d))
@@ -325,72 +368,3 @@ def exp_terms(coeffs: dict, top: int):
         k *= n or 1
     den = scaled(dpow[top], k)
     return out, FLAT_ONE if den == FLAT_ONE else den
-
-
-class WordExpansion:
-    """The truncated expansion of a factored word at one scale L.
-
-    The series is (num / den) * sum c_n X^n.  Each ``terms[n]`` = c_n is a
-    flat polynomial in u = q^{1/L} with signed t-exponents, so monomial
-    denominators are negative exponents; the central flat polynomials num
-    and den collect every other denominator: the prefix's, each atom's
-    common denominator, and the powers of a leading coefficient that is not
-    a unit.  ``deg`` holds each term's degree and ``cutoff`` means what
-    Series.cutoff means.  Each atom is a product (:func:`times`) or an exact
-    right division (:func:`over`) followed by the truncation to the running
-    anchor plus ``order``, with the cutoffs of Series.__mul__ and
-    Series.over, so the expansion has the terms and cutoffs those would
-    give."""
-
-    __slots__ = ("alg", "dvec", "scale", "f", "terms", "deg", "cutoff", "num", "den")
-
-    def __init__(self, word: FactoredWord, dvec, order: int):
-        alg = self.alg = word.algebra
-        self.dvec = tuple(dvec)
-        scale = self.scale = lcm(alg.form_den, word.prefix.scale, *(
-            c.scale for p, _ in word.atoms for c in p.terms.values()))
-        f = self.f = scale // alg.form_den  # omega_int(n, m) * f is omega(n, m) * L
-        c0, self.den = flat_pair(word.prefix, scale)
-        self.num = FLAT_ONE
-        self.terms, self.deg = ({alg.zero(): c0}, {alg.zero(): 0}) if c0 else ({}, {})
-        self.cutoff = None
-        atoms = {}  # id of an atom -> (flat terms, degrees, common denominator)
-        anchor = 0
-        for p, s in word.atoms:
-            flat = atoms.get(id(p))
-            if flat is None:
-                pterms, b = flat_terms(p.terms, scale)
-                flat = atoms[id(p)] = pterms, {n: degree(self.dvec, n) for n in pterms}, b
-            pterms, pdeg, b = flat
-            pmin = min(pdeg.values())
-            if s == 1:
-                self.terms, self.deg, self.cutoff = times(
-                    alg, f, self.terms, self.deg, self.cutoff, pterms, pdeg)
-                if b is not FLAT_ONE:
-                    self.den = flat_mul(self.den, b)
-            else:
-                self.terms, self.deg, self.cutoff, lead = over(
-                    alg, f, self.terms, self.deg, self.cutoff, pterms, pdeg, order, p)
-                if lead is not FLAT_ONE:
-                    self.den = flat_mul(self.den, lead)
-                if b is not FLAT_ONE:
-                    self.num = flat_mul(self.num, b)
-                pmin = -pmin
-            self._truncate(anchor + pmin + order)
-            anchor += pmin
-
-    def _truncate(self, cutoff: int):
-        if self.cutoff is not None and self.cutoff <= cutoff:
-            return
-        deg = self.deg
-        if any(d > cutoff for d in deg.values()):
-            self.terms = {n: c for n, c in self.terms.items() if deg[n] <= cutoff}
-            self.deg = {n: deg[n] for n in self.terms}
-        self.cutoff = cutoff
-
-    def series(self) -> Series:
-        """The expansion as a Series: each term converted to a QScalar once."""
-        num, den, scale = self.num, self.den, self.scale
-        return Series(self.alg, self.dvec, self.cutoff, {
-            n: flat_qscalar(c if num is FLAT_ONE else flat_mul(c, num), den, scale)
-            for n, c in self.terms.items()})

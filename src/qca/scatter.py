@@ -17,13 +17,15 @@ p with the wall (Kontsevich-Soibelman; Gross-Hacking-Keel-Kontsevich):
                 for g = sum_j a_j y^j/(q-q^{-1}), y = X^v: the powers of y
                 commute, so F is one univariate exponential.
 
-Crossings run on the flat Laurent ring (qca.expansion, imported on the
-first crossing) at one scale L per diagram, the lcm of form_den and of every
-wall coefficient's scale.  Each cached factor is a FlatSeries over one flat
-denominator, FLAT_ONE unless a coefficient is not Laurent (1/n! or a
-non-Laurent a_j of a log wall).  Loops stay flat from the first wall to the
-last: ``path_ordered_product`` and ``cross`` convert the terms that come out
-once, and ``is_consistent`` compares with the identity without converting.
+Crossings run on qca.expansion's flat Laurent ring at one scale L per
+diagram, the lcm of form_den and of every wall coefficient's scale.  Each
+factor is an expansion.FlatSeries cached per (wall, sign, p): on a
+dilogarithm or classical wall, F_p is the value of expansion.fold that
+multiplies F_{p -+ 1} by one more binomial.  A crossing puts its factors
+over one denominator with expansion.one_den and multiplies through
+expansion.accumulate.  Loops stay flat from the first wall to the last:
+``path_ordered_product`` and ``cross`` convert the terms that come out once
+(FlatSeries.series), and ``is_consistent`` compares without converting.
 
 Generated walls are outgoing rays R>=0 (-p1*(n)); the loop is a full
 counterclockwise circle starting inside the initial chamber.
@@ -34,13 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .duality import p1_star, p1_star_injective, principal_compatible_pair
+from .expansion import FlatSeries, accumulate, flat_terms, fold, log_factor, one_den
 from .mutation import a_torus, x_torus
 from .qtorus import SkewLattice, vec, vec_neg
-from .scalars import (
-    FLAT_ONE, ONE, QScalar, flat_mac, flat_mul, flat_pair, flat_qscalar, flat_shift, qpow)
+from .scalars import FLAT_ONE, ONE, QScalar, flat_mul, flat_pair, flat_shift, qpow
 from .seeds import FixedData, Seed, primitive
 from .words import Series, degree, dilog_pairings
 
@@ -157,12 +159,11 @@ class ScatteringDiagram:
         """Cross ``wall`` with sign ``sign``: each term c X^m becomes
         (c X^m F).truncate(cutoff), F the wall's factor for the integer
         pairing p of m with the wall."""
-        from .expansion import flat_terms
-
         scale = self._flat_scale(c.scale for c in series.terms.values())
         terms, den = flat_terms(series.terms, scale)
         terms, d = self._cross(wall, terms, sign, cutoff)
-        return self._series(terms, den if d is FLAT_ONE else flat_mul(den, d), cutoff)
+        return FlatSeries(terms, None, cutoff, den if d is FLAT_ONE else flat_mul(den, d)
+                          ).series(self.torus, self.dvec, scale)
 
     def _cross(self, wall: Wall, terms: dict, sign: int, cutoff: int):
         """The one crossing loop, on the flat ring: the terms of sum_m (c_m X^m
@@ -170,42 +171,19 @@ class ScatteringDiagram:
         is those terms over d times the input's denominator."""
         if sign == 0:
             raise ValueError("tangential wall crossing")
-        dvec, alg, f = self.dvec, self.torus, self._f
+        dvec = self.dvec
         pairings = self._pairings(wall, terms)
-        todo, dens = [], []
+        rows, nums, dens = [], [], []
         for m, c in terms.items():
-            rel = cutoff - degree(dvec, m)
-            if rel >= 0:
-                factor = self._factor(wall, sign, pairings[m], rel)
-                todo.append((m, c, rel, factor))
-                if factor.den not in dens:
-                    dens.append(factor.den)
-        den, mults = dens[0] if dens else FLAT_ONE, None
-        if len(dens) > 1:
-            from .expansion import common_den
-            den, mults = common_den(dens)
-        out: dict = {}
-        for m, c, rel, factor in todo:
-            if mults is not None:
-                mult = mults[dens.index(factor.den)]
-                if mult is not FLAT_ONE:
-                    c = flat_mul(c, mult)
-            row = alg.row_pairing(m)
-            for n, cn, dn in factor.items:
-                if dn > rel:
-                    break
-                k = tuple(map(add, m, n))
-                acc = out.get(k)
-                if acc is None:
-                    acc = out[k] = {}
-                flat_mac(acc, c, cn, sum(map(mul, row, n)) * f)
-        return {k: c for k, c in out.items() if c}, den
-
-    def _series(self, terms: dict, den: dict, cutoff) -> Series:
-        """flat ``terms`` over ``den`` as a Series, each converted once."""
-        scale = self._scale
-        return Series(self.torus, self.dvec, cutoff, {
-            n: flat_qscalar(c, den, scale) for n, c in terms.items()})
+            dm = degree(dvec, m)
+            if dm <= cutoff:
+                factor = self._factor(wall, sign, pairings[m], cutoff - dm)
+                rows.append((m, dm, factor.items, cutoff))
+                nums.append(c)
+                dens.append(factor.den)
+        nums, den = one_den(nums, dens)
+        out, _ = accumulate(self.torus, self._f, nums, rows)
+        return out, den
 
     def _pairings(self, wall: Wall, exponents) -> dict:
         """{m: p}, the integer pairing of each exponent m with the wall."""
@@ -224,8 +202,6 @@ class ScatteringDiagram:
         factor = cache.get((wid, sign, p))
         if factor is not None and factor.cutoff >= rel:
             return factor
-        from .expansion import FlatSeries, factor_chain, log_factor
-
         if wall.kind == "log":
             if degree(self.dvec, wall.direction) <= 0:
                 raise ConsistencyError("wall log element is not positively graded")
@@ -246,29 +222,27 @@ class ScatteringDiagram:
             zero = self.torus.zero()
             factor = FlatSeries({zero: FLAT_ONE}, {zero: 0}, None)
         factor, ks = factor.truncate(rel), range(k + step, p + step, step)
-        for k, factor in zip(ks, factor_chain(
-                self.torus, self._f, self.dvec, factor,
-                (self._binomial(wall, sign, j) for j in ks), rel)):
+        for k, factor in zip(ks, fold(self.torus, self._f, factor, (
+                self._binomial(wall, sign, j) for j in ks), rel)):
             cache[(wid, sign, k)] = factor
         cache[(wid, sign, p)] = factor
         return factor
 
     def _binomial(self, wall: Wall, sign: int, k: int):
         """The |k|-th factor B^{+-1} of the crossing word for pairing k as
-        (flat terms, b, +-1), B = (sum of the terms) / b: 1 + Q^{+-(2|k|-1)} y
-        on a dilogarithm wall, the wall function f on a classical wall."""
-        from .expansion import flat_terms
-
-        s0 = 1 if k > 0 else -1
+        (B, +-1, what), B an exact FlatSeries: 1 + Q^{+-(2|k|-1)} y on a
+        dilogarithm wall, the wall function f on a classical wall."""
+        s0, zero, v = 1 if k > 0 else -1, self.torus.zero(), wall.direction
         if wall.kind == "dilog":  # Q^e c y = u^{h e L} c y, c = num / den
             h, coeff = wall.dilog
             num, den = flat_pair(coeff, self._scale)
             e = s0 * (2 * abs(k) - 1) * h.numerator * (self._scale // h.denominator)
-            return ({self.torus.zero(): den, wall.direction: flat_shift(num, 0, 1, e)},
-                    den, -sign * s0)
-        f = {tuple(j * x for x in wall.direction): c for j, c in wall.function.items()}
-        return (*flat_terms({self.torus.zero(): ONE, **f}, self._scale),
-                1 if sign * k > 0 else -1)
+            b = FlatSeries({zero: den, v: flat_shift(num, 0, 1, e)},
+                           {zero: 0, v: degree(self.dvec, v)}, None, den)
+            return b, -sign * s0, "crossing binomial"
+        f = {tuple(j * x for x in v): c for j, c in wall.function.items()}
+        return (FlatSeries.exact({zero: ONE, **f}, self._scale, self.dvec),
+                1 if sign * k > 0 else -1, "crossing binomial")
 
     # -- geometry of the standard loop ---------------------------------------------
     def base_direction(self) -> tuple[int, int]:
@@ -309,8 +283,8 @@ class ScatteringDiagram:
         return 1 if s > 0 else -1
 
     def _loop(self, monomial, order, orientation):
-        """The full-loop product applied to X^monomial on the flat ring:
-        (terms, den, cutoff), the product being the terms over den."""
+        """The full-loop product applied to X^monomial on the flat ring, a
+        FlatSeries (without degrees)."""
         order = order if order is not None else self.order
         m = vec(monomial)
         cutoff = degree(self.dvec, m) + order * self.dscale
@@ -320,19 +294,20 @@ class ScatteringDiagram:
             terms, d = self._cross(wall, terms, sgn, cutoff)
             if d is not FLAT_ONE:
                 den = flat_mul(den, d)
-        return terms, den, cutoff
+        return FlatSeries(terms, None, cutoff, den)
 
     def path_ordered_product(self, monomial, order=None, orientation="ccw") -> Series:
         """The full-loop product applied to A^monomial, exact to the given
         order (in paper degrees) above the monomial's own degree."""
-        return self._series(*self._loop(monomial, order, orientation))
+        return self._loop(monomial, order, orientation).series(
+            self.torus, self.dvec, self._scale)
 
     def is_consistent(self, monomials, order=None, orientation="ccw") -> bool:
         """True iff the loop fixes each monomial to ``order``: its flat
         product is that monomial over its own denominator exactly."""
         for m in monomials:
-            terms, den, _ = self._loop(m, order, orientation)
-            if terms != {vec(m): den}:
+            loop = self._loop(m, order, orientation)
+            if loop.terms != {vec(m): loop.den}:
                 return False
         return True
 

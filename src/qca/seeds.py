@@ -35,17 +35,21 @@ class FixedData:
 
     def __post_init__(self):
         n = self.n
-        uf = set(self.unfrozen)
-        if not uf <= set(range(n)):
+        if not all(type(i) is int and 0 <= i < n for i in self.unfrozen):
             raise ValueError("unfrozen indices out of range")
+        uf = set(self.unfrozen)
+        if len(uf) != len(self.unfrozen):
+            raise ValueError(f"unfrozen indices repeat: {list(self.unfrozen)}")
+        if len(self.labels) != n or not all(isinstance(x, str) for x in self.labels):
+            raise ValueError(f"need one string label per direction, got {list(self.labels)}")
         if len(self.d) != n:
             raise ValueError(f"need one d_i per direction, got {len(self.d)} for rank {n}")
         for i in range(n):
             for j in range(n):
                 if self.skew[i][j] != -self.skew[j][i]:
                     raise ValueError(f"skew form not antisymmetric at ({i},{j})")
-        if any(di <= 0 for di in self.d):
-            raise ValueError("the d_i must be positive")
+        if not all(type(di) is int and di > 0 for di in self.d):
+            raise ValueError(f"the d_i must be positive integers, got {list(self.d)}")
         g = 0
         for di in self.d:
             g = gcd(g, di)
@@ -111,8 +115,7 @@ def make_fixed_data(skew, d=None, unfrozen=None, labels=None,
         unfrozen = tuple(range(n))
     if labels is None:
         labels = tuple(f"X{i + 1}" for i in range(n))
-    return FixedData(n, tuple(unfrozen), rows, tuple(int(x) for x in d),
-                     tuple(labels), coefficients)
+    return FixedData(n, tuple(unfrozen), rows, tuple(d), tuple(labels), coefficients)
 
 
 class Seed:
@@ -315,10 +318,17 @@ def fixed_data_from_json(data: dict) -> FixedData:
     for key in ("rank", "skew"):
         if key not in data:
             raise ValueError(f"seed file is missing the required key {key!r}")
-    n = int(data["rank"])
+    n = data["rank"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
     skew = data["skew"]
-    if len(skew) != n or any(len(row) != n for row in skew):
-        raise ValueError("skew matrix does not match rank")
+    if not isinstance(skew, list) or len(skew) != n or any(
+            not isinstance(row, list) or len(row) != n
+            or not all(isinstance(x, (int, float, str)) for x in row) for row in skew):
+        raise ValueError(f"skew must be a list of {n} rows of {n} numbers")
+    for key in ("d", "unfrozen", "labels"):
+        if data.get(key) is not None and not isinstance(data[key], list):
+            raise ValueError(f"{key!r} must be a list")
     return make_fixed_data(
         skew=[[Fraction(x) for x in row] for row in skew],
         d=data.get("d", [1] * n),

@@ -311,8 +311,8 @@ class FactoredWord:
         inverted atoms are divided out.  The work runs in the flat ring
         (see qca.expansion); each surviving term is converted back to a
         QScalar once."""
-        from .expansion import WordExpansion  # it imports this module
-        return WordExpansion(self, dvec, order).series()
+        from .expansion import expand  # it imports this module
+        return expand(self, dvec, order)
 
     def tidy(self) -> "FactoredWord":
         """Merge adjacent single-term atoms into one monomial per run and

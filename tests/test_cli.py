@@ -170,6 +170,24 @@ def test_seed_file_missing_key_is_a_clean_error(key, capsys, tmp_path):
     assert err.startswith("error: ") and repr(key) in err
 
 
+@pytest.mark.parametrize("change", [
+    {"skew": 5}, {"skew": [[None, 1], [-1, 0]]}, {"rank": [2]},
+    {"labels": ["A"]}, {"labels": [1, 2]}, {"labels": "X1"},
+    {"d": [1.5, 1]}, {"d": ["1", 1]}, {"d": 2},
+    {"unfrozen": [0, 0]}, {"unfrozen": [[0]]}, {"unfrozen": 0},
+])
+def test_malformed_seed_field_is_a_clean_error(change, capsys, tmp_path):
+    with open(os.path.join(HERE, "..", "demos", "seeds", "a2.json")) as fh:
+        data = json.load(fh)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**data, **change}))
+    code, out, err = run(capsys, ["table", "--seed", str(bad), "--sequence", "1",
+                                  "--mode", "x-classical"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_directory_as_seed_is_a_clean_error(capsys, tmp_path):
     code, out, err = run(capsys, ["table", "--seed", str(tmp_path),
                                   "--mode", "x-classical"])

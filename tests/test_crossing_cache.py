@@ -181,7 +181,7 @@ CASES = [("a23-A", 0), ("a23-classical", 2), ("a23-quantum", 2), ("a23-X-quantum
 
 def as_series(dg, entry) -> Series:
     """A cached flat factor as a QScalar Series."""
-    return dg._series(entry.terms, entry.den, entry.cutoff)
+    return entry.series(dg.torus, dg.dvec, dg._scale)
 
 
 def sample(dg, cutoff):

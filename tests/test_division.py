@@ -498,3 +498,29 @@ def test_zero_prefix_keeps_the_tie_check():
     got = zero.expand((1, 2), 3)
     assert got.terms == {} and got.cutoff == 2
     assert_structurally_equal(got, oracle_expand(zero, (1, 2), 3))
+
+
+# ---------------------------------------------------------------------------
+# One denominator policy for every flat merge.
+
+def test_flat_terms_put_integer_denominators_over_their_lcm():
+    from qca.expansion import flat_terms
+
+    half, quarter = ONE / QScalar.integer(2), ONE / QScalar.integer(4)
+    terms, den = flat_terms({(1, 0): half, (0, 1): quarter}, 1)
+    assert den == {0: 4}  # not their product, 8
+    assert terms == {(1, 0): {0: 2}, (0, 1): {0: 1}}
+
+
+def test_one_den_multiplies_distinct_non_constant_denominators():
+    from qca.expansion import one_den
+    from qca.scalars import FLAT_ONE
+
+    a, b, c = {0: 1}, {1: 2}, {2: 3}
+    p = {0: 1, 1: 1}  # 1 + u
+    nums = [a, b, c]
+    assert one_den(nums, [p, p, p]) == (nums, p)
+    assert one_den(nums, [p, p, p])[0] is nums  # nothing is built
+    got, den = one_den(nums, [FLAT_ONE, p, {0: 2}])
+    assert den == {0: 2, 1: 2}  # (1 + u) * 2, each distinct one once
+    assert got == [{0: 2, 1: 2}, {1: 4}, {2: 3, 3: 3}]

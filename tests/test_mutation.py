@@ -4,17 +4,19 @@ import os
 import pytest
 
 from qca import fixtures, mutation
-from qca.checks import A2_SEQ, double_mutation_is_identity
+from qca.checks import A2_SEQ, double_mutation_is_identity, q1_specializes
 from qca.commutative import CPoly, CRational
 from qca.fixtures import a2_tables
 from qca.mutation import (
     AMutationStep,
     apply_mutation_sequence,
     classical_a_table,
+    classical_x_table,
     mu_prime_word,
     mu_sharp_word,
     mutate_word,
     quantum_a_table,
+    quantum_x_table,
     word_to_classical,
     x_torus,
 )
@@ -144,6 +146,34 @@ def test_a_quantum_table_at_q1_is_the_a_prin_table(name, seq):
     assert len(quantum) == len(classical) == len(seq) + 1
     for (_, words), (_, variables) in zip(quantum, classical):
         assert [word_to_classical(w) for w in words] == variables
+
+
+def short_sequences(fd, top=3):
+    """Every mutation sequence of length <= ``top`` over the unfrozen
+    directions, the empty one and repeated directions included."""
+    return [list(seq) for length in range(top + 1)
+            for seq in itertools.product(fd.unfrozen, repeat=length)]
+
+
+@pytest.mark.parametrize("with_coefficients", [True, False])
+@pytest.mark.parametrize("name", ["a2", "a23", "rank3", "rank3-frozen"])
+def test_x_quantum_tables_at_q1_are_the_classical_tables(name, with_coefficients):
+    fd = fixtures.ALL[name]()
+    for seq in short_sequences(fd):
+        quantum = quantum_x_table(fd, seq, with_coefficients)
+        classical = classical_x_table(fd, seq, with_coefficients)
+        assert len(quantum) == len(classical) == len(seq) + 1
+        assert q1_specializes(quantum, classical), seq
+
+
+@pytest.mark.parametrize("name", ["a2", "a23", "a2-scattering"])
+def test_a_quantum_tables_at_q1_are_the_a_prin_tables(name):
+    fd = fixtures.ALL[name]()
+    for seq in short_sequences(fd):
+        quantum = quantum_a_table(fd, seq)
+        classical = classical_a_table(fd, seq, with_coefficients=True)
+        assert len(quantum) == len(classical) == len(seq) + 1
+        assert q1_specializes(quantum, classical), seq
 
 
 def test_a2_quantum_pentagon_ends_in_the_swapped_initial_cluster():

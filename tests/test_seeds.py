@@ -173,6 +173,21 @@ def test_d_length_rejected():
         make_fixed_data([[0, -1], [1, 0]], d=[1])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"d": [Fraction(3, 2), 1]}, "positive integers"),
+    ({"d": [True, 1]}, "positive integers"),
+    ({"unfrozen": [0, 0]}, "repeat"),
+    ({"unfrozen": [0, 2]}, "out of range"),
+    ({"labels": ["A"]}, "one string label"),
+    ({"labels": [1, 2]}, "one string label"),
+])
+def test_malformed_fixed_data_rejected(kwargs, message):
+    # each would otherwise load: a fractional d_i truncated to an integer,
+    # a repeated unfrozen direction listed (and checked) twice
+    with pytest.raises(ValueError, match=message):
+        make_fixed_data([[0, -1], [1, 0]], **kwargs)
+
+
 def test_integral_names_the_value():
     fd = make_fixed_data([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]], unfrozen=[])
     assert fd.form_den == 2 and fd.integral(-6, "probe") == -3
