@@ -184,22 +184,24 @@ def cmd_theta(args) -> int:
 def cmd_pstar(args) -> int:
     from .duality import PStarHom
 
+    if args.order is not None and not args.check_intertwining:
+        raise ValueError("--order applies only with --check-intertwining")
     fd = load_seed_file(args.seed)
     hom = PStarHom(fd)
     report = {"Lambda": [list(r) for r in hom.Lambda],
-              "pstar_rows": [list(r) for r in hom.pmap.rows],
-              "generators": []}
+              "pstar_rows": [list(r) for r in hom.pmap.rows]}
     ok_all = True
     lines = [f"Lambda = {report['Lambda']}", f"p* rows = {report['pstar_rows']}"]
     if args.check_intertwining:
-        for k, i, ok in hom.intertwining(args.order):
+        report["generators"] = []
+        for k, i, ok in hom.intertwining(8 if args.order is None else args.order):
             ok_all = ok_all and ok
             report["generators"].append(
                 {"mutation": k + 1, "generator": i + 1, "ok": ok})
             lines.append(f"mu_{k + 1} generator {i + 1}: "
                          f"{'ok' if ok else 'FAIL'}")
-    report["ok"] = ok_all
-    lines.append("intertwining: " + ("ok" if ok_all else "FAIL"))
+        report["ok"] = ok_all
+        lines.append("intertwining: " + ("ok" if ok_all else "FAIL"))
     _emit(report, args.format, lines)
     return 0 if ok_all else 1
 
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pstar", help="compatible pair and p* intertwining")
     add_common(sp)
     sp.add_argument("--check-intertwining", action="store_true")
-    sp.add_argument("--order", type=nonnegative_int, default=8)
+    sp.add_argument("--order", type=nonnegative_int, help="check order, default 8")
 
     sp = sub.add_parser("poisson", help="Poisson-map verification")
     add_common(sp)
@@ -318,9 +320,13 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_BROKEN_PIPE
     except (OSError, ValueError, ArithmeticError) as exc:
-        # a path that cannot be read or written, or input the engine rejects
+        # a failed computation exits 3: an ArithmeticError, or an ExpansionError
+        # (a ValueError that only the loaded words layer raises); else 2
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        words = sys.modules.get("qca.words")
+        failed = isinstance(exc, ArithmeticError) or (
+            words is not None and isinstance(exc, words.ExpansionError))
+        return 3 if failed else 2
 
 
 if __name__ == "__main__":

@@ -5,34 +5,36 @@ Used for the classical mutation formulas (where everything commutes), for
 q=1 specializations of quantum expressions, and for the Poisson bracket
 verification.  Denominators are kept as factor lists so that the mutation
 formulas' telescoping cancellations actually cancel.
+
+A :class:`CPoly` is one flat dict on the packed keys of scalars.py, its
+X-exponents (in [-1024, 1024), at most 16 variables) in the fields above the
+t-fields.  Its sum, product, shift and exact quotient are the base ring's
+``flat_add``, ``flat_mul``, ``flat_shift`` and ``flat_divide``, the one
+division, and it prints through the one ``render_sum``.
 """
 
 from __future__ import annotations
 
-from .qtorus import add_terms, vec, vec_add, vec_neg
-from .scalars import TScalar
-
-_T_ONE = TScalar.integer(1)
+from .scalars import (TScalar, flat_add, flat_divide, flat_mul, flat_shift,
+                      render_monomial, render_sum, x_content, x_exponents,
+                      x_key, x_part)
 
 
 class CPoly:
-    """Laurent polynomial: map {integer exponent tuple: TScalar}.  Sums and
-    products merge terms with the torus elements' ``add_terms``."""
+    """Laurent polynomial in X1, ..., X_rank over Z[t], one flat dict
+    {packed key: int}.  The constructor takes {exponent tuple: TScalar or
+    int}; :meth:`coefficients` decodes back to {exponent tuple: TScalar}."""
 
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms=None):
         self.rank = rank
-        pairs = []
+        self.terms = {}
         for e, c in (terms or {}).items():
-            e = vec(e)
             if len(e) != rank:
                 raise ValueError("exponent rank mismatch")
-            if isinstance(c, int):
-                c = TScalar.integer(c)
-            if not c.is_zero():
-                pairs.append((e, c))
-        self.terms = add_terms({}, pairs)
+            c = TScalar.integer(c) if isinstance(c, int) else c
+            self.terms = flat_add(self.terms, flat_shift(c.terms, x_key(e)))
 
     def _like(self, terms: dict) -> "CPoly":
         """A polynomial of this one's rank holding ``terms`` as they are."""
@@ -58,30 +60,26 @@ class CPoly:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(0,) * self.rank: _T_ONE}
+        return self.terms == {0: 1}
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        """One X-monomial, with any coefficient."""
+        return len({x_part(k) for k in self.terms}) == 1
 
     def __add__(self, other):
-        return self._like(add_terms(dict(self.terms), other.terms.items()))
+        return self._like(flat_add(self.terms, other.terms))
 
     def __neg__(self):
-        return self._like({e: -c for e, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        right = other.terms.items()
-        return self._like(add_terms({}, (
-            (vec_add(e1, e2), c1 * c2)
-            for e1, c1 in self.terms.items() for e2, c2 in right)))
+        return self._like(flat_mul(self.terms, other.terms))
 
     def scale(self, c: TScalar) -> "CPoly":
-        if c.is_zero():
-            return self._like({})
-        return self._like({e: cv * c for e, cv in self.terms.items()})
+        return self._like(flat_mul(self.terms, c.terms))
 
     def __eq__(self, other):
         return isinstance(other, CPoly) and self.rank == other.rank \
@@ -90,81 +88,57 @@ class CPoly:
     def __hash__(self):
         raise TypeError("CPoly is not hashable")
 
-    def shift(self, e) -> "CPoly":
-        return self._like({vec_add(k, e): c for k, c in self.terms.items()})
-
-    def min_exponents(self) -> tuple[int, ...]:
-        if not self.terms:
-            return (0,) * self.rank
-        return tuple(min(e[i] for e in self.terms) for i in range(self.rank))
+    def coefficients(self) -> dict[tuple[int, ...], TScalar]:
+        """The terms as {exponent tuple: TScalar}, each X-monomial decoded
+        once."""
+        parts: dict[int, TScalar] = {}
+        for k, c in self.terms.items():
+            x = x_part(k)
+            ts = parts.get(x)
+            if ts is None:
+                ts = parts[x] = TScalar()
+            ts.terms[k - x] = c
+        return {x_exponents(x, self.rank): ts for x, ts in parts.items()}
 
     def derivative(self, i: int) -> "CPoly":
+        unit = x_key([int(j == i) for j in range(self.rank)])
         d = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                d[tuple(e2)] = c.scale(e[i])
-        return self._like(d)
+        for k, c in self.terms.items():
+            a = x_exponents(x_part(k), self.rank)[i]
+            if a:
+                d[k] = a * c
+        return self._like(flat_shift(d, -unit))
 
     def subs_t_one(self) -> "CPoly":
-        return CPoly(self.rank, {e: c.coefficient_sum() for e, c in self.terms.items()})
+        return CPoly(self.rank, {e: sum(c.terms.values())
+                                 for e, c in self.coefficients().items()})
 
     def exact_divide(self, g: "CPoly"):
-        """self / g if g divides exactly (None otherwise).  Works on the
-        polynomial parts after clearing Laurent monomial shifts; a monomial
-        g with coefficient 1 is such a shift itself."""
-        if g.is_zero():
+        """self / g if g divides exactly (None otherwise): the base ring's
+        division of the polynomial parts, after clearing the Laurent
+        monomial shifts; a divisor X^e with coefficient 1 is such a shift
+        itself."""
+        if not g.terms:
             return None
-        if g.is_monomial() and _T_ONE in g.terms.values():
-            return self.shift(vec_neg(next(iter(g.terms))))
-        sh_self, sh_g = self.min_exponents(), g.min_exponents()
-        a = self.shift(vec_neg(sh_self))
-        b = g.shift(vec_neg(sh_g))
-        quot: dict[tuple, TScalar] = {}
-        # leading term of b under lex
-        lead = max(b.terms)
-        lead_c = b.terms[lead]
-        work = dict(a.terms)
-        while work:
-            e = max(work)
-            diff = tuple(x - y for x, y in zip(e, lead))
-            if any(x < 0 for x in diff):
-                return None
-            q = work[e].divide(lead_c)
-            if q is None:
-                return None
-            quot[diff] = q
-            add_terms(work, ((vec_add(diff, be), -(bc * q))
-                             for be, bc in b.terms.items()))
-        return CPoly(self.rank, quot).shift(tuple(x - y for x, y in zip(sh_self, sh_g)))
+        if len(g.terms) == 1:
+            (k, c), = g.terms.items()
+            if c == 1 and k == x_part(k):
+                return self._like(flat_shift(self.terms, -k))
+        if not self.terms:
+            return self
+        sa = x_content({x_part(k) for k in self.terms})
+        sg = x_content({x_part(k) for k in g.terms})
+        q = flat_divide(flat_shift(self.terms, -sa), flat_shift(g.terms, -sg))
+        return None if q is None else self._like(flat_shift(q, sa - sg))
 
     def render(self, labels=None) -> str:
-        if not self.terms:
-            return "0"
         labels = labels or tuple(f"X{i + 1}" for i in range(self.rank))
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            mono = "*".join(
-                labels[i] if p == 1 else f"{labels[i]}^{p}"
-                for i, p in enumerate(e) if p
-            )
-            cs = c.render()
-            if not mono:
-                parts.append(f"({cs})" if ("+" in cs[1:] or "-" in cs[1:]) else cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                if "+" in cs[1:] or "-" in cs[1:]:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{mono}")
-        s = parts[0]
-        for p in parts[1:]:
-            s += p if p.startswith("-") else "+" + p
-        return s
+        terms = []
+        for e, c in sorted(self.coefficients().items()):
+            cs, mono, compound = c.render(), render_monomial(labels, e), len(c.terms) > 1
+            # a constant that is a sum is parenthesized too
+            terms.append((f"({cs})" if compound and not mono else cs, mono, compound))
+        return render_sum(terms)
 
     def __repr__(self):
         return f"CPoly({self.render()})"
@@ -231,9 +205,8 @@ class CRational:
     def inverse(self) -> "CRational":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        out = CRational(self.den_poly() if self.den else CPoly.one(self.rank),
-                        [self.num])
-        return out
+        return CRational(self.den_poly() if self.den else CPoly.one(self.rank),
+                         [self.num])
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -279,7 +252,7 @@ class CRational:
 
         def value(p: CPoly) -> CRational:
             out = CRational(CPoly(self.rank, {}))
-            for e, c in p.terms.items():
+            for e, c in p.coefficients().items():
                 term = CRational(CPoly(self.rank, {zero: c}))
                 for i, k in enumerate(e):
                     if k:
@@ -302,10 +275,10 @@ class CRational:
             return n
         dp = self.den_poly()
         d = dp.render(labels)
-        if len(self.num.terms) > 1:
+        if not self.num.is_monomial():
             n = f"({n})"
         # a one-term denominator such as (1+t1)*X1 or X1*X2 is a product too
-        if len(dp.terms) > 1 or "*" in d:
+        if not dp.is_monomial() or "*" in d:
             d = f"({d})"
         return f"{n}/{d}"
 

@@ -63,9 +63,9 @@ def _mutate_x_commutative(vars, k, seed, with_coefficients):
     if k not in fd.unfrozen:
         raise ValueError(f"direction {k} is frozen")
     rank = fd.n
-    cplus, cminus = _cvec_parts(seed, k, with_coefficients)
-    tp = _scalar_to_cpoly(cplus, rank)
-    tm = _scalar_to_cpoly(cminus, rank)
+    zero = (0,) * rank
+    tp, tm = (CPoly(rank, {zero: c.limit_q1()})
+              for c in _cvec_parts(seed, k, with_coefficients))
     out = []
     for i in range(rank):
         if i == k:
@@ -90,9 +90,9 @@ def mutate_a_classical(vars: list[CRational], k: int, seed: Seed,
     if k not in fd.unfrozen:
         raise ValueError(f"direction {k} is frozen")
     rank = fd.n
-    cplus, cminus = _cvec_parts(seed, k, with_coefficients)
-    plus = CRational(_scalar_to_cpoly(cplus, rank))
-    minus = CRational(_scalar_to_cpoly(cminus, rank))
+    zero = (0,) * rank
+    plus, minus = (CRational(CPoly(rank, {zero: c.limit_q1()}))
+                   for c in _cvec_parts(seed, k, with_coefficients))
     for j in range(rank):
         e = seed.exchange(k, j)
         if e > 0:
@@ -102,19 +102,6 @@ def mutate_a_classical(vars: list[CRational], k: int, seed: Seed,
     out = list(vars)
     out[k] = vars[k].inverse() * (plus + minus)
     return out
-
-
-def _scalar_to_cpoly(s: QScalar, rank: int) -> CPoly:
-    """A q-free polynomial scalar as a constant CPoly (t-monomials only)."""
-    if not s.is_polynomial():
-        raise ValueError(f"scalar {s.render()} is not polynomial")
-    zero = (0,) * rank
-    acc = CPoly(rank, {})
-    for e, c in s.num.items():
-        if e != 0:
-            raise ValueError("classical mutation met a q-power")
-        acc = acc + CPoly(rank, {zero: c})
-    return acc
 
 
 # ---------------------------------------------------------------------------

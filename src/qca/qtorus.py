@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add, mul
 
-from .scalars import ONE, QScalar, qpow
+from .scalars import ONE, QScalar, qpow, render_monomial, render_sum
 
 
 @dataclass(frozen=True)
@@ -271,37 +271,16 @@ class QTorusElement:
         """Deterministic rendering: terms sorted lexicographically by
         exponent; each monomial shown as generator powers in index order with
         the normal-ordering scalar folded into the coefficient."""
-        if not self.terms:
-            return "0"
         alg = self.algebra
-        parts = []
+        terms = []
         for n in sorted(self.terms):
-            c = self.terms[n]
             # X^n = q^{-sum_{i<j} n_i n_j w_ij} X1^{n1} ... Xr^{nr}
-            fold = 0
-            for i in range(alg.rank):
-                for j in range(i + 1, alg.rank):
-                    fold += n[i] * n[j] * alg.iform[i][j]
-            disp = c._qshift(-fold, alg.form_den)
-            mono = "*".join(
-                alg.labels[i] if e == 1 else f"{alg.labels[i]}^{e}"
-                for i, e in enumerate(n) if e
-            )
-            cs = disp.render(base)
-            if not mono:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                if not disp.is_monomial():
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{mono}")
-        s = parts[0]
-        for p in parts[1:]:
-            s += p if p.startswith("-") else "+" + p
-        return s
+            fold = sum(n[i] * n[j] * alg.iform[i][j]
+                       for i in range(alg.rank) for j in range(i + 1, alg.rank))
+            disp = self.terms[n]._qshift(-fold, alg.form_den)
+            terms.append((disp.render(base), render_monomial(alg.labels, n),
+                          not disp.is_monomial()))
+        return render_sum(terms)
 
     def __repr__(self):
         return f"QTorusElement({self.render()})"

@@ -15,17 +15,21 @@ described below, for all of them:
 - A :class:`QScalar` is a normalized numerator/denominator pair of such
   dicts; its normal form holds only nonnegative t-exponents.
 - A :class:`TScalar`, an integer polynomial in t, is one such dict whose
-  keys all have u-exponent 0; it is the coefficient type of the commutative
-  layer, of q = 1 limits and of the decoded ``QScalar.num`` /
-  ``QScalar.den`` views.
-- The ``flat_*`` functions at the end are the flat Laurent ring of word
-  expansions and scattering crossings (expansion.py, scatter.py): the same
-  dicts with signed t-exponents, at one scale per expansion or diagram, and
-  no normal form.  ``flat_pair`` and ``flat_qscalar`` convert to and from
+  keys all have u-exponent 0; it is the coefficient type of q = 1 limits
+  and of the decoded ``QScalar.num`` / ``QScalar.den`` views.
+- The ``flat_*`` functions are the flat Laurent ring of word expansions
+  and scattering crossings (expansion.py, scatter.py): the same dicts with
+  signed t-exponents, at one scale per expansion or diagram, and no normal
+  form.  ``flat_pair`` and ``flat_qscalar`` convert to and from
   QScalar without re-keying.
+- A ``CPoly`` of commutative.py is one such dict with u-exponent 0 and its
+  X-exponents in signed fields above the t-fields (``x_key``, ``x_part``).
 
-``_divide`` is the one division: by leading terms under the key order, it
-serves exact t-polynomial quotients, the gcd cancellation and q = 1 limits.
+``flat_add`` and ``flat_mul`` are the one sum and product; ``flat_divide`` is
+the one division: by leading terms under the key order, it serves exact
+t-polynomial and commutative quotients, the gcd cancellation and q = 1
+limits.  ``render_sum`` is the one printer of a sum of terms, for all of the
+above and for quantum torus elements.
 """
 
 from __future__ import annotations
@@ -50,19 +54,21 @@ def tmono(exponents) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The key layout.  The term c * u^e * t1^a1 * t2^a2 * ... has
+# The key layout.  The term c * u^e * t1^a1 * ... * t16^a16 * X1^x1 * ... *
+# Xr^xr has
 #
-#     key = e + 2^32 * (a1 + 2^12 * a2 + 2^24 * a3 + ...)
+#     key = e + 2^32 * (a1 + 2^12 * a2 + ... + 2^180 * a16)
+#             + 2^224 * (xr + 2^12 * x(r-1) + ... + 2^(12 (r-1)) * x1)
 #
-# with -2^30 <= e < 2^30 and -2^10 <= a_i < 2^10 in stored keys, for at most
-# 16 t-variables.  Each field is decoded from its balanced residue, so a key
-# is that integer sum and the key of a product is the sum of the factors'
-# keys.  For nonnegative t-exponents, integer order on keys is lex order on
-# (..., a2, a1, e), highest field first.  The kernel adds at most three
-# stored keys; in such a sum each field stays within three times its limit,
-# so adding _OFFSET (each field's limit) leaves every field's guard bit
-# (twice its limit) clear exactly when the sum is a stored key again, and
-# leaving the range raises OverflowError instead of wrapping.
+# with -2^30 <= e < 2^30 and -2^10 <= a_i, x_i < 2^10 in stored keys, and
+# r <= 16.  Each field is decoded from its balanced residue, so a key is that
+# integer sum and the key of a product is the sum of the factors' keys.  For
+# nonnegative exponents, integer order on keys is lex order on (x1, ..., xr,
+# ..., a2, a1, e), highest field first.  The kernel adds at most three stored
+# keys; in such a sum each field stays within three times its limit, so
+# adding _OFFSET (each field's limit) leaves every field's guard bit (twice
+# its limit) clear exactly when the sum is a stored key again, and leaving
+# the range raises OverflowError instead of wrapping.
 
 _U_BITS = 32
 _U_HALF = 1 << (_U_BITS - 1)      # e is decoded from [-_U_HALF, _U_HALF)
@@ -73,8 +79,12 @@ _T_HALF = 1 << (_T_BITS - 1)
 _T_MASK = (1 << _T_BITS) - 1
 _T_LIMIT = 1 << 10
 _T_VARS = 16
+# an X-monomial's key is a t-monomial's key shifted up by _X_UP bits
+_X_UP = _T_BITS * _T_VARS
+_X_HALF = 1 << (_U_BITS + _X_UP - 1)
+_X_LOW = 2 * _X_HALF - 1           # the u- and t-fields below the X-fields
 _T_OFFSET = sum(_T_LIMIT << (_U_BITS + _T_BITS * i) for i in range(_T_VARS))
-_OFFSET = _U_LIMIT + _T_OFFSET
+_OFFSET = _U_LIMIT + _T_OFFSET + (_T_OFFSET << _X_UP)
 _GUARD = 2 * _OFFSET
 _T_GUARD = 2 * _T_OFFSET
 
@@ -84,8 +94,8 @@ FLAT_ONE = {0: 1}  # the shared denominator 1; nothing writes into it
 def _overflow() -> OverflowError:
     return OverflowError(
         f"exponent outside the packed range (-{_U_LIMIT} <= q-exponent * scale "
-        f"< {_U_LIMIT}, -{_T_LIMIT} <= t-exponent < {_T_LIMIT}, at most "
-        f"{_T_VARS} t-variables)")
+        f"< {_U_LIMIT}, -{_T_LIMIT} <= t- or X-exponent < {_T_LIMIT}, at most "
+        f"{_T_VARS} t- and {_T_VARS} X-variables)")
 
 
 def _u(key: int) -> int:
@@ -140,11 +150,64 @@ def _pack(e: int, mono) -> int:
     return e
 
 
+def x_key(exponents) -> int:
+    """The key of the X-monomial X^exponents, X1 in the highest field."""
+    return _pack(0, exponents[::-1]) << _X_UP
+
+
+def x_part(key: int) -> int:
+    """The key of a stored key's X-monomial."""
+    return (key + _X_HALF) & ~_X_LOW
+
+
+def x_exponents(xkey: int, rank: int) -> tuple[int, ...]:
+    """The exponent tuple of an X-monomial's key in ``rank`` variables."""
+    mono = _fields(xkey >> _X_UP)[1]
+    return (mono + (0,) * (rank - len(mono)))[::-1]
+
+
+def x_content(xkeys) -> int:
+    """The componentwise minimum of X-monomials' keys, as a key."""
+    return _t_content([x >> _X_UP for x in xkeys]) << _X_UP
+
+
+# ---------------------------------------------------------------------------
+# The printer of a sum of terms.
+
+_T_LABELS = tuple(f"t{i + 1}" for i in range(_T_VARS))
+
+
+def render_monomial(labels, exponents) -> str:
+    """x1^e1*x2^e2*... over the nonzero exponents, "" for the monomial 1."""
+    return "*".join(labels[i] if e == 1 else f"{labels[i]}^{e}"
+                    for i, e in enumerate(exponents) if e)
+
+
+def render_sum(terms) -> str:
+    """The sum of (coefficient, monomial, compound) string terms, in order.
+    A term with monomial "" is its coefficient; a coefficient 1 or -1 shows
+    as its monomial's sign, and a compound one (a sum) is parenthesized
+    before its monomial.  Terms are joined by their signs; no term is 0."""
+    parts = []
+    for c, mono, compound in terms:
+        if not mono:
+            parts.append(c)
+        elif c == "1":
+            parts.append(mono)
+        elif c == "-1":
+            parts.append("-" + mono)
+        else:
+            parts.append(f"({c})*{mono}" if compound else f"{c}*{mono}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(p if p[0] == "-" else "+" + p for p in parts[1:])
+
+
 class TScalar:
     """Integer polynomial in the coefficient variables t1, t2, ...
 
     Stored as a flat packed polynomial (see above) whose keys all have
-    u-exponent 0, so sums and products are the kernel's ``_add`` and
+    u-exponent 0, so sums and products are the kernel's ``flat_add`` and
     ``flat_mul``.  The constructor takes {t-monomial tuple: int};
     :meth:`monomials` decodes back to that form.
     """
@@ -181,7 +244,7 @@ class TScalar:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "TScalar") -> "TScalar":
-        return TScalar._of(_add(self.terms, other.terms))
+        return TScalar._of(flat_add(self.terms, other.terms))
 
     def __neg__(self) -> "TScalar":
         return TScalar._of({k: -c for k, c in self.terms.items()})
@@ -206,40 +269,18 @@ class TScalar:
         """The terms as {canonical t-monomial tuple: int}."""
         return {_fields(k)[1]: c for k, c in self.terms.items()}
 
-    def coefficient_sum(self) -> int:
-        """Value at t = 1."""
-        return sum(self.terms.values())
-
     def divide(self, b: "TScalar"):
         """self / b when the quotient is a polynomial with integer
         coefficients, else None."""
-        q = _divide(self.terms, b.terms)
+        q = flat_divide(self.terms, b.terms)
         return None if q is None else TScalar._of(q)
 
     def __repr__(self):
         return f"TScalar({self.render()})"
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k, c in sorted(self.monomials().items()):
-            mono = "*".join(
-                f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}"
-                for i, e in enumerate(k) if e
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        s = parts[0]
-        for p in parts[1:]:
-            s += p if p.startswith("-") else "+" + p
-        return s
+        return render_sum((str(c), render_monomial(_T_LABELS, m), False)
+                          for m, c in sorted(self.monomials().items()))
 
 
 _T_ONE = TScalar.integer(1)
@@ -264,7 +305,8 @@ def _decode(d: dict) -> dict[int, TScalar]:
     return out
 
 
-def _add(a: dict, b: dict) -> dict:
+def flat_add(a: dict, b: dict) -> dict:
+    """a + b, a new dict; a coefficient that cancels is removed."""
     if len(a) < len(b):
         a, b = b, a
     d = dict(a)
@@ -282,7 +324,7 @@ def _add(a: dict, b: dict) -> dict:
     return d
 
 
-def _divide(a: dict, b: dict):
+def flat_divide(a: dict, b: dict):
     """a / b for flat polynomials with nonnegative exponents, by leading
     terms under the key order (lex, highest field first): the quotient when
     it has nonnegative exponents and integer coefficients, else None.  The
@@ -555,8 +597,8 @@ class QScalar:
         g = {i: c for i, c in enumerate(g) if c}
         # den has a nonzero constant term, so the quotient keeps one too;
         # the numerator is divided shifted to u-exponents >= 0
-        new_den = _divide(den, g)
-        new_num = _divide({k - num_min: c for k, c in num.items()}, g)
+        new_den = flat_divide(den, g)
+        new_num = flat_divide({k - num_min: c for k, c in num.items()}, g)
         if new_den is None or new_num is None:
             return num, den
         return {k + num_min: c for k, c in new_num.items()}, new_den
@@ -590,8 +632,8 @@ class QScalar:
         else:
             na, da, nb, db, L = self._aligned(other)
         if da is db or da == db:
-            return QScalar._raw(_add(na, nb), da, L)
-        return QScalar._raw(_add(flat_mul(na, db), flat_mul(nb, da)), flat_mul(da, db), L)
+            return QScalar._raw(flat_add(na, nb), da, L)
+        return QScalar._raw(flat_add(flat_mul(na, db), flat_mul(nb, da)), flat_mul(da, db), L)
 
     __radd__ = __add__
 
@@ -795,30 +837,18 @@ def _q1_expansion(d: dict) -> tuple[int, TScalar]:
 
 
 def _render_laurent(part: dict, scale: int, base: str) -> str:
-    pieces = []
+    terms = []
     for k in sorted(part):
         c = part[k]
         e = Fraction(k, scale)
         if e == 0:
-            pieces.append(c.render())
-            continue
-        if e.denominator == 1:
+            pw = ""
+        elif e.denominator == 1:
             pw = f"{base}" if e == 1 else f"{base}^{e}"
         else:
             pw = f"{base}^{{{e}}}"
-        cs = c.render()
-        if cs == "1":
-            pieces.append(pw)
-        elif cs == "-1":
-            pieces.append(f"-{pw}")
-        elif "+" in cs[1:] or "-" in cs[1:]:
-            pieces.append(f"({cs})*{pw}")
-        else:
-            pieces.append(f"{cs}*{pw}")
-    s = pieces[0]
-    for p in pieces[1:]:
-        s += p if p.startswith("-") else "+" + p
-    return s
+        terms.append((c.render(), pw, len(c.terms) > 1))
+    return render_sum(terms)
 
 
 def _coerce(x) -> QScalar:

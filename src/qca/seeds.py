@@ -322,15 +322,18 @@ def fixed_data_from_json(data: dict) -> FixedData:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
     skew = data["skew"]
+    # exact types: a bool is no skew entry
     if not isinstance(skew, list) or len(skew) != n or any(
             not isinstance(row, list) or len(row) != n
-            or not all(isinstance(x, (int, float, str)) for x in row) for row in skew):
+            or not all(type(x) in (int, float, str) for x in row) for row in skew):
         raise ValueError(f"skew must be a list of {n} rows of {n} numbers")
     for key in ("d", "unfrozen", "labels"):
         if data.get(key) is not None and not isinstance(data[key], list):
             raise ValueError(f"{key!r} must be a list")
     return make_fixed_data(
-        skew=[[Fraction(x) for x in row] for row in skew],
+        # a float through its decimal text, so that 0.1 is 1/10
+        skew=[[Fraction(repr(x) if isinstance(x, float) else x) for x in row]
+              for row in skew],
         d=data.get("d", [1] * n),
         unfrozen=data.get("unfrozen", list(range(n))),
         labels=data.get("labels"),

@@ -7,7 +7,11 @@ from fractions import Fraction
 import pytest
 
 from qca.cli import main
+from qca.duality import CompatibilityError
+from qca.scalars import QPoleError
+from qca.scatter import ConsistencyError
 from qca.seeds import make_fixed_data, save_seed_file
+from qca.words import ExpansionError
 from qca import fixtures
 
 HERE = os.path.dirname(__file__)
@@ -128,6 +132,21 @@ def test_pstar_cli(seeds, capsys):
     assert "intertwining: ok" in out
 
 
+def test_pstar_without_the_check_reports_no_verdict(seeds, capsys):
+    code, out, _ = run(capsys, ["pstar", "--seed", seeds["a23"]])
+    assert code == 0
+    assert out == "Lambda = [[0, 1], [-1, 0]]\np* rows = [[0, -3], [2, 0]]\n"
+    code, out, _ = run(capsys, ["pstar", "--seed", seeds["a23"], "--format", "json"])
+    assert code == 0
+    assert sorted(json.loads(out)) == ["Lambda", "pstar_rows"]
+
+
+def test_pstar_order_without_the_check_is_a_clean_error(seeds, capsys):
+    code, out, err = run(capsys, ["pstar", "--seed", seeds["a23"], "--order", "6"])
+    assert (code, out) == (2, "")
+    assert err == "error: --order applies only with --check-intertwining\n"
+
+
 def test_poisson_cli(seeds, capsys):
     code, out, _ = run(capsys, ["poisson", "--seed", seeds["a2"]])
     assert code == 0
@@ -157,6 +176,40 @@ def test_usage_errors(seeds, capsys):
     assert code == 2
 
 
+def _non_integral_pairing():
+    make_fixed_data([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]],
+                    unfrozen=[]).integral(1, "pairing")
+
+
+def _raising(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("fail, code", [
+    # a computation that failed on valid input
+    (_raising(ConsistencyError("loop")), 3),
+    (_raising(QPoleError(2)), 3),
+    (_raising(OverflowError("exponent outside the packed range")), 3),
+    (_raising(ZeroDivisionError("division by zero")), 3),
+    (_non_integral_pairing, 3),
+    (_raising(ExpansionError("no separating grading")), 3),
+    # input the engine rejects
+    (_raising(ValueError("bad input")), 2),
+    (_raising(CompatibilityError((0, 1), 2, "not compatible")), 2),
+    (_raising(OSError("cannot read")), 2),
+], ids=["consistency", "q-pole", "overflow", "zero-division", "non-integral",
+        "expansion", "value", "compatibility", "os"])
+def test_exit_code_names_the_kind_of_error(fail, code, seeds, capsys, monkeypatch):
+    from qca import cli
+
+    monkeypatch.setattr(cli, "cmd_table", lambda args: fail())
+    got, out, err = run(capsys, ["table", "--seed", seeds["a2"], "--mode", "x-classical"])
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("key", ["skew", "rank"])
 def test_seed_file_missing_key_is_a_clean_error(key, capsys, tmp_path):
     with open(os.path.join(HERE, "..", "demos", "seeds", "a2.json")) as fh:
@@ -171,7 +224,8 @@ def test_seed_file_missing_key_is_a_clean_error(key, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("change", [
-    {"skew": 5}, {"skew": [[None, 1], [-1, 0]]}, {"rank": [2]},
+    {"skew": 5}, {"skew": [[None, 1], [-1, 0]]}, {"skew": [[0, True], [-1, 0]]},
+    {"rank": [2]},
     {"labels": ["A"]}, {"labels": [1, 2]}, {"labels": "X1"},
     {"d": [1.5, 1]}, {"d": ["1", 1]}, {"d": 2},
     {"unfrozen": [0, 0]}, {"unfrozen": [[0]]}, {"unfrozen": 0},

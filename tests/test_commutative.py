@@ -61,7 +61,7 @@ def test_tscalar_views():
     assert x.render() == "3-t2^2+3*t1"
     assert not x.monomials().keys() <= {()} and ts({(0, 0): 5}) == TScalar.integer(5)
     assert TScalar() == TScalar.integer(0)
-    assert x.coefficient_sum() == 5
+    assert CPoly(1, {(0,): x}).subs_t_one() == CPoly(1, {(0,): 5})
     divides = x.divide(ts({(1,): 1})) is not None
     assert not divides
     assert (x * ts({(0, 1): -2})).divide(ts({(0, 1): -2})) == x
@@ -134,3 +134,78 @@ def test_divide_matches_sympy(a, b, m):
             assert got is not None and all(got.monomials().values())
             assert sympy.expand(tscalar_to_sympy(got) - want) == 0
     assert (a * b).divide(b) == a
+
+
+# ---------------------------------------------------------------------------
+# CPoly on the packed keys against sympy.
+
+X = sympy.symbols("X1:4")
+
+
+def cpoly_to_sympy(p: CPoly):
+    return sum((tscalar_to_sympy(c) * sympy.Mul(*(X[i] ** a for i, a in enumerate(e)))
+                for e, c in p.coefficients().items()), sympy.Integer(0))
+
+
+def sympy_laurent_quotient(a, b, rank: int):
+    """a / b as a sympy Laurent polynomial in X over Z[t], or None when it is
+    not one."""
+    shift = sympy.Mul(*(X[i] ** 30 for i in range(rank)))
+    num, den = sympy.fraction(sympy.cancel(a * shift / b))
+    if den.free_symbols:
+        return None
+    if not all(c.is_integer for c in sympy.Poly(num / den, *X[:rank], *T).coeffs()):
+        return None
+    return num / den / shift
+
+
+@st.composite
+def cpolys(draw, rank: int, nonzero: bool = False):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * rank), tscalars,
+        min_size=1 if nonzero else 0, max_size=3))
+    p = CPoly(rank, terms)
+    if nonzero and p.is_zero():
+        p = CPoly.one(rank)
+    return p
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_cpoly_matches_sympy(data):
+    rank = data.draw(st.sampled_from([2, 3]))
+    a, b = data.draw(cpolys(rank)), data.draw(cpolys(rank, nonzero=True))
+    e = data.draw(st.tuples(*[st.integers(-3, 3)] * rank))
+    c = data.draw(tscalars.filter(lambda c: not c.is_zero()))
+    sa, sb = cpoly_to_sympy(a), cpoly_to_sympy(b)
+    shift = CPoly.monomial(rank, e)
+    const = CPoly(rank, {(0,) * rank: c})
+    for got, want in ((a * b, sa * sb), (a + b, sa + sb), (a - b, sa - sb),
+                      (a * shift, sa * cpoly_to_sympy(shift)),
+                      (a.scale(c), sa * tscalar_to_sympy(c))):
+        assert all(got.terms.values())
+        assert sympy.expand(cpoly_to_sympy(got) - want) == 0
+    # random pairs, exact quotients, Laurent-shift divisors, and constant
+    # divisors whose t-coefficient need not divide
+    for x, y in ((a, b), (a * b, b), (a * b, b * shift), (a, shift), (a, const),
+                 (a * const, const), (a * b, b * const)):
+        want = sympy_laurent_quotient(cpoly_to_sympy(x), cpoly_to_sympy(y), rank)
+        got = x.exact_divide(y)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and all(got.terms.values())
+            assert sympy.expand(cpoly_to_sympy(got) - want) == 0
+    assert (a * b).exact_divide(b) == a
+
+
+def test_x_exponent_outside_the_packed_range_raises():
+    with pytest.raises(OverflowError):
+        CPoly(2, {(1024, 0): 1})
+    with pytest.raises(OverflowError):
+        CPoly(2, {(0, -1025): 1})
+    big = CPoly.monomial(2, (0, 512))
+    with pytest.raises(OverflowError):
+        big * big
+    assert (big * CPoly.monomial(2, (0, 511))).coefficients() == {(0, 1023): TScalar.integer(1)}
+    assert CPoly(2, {(-1024, 0): 1}).exact_divide(CPoly.monomial(2, (-1024, 0))).is_one()

@@ -43,7 +43,8 @@ def test_p1_star_names_a_non_integral_frozen_entry(tmp_path, capsys):
     assert str(info.value) == "non-integral p* entry {e2,e3}d3: 1/2"
     path = tmp_path / "frozen_half.json"
     save_seed_file(fd, path)
-    assert main(["pstar", "--seed", str(path)]) == 2
+    # a failed computation on a seed that loads: exit 3, not a usage error
+    assert main(["pstar", "--seed", str(path)]) == 3
     assert capsys.readouterr().err == "error: non-integral p* entry {e2,e3}d3: 1/2\n"
 
 

@@ -9,8 +9,8 @@ from unittest import mock
 
 from qca import scalars
 from qca.scalars import (
-    FLAT_ONE, ONE, QPoleError, QScalar, TScalar, _divide, _fields, _pack, _t_content,
-    flat_mac, flat_pair, flat_qscalar, qpow, tpow, tvar, vpow)
+    FLAT_ONE, ONE, QPoleError, QScalar, TScalar, _fields, _pack, _t_content,
+    flat_divide, flat_mac, flat_pair, flat_qscalar, qpow, tpow, tvar, vpow)
 
 
 def rand_scalar(rng, allow_fraction=True):
@@ -313,16 +313,16 @@ def test_kernel_division_keeps_u_exponents_nonnegative():
     # flat polynomials in u = q^(1/scale) and t1; TScalar only ever divides
     # u-free ones
     u, t1 = _pack(1, ()), _pack(0, (1,))
-    assert _divide({2 * u: 1, 0: -1}, {u: 1, 0: -1}) == {u: 1, 0: 1}
-    assert _divide({t1 + u: 2, t1: 2}, {u: 1, 0: 1}) == {t1: 2}
+    assert flat_divide({2 * u: 1, 0: -1}, {u: 1, 0: -1}) == {u: 1, 0: 1}
+    assert flat_divide({t1 + u: 2, t1: 2}, {u: 1, 0: 1}) == {t1: 2}
     # (1 + u) / u and t1 / u are Laurent in u
-    assert _divide({u: 1, 0: 1}, {u: 1}) is None
-    assert _divide({t1: 1}, {u: 1}) is None
+    assert flat_divide({u: 1, 0: 1}, {u: 1}) is None
+    assert flat_divide({t1: 1}, {u: 1}) is None
     # t1^2 / (t1 + u^(2^29)): the third working term is u^(2^30), just past
     # the packed range; one less and the quotient stops at a t-borrow
     with pytest.raises(OverflowError):
-        _divide({2 * t1: 1}, {t1: 1, 2 ** 29 * u: 1})
-    assert _divide({2 * t1: 1}, {t1: 1, (2 ** 29 - 1) * u: 1}) is None
+        flat_divide({2 * t1: 1}, {t1: 1, 2 ** 29 * u: 1})
+    assert flat_divide({2 * t1: 1}, {t1: 1, (2 ** 29 - 1) * u: 1}) is None
 
 
 def test_limit_q1_divides_by_a_t_dependent_denominator():

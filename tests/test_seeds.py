@@ -156,6 +156,13 @@ def test_json_roundtrip():
     assert fd2 == fd
 
 
+def test_float_skew_entries_load_through_their_decimal_text():
+    fd = fixed_data_from_json({"rank": 2, "skew": [[0, 0.5], [-0.5, 0]], "unfrozen": []})
+    assert fd.form_den == 2 and fd.skew[0][1] == Fraction(1, 2)
+    fd = fixed_data_from_json({"rank": 2, "skew": [[0, 0.1], [-0.1, 0]], "unfrozen": []})
+    assert fd.form_den == 10 and fd.skew[1][0] == Fraction(-1, 10)
+
+
 def test_f_basis_dual():
     fd = a23()
     s = Seed(fd).mutate(0).mutate(1)
