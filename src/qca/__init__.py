@@ -20,13 +20,11 @@ _EXPORTS = {
     "words": ("ExpansionError", "FactoredWord", "Series", "words_equal"),
     "mutation": ("apply_mutation_sequence", "mutate_a_classical", "mutate_a_word",
                  "mutate_word", "mutate_x_classical", "mutate_x_family",
-                 "mu_prime_word", "mu_sharp_word", "quantum_x_variables",
-                 "word_to_classical", "x_torus", "XMutationStep"),
+                 "quantum_x_variables", "word_to_classical", "x_torus",
+                 "XMutationStep"),
     "scatter": ("ConsistencyError", "ScatteringDiagram", "Wall",
-                "appendix_b_closed_form", "complete_to_order", "initial_diagram",
-                "wall_crossing"),
-    "theta": ("BrokenLine", "enumerate_broken_lines", "greedy_T",
-              "theta_coefficient", "theta_function"),
+                "appendix_b_closed_form", "complete_to_order", "initial_diagram"),
+    "theta": ("BrokenLine", "enumerate_broken_lines", "greedy_T", "theta_function"),
     "duality": ("CompatibilityError", "CompatiblePair", "PStarHom", "PStarMap",
                 "check_compatible_pair", "p1_star", "principal_compatible_pair"),
     "poisson": ("check_poisson_map", "poisson_bracket", "semiclassical_bracket"),

@@ -62,7 +62,10 @@ def nonnegative_int(text: str) -> int:
 
 def _parse_pair(text: str, parse, flag: str) -> tuple:
     """A rank-2 vector: exactly two entries."""
-    entries = parse(text)
+    try:
+        entries = parse(text)
+    except ZeroDivisionError:  # bad input, not a failed computation
+        raise ValueError(f"{flag} has a zero denominator: {text!r}") from None
     if len(entries) != 2:
         raise ValueError(f"{flag} takes two comma-separated entries, got {text!r}")
     return tuple(entries)
@@ -320,13 +323,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_BROKEN_PIPE
     except (OSError, ValueError, ArithmeticError) as exc:
-        # a failed computation exits 3: an ArithmeticError, or an ExpansionError
-        # (a ValueError that only the loaded words layer raises); else 2
+        # a failed computation (an ArithmeticError) exits 3, bad input 2
         print(f"error: {exc}", file=sys.stderr)
-        words = sys.modules.get("qca.words")
-        failed = isinstance(exc, ArithmeticError) or (
-            words is not None and isinstance(exc, words.ExpansionError))
-        return 3 if failed else 2
+        return 3 if isinstance(exc, ArithmeticError) else 2
 
 
 if __name__ == "__main__":

@@ -210,14 +210,13 @@ def _solve(rows, rhs):
 
 class PStarHom:
     """The *-algebra homomorphism X-torus-with-coefficients ->
-    A-torus-with-coefficients induced by p*."""
+    A-torus-with-coefficients induced by p*, on the Lambda of the
+    principal compatible pair."""
 
-    def __init__(self, fd: FixedData, Lambda=None, pmap: PStarMap | None = None):
+    def __init__(self, fd: FixedData):
         self.fd = fd
-        self.pmap = pmap or p1_star(fd)
-        if Lambda is None:
-            Lambda = principal_compatible_pair(fd).Lambda
-        self.Lambda = Lambda
+        self.pmap = p1_star(fd)
+        self.Lambda = Lambda = principal_compatible_pair(fd).Lambda
         self.d = fd.d_lcm
         # multiplicativity: Lambda(p*e_i, p*e_j) = -d {e_i, e_j}
         for i in range(fd.n):

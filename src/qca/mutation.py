@@ -158,23 +158,6 @@ class XMutationStep:
         return self.conjugation.apply(w, None if self.cminus is None else self.twist)
 
 
-def mu_prime_word(w: FactoredWord, k: int, seed: Seed,
-                  with_coefficients: bool = True) -> FactoredWord:
-    """The monomial change-of-coordinates part: a pure coefficient twist in
-    Weyl coordinates, X^v -> t^{-{v,e_k}d_k [-c_k]_+} X^v."""
-    step = XMutationStep(seed, k, with_coefficients, w.algebra)
-    if step.cminus is None:
-        return w
-    return FactoredWord(w.algebra, w.prefix,
-                        tuple((p.map_terms(step.twist), s) for p, s in w.atoms))
-
-
-def mu_sharp_word(w: FactoredWord, k: int, seed: Seed,
-                  with_coefficients: bool = True) -> FactoredWord:
-    """Conjugation by the coefficient dilogarithm Psi_{q_k}(t^{c_k} X_k)."""
-    return XMutationStep(seed, k, with_coefficients, w.algebra).conjugation.apply(w)
-
-
 def mutate_word(w: FactoredWord, k: int, seed: Seed,
                 with_coefficients: bool = True) -> FactoredWord:
     """One quantum X-mutation applied to a word: mu = mu# o mu'.  Each call

@@ -9,6 +9,7 @@ from .theta import BrokenLine
 
 VIEW = 320.0
 MARGIN = 28.0
+TERMS = 3  # wall-function terms shown in a label
 
 
 def _norm(v):
@@ -24,15 +25,15 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def wall_label(w: Wall, max_terms: int = 3) -> str:
+def wall_label(w: Wall) -> str:
     if w.kind == "classical":
         parts = ["1"]
-        for j, c in sorted(w.function.items())[:max_terms - 1]:
+        for j, c in sorted(w.function.items())[:TERMS - 1]:
             cs = c.render()
             mono = f"A^{{{tuple(j * x for x in w.direction)}}}"
             parts.append(mono if cs == "1" else f"{cs}*{mono}")
         txt = "+".join(parts)
-        if len(w.function) > max_terms - 1:
+        if len(w.function) > TERMS - 1:
             txt += "+..."
         return txt
     if w.kind == "dilog":
@@ -41,10 +42,10 @@ def wall_label(w: Wall, max_terms: int = 3) -> str:
         arg = f"A^{{{w.direction}}}" if cs == "1" else f"{cs}*A^{{{w.direction}}}"
         return f"Psi[q^{h}]({arg})"
     parts = []
-    for j, a in sorted(w.log_coeffs.items())[:max_terms]:
+    for j, a in sorted(w.log_coeffs.items())[:TERMS]:
         parts.append(f"{a.render()}*Ahat^{{{tuple(j * x for x in w.direction)}}}")
     txt = "+".join(parts) if parts else "0"
-    if len(w.log_coeffs) > max_terms:
+    if len(w.log_coeffs) > TERMS:
         txt += "+..."
     return f"exp({txt})"
 
@@ -81,9 +82,9 @@ def diagram_svg(dg: ScatteringDiagram, radius: float = 2.5) -> str:
     return "\n".join(lines) + "\n"
 
 
-def broken_line_svg(dg: ScatteringDiagram, lines_to_draw: list[BrokenLine],
-                    radius: float = 6.0) -> str:
+def broken_line_svg(dg: ScatteringDiagram, lines_to_draw: list[BrokenLine]) -> str:
     """Diagram with broken-line polylines overlaid."""
+    radius = 6.0  # of the plane drawn under the lines
     scale = (VIEW / 2 - MARGIN) / radius
     base = diagram_svg(dg, radius).rstrip("\n").rsplit("</svg>", 1)[0]
     out = [base]

@@ -125,7 +125,7 @@ class ScatteringDiagram:
         self._fcache: dict = {}
         self._scale = self.torus.form_den  # L: u = q^{1/L} in _fcache
         self._f = 1                        # L / form_den
-        self._seq_cache: dict = {}  # orientation -> crossing list
+        self._seq_cache = None  # the crossing list of the loop
 
     def _forget(self, wall: Wall):
         """Drop the cached factors of ``wall``, whose function changed."""
@@ -256,24 +256,18 @@ class ScatteringDiagram:
             b = g1
         return b
 
-    def crossing_sequence(self, orientation: str = "ccw"):
-        """All (ray, wall, sign) crossings of the full loop in order, from
-        the initial chamber's base direction."""
-        cached = self._seq_cache.get(orientation)
-        if cached is not None:
-            return cached
+    def crossing_sequence(self):
+        """All (ray, wall, sign) crossings of the counterclockwise full loop
+        in order, from the initial chamber's base direction."""
+        if self._seq_cache is not None:
+            return self._seq_cache
         base = self.base_direction()
         items = [(r, w) for w in self.walls for r in w.rays()]
         if any(cross2(base, r) == 0 for r, _ in items):
             raise ValueError("loop base point lies on a wall; move it")
         items.sort(key=lambda rw: _ccw_key(base, rw[0]))
-        out = [(r, w, self._loop_sign(w.normal, r)) for r, w in items]
-        if orientation == "cw":
-            out = [(r, w, -s) for r, w, s in reversed(out)]
-        elif orientation != "ccw":
-            raise ValueError("orientation must be 'ccw' or 'cw'")
-        self._seq_cache[orientation] = out
-        return out
+        self._seq_cache = [(r, w, self._loop_sign(w.normal, r)) for r, w in items]
+        return self._seq_cache
 
     def _loop_sign(self, normal, r) -> int:
         """The sign of <normal, -gamma'> where the ccw loop crosses ray r."""
@@ -282,7 +276,7 @@ class ScatteringDiagram:
             raise ConsistencyError(f"the loop is tangent to the wall on {r}")
         return 1 if s > 0 else -1
 
-    def _loop(self, monomial, order, orientation):
+    def _loop(self, monomial, order):
         """The full-loop product applied to X^monomial on the flat ring, a
         FlatSeries (without degrees)."""
         order = order if order is not None else self.order
@@ -290,23 +284,22 @@ class ScatteringDiagram:
         cutoff = degree(self.dvec, m) + order * self.dscale
         self._flat_scale()
         terms, den = {m: FLAT_ONE}, FLAT_ONE
-        for _, wall, sgn in self.crossing_sequence(orientation):
+        for _, wall, sgn in self.crossing_sequence():
             terms, d = self._cross(wall, terms, sgn, cutoff)
             if d is not FLAT_ONE:
                 den = flat_mul(den, d)
         return FlatSeries(terms, None, cutoff, den)
 
-    def path_ordered_product(self, monomial, order=None, orientation="ccw") -> Series:
+    def path_ordered_product(self, monomial, order=None) -> Series:
         """The full-loop product applied to A^monomial, exact to the given
         order (in paper degrees) above the monomial's own degree."""
-        return self._loop(monomial, order, orientation).series(
-            self.torus, self.dvec, self._scale)
+        return self._loop(monomial, order).series(self.torus, self.dvec, self._scale)
 
-    def is_consistent(self, monomials, order=None, orientation="ccw") -> bool:
+    def is_consistent(self, monomials, order=None) -> bool:
         """True iff the loop fixes each monomial to ``order``: its flat
         product is that monomial over its own denominator exactly."""
         for m in monomials:
-            loop = self._loop(m, order, orientation)
+            loop = self._loop(m, order)
             if loop.terms != {vec(m): loop.den}:
                 return False
         return True
@@ -386,16 +379,6 @@ def initial_diagram(fd: FixedData, side: str = "A", quantum: bool = False,
                         function={1: ONE})
         dg.walls.append(wall)
     return dg
-
-
-def wall_crossing(diagram: ScatteringDiagram, wall: Wall, monomial, sign: int,
-                  order: int | None = None) -> Series:
-    """The single-wall crossing operator applied to A^monomial."""
-    order = order if order is not None else diagram.order
-    m = vec(monomial)
-    cutoff = degree(diagram.dvec, m) + order * diagram.dscale
-    series = Series(diagram.torus, diagram.dvec, cutoff, {m: ONE})
-    return diagram.cross(wall, series, sign, cutoff)
 
 
 GENERATORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -494,7 +477,7 @@ def _insert_wall(dg: ScatteringDiagram, m, k: int, entries) -> None:
         del coeffs[j]
     if created and (wall.function or wall.log_coeffs):
         dg.walls.append(wall)
-        dg._seq_cache.clear()
+        dg._seq_cache = None
     dg._forget(wall)
 
 

@@ -100,9 +100,6 @@ class FixedData:
             raise ArithmeticError(f"non-integral {what}: {Fraction(value, self.form_den)}")
         return q
 
-    def with_coefficients(self, mode: str) -> "FixedData":
-        return FixedData(self.n, self.unfrozen, self.skew, self.d, self.labels, mode)
-
 
 def make_fixed_data(skew, d=None, unfrozen=None, labels=None,
                     coefficients: str = "principal") -> FixedData:
@@ -331,14 +328,21 @@ def fixed_data_from_json(data: dict) -> FixedData:
         if data.get(key) is not None and not isinstance(data[key], list):
             raise ValueError(f"{key!r} must be a list")
     return make_fixed_data(
-        # a float through its decimal text, so that 0.1 is 1/10
-        skew=[[Fraction(repr(x) if isinstance(x, float) else x) for x in row]
-              for row in skew],
+        skew=[[_skew_entry(x) for x in row] for row in skew],
         d=data.get("d", [1] * n),
         unfrozen=data.get("unfrozen", list(range(n))),
         labels=data.get("labels"),
         coefficients=data.get("coefficients", "principal"),
     )
+
+
+def _skew_entry(x) -> Fraction:
+    """One skew entry of a seed file; a float through its decimal text, so
+    that 0.1 is 1/10."""
+    try:
+        return Fraction(repr(x) if isinstance(x, float) else x)
+    except ZeroDivisionError:  # bad input, not a failed computation
+        raise ValueError(f"skew entry {x!r} has a zero denominator") from None
 
 
 def load_seed_file(path) -> FixedData:

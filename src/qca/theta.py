@@ -187,15 +187,6 @@ def theta_of_lines(torus, lines) -> QTorusElement:
     return out
 
 
-def theta_coefficient(m0, Q, diagram: ScatteringDiagram, order: int,
-                      exponent) -> QScalar:
-    lines = enumerate_broken_lines(m0, Q, diagram, order, final_exponent=exponent)
-    total = QScalar.integer(0)
-    for bl in lines:
-        total = total + bl.final_decoration.coeff
-    return total
-
-
 def greedy_T(m, b: int, c: int) -> tuple[int, int]:
     """The g-vector -> d-vector reindexing map for the rank-2 algebra
     A(b,c): m -> m if m1 >= 0, else m + (0, c m1)."""

@@ -31,8 +31,9 @@ from .qtorus import QTorusElement, SkewLattice, add_terms, skew_product, vec, ve
 from .scalars import ONE, QScalar
 
 
-class ExpansionError(ValueError):
-    """An atom cannot be inverted in the chosen completion."""
+class ExpansionError(ArithmeticError):
+    """An atom cannot be inverted in the chosen completion: a failed
+    computation, not bad input."""
 
 
 def degree(dvec, n) -> int:
@@ -280,30 +281,15 @@ class FactoredWord:
         return FactoredWord(self.algebra, self.prefix.bar(),
                             tuple((p.star(), s) for p, s in reversed(self.atoms)))
 
-    def map_scalars(self, f) -> "FactoredWord":
-        return FactoredWord(self.algebra, f(self.prefix),
-                            tuple((p.map_terms(lambda n, c: f(c)), s) for p, s in self.atoms))
-
     def transport(self, algebra: SkewLattice, expmap, scalarmap) -> "FactoredWord":
         """Monomial-level algebra map: exponents through ``expmap``, scalar
-        coefficients through ``scalarmap`` (used by the p* homomorphism)."""
+        coefficients through ``scalarmap`` (the p* homomorphism; with the
+        identity on exponents, a map of the scalars alone)."""
         atoms = []
         for p, s in self.atoms:
             atoms.append((QTorusElement(
                 algebra, {vec(expmap(n)): scalarmap(c) for n, c in p.terms.items()}), s))
         return FactoredWord(algebra, scalarmap(self.prefix), atoms)
-
-    # -- dilogarithm conjugation ----------------------------------------------
-    def conjugate_by_dilog(self, h: Fraction, coeff: QScalar, direction,
-                           action: int = 1) -> "FactoredWord":
-        """Ad^{action} of Psi_{q^h}(coeff * X^direction) applied to the word.
-
-        action=+1 is x -> Psi x Psi^{-1} (the mutation automorphism mu#);
-        action=-1 is x -> Psi^{-1} x Psi (how scattering walls act).  Each
-        call builds its own :class:`DilogConjugation`, so two calls share no
-        binomial.
-        """
-        return DilogConjugation(self.algebra, h, coeff, direction, action).apply(self)
 
     # -- expansion ----------------------------------------------------------------
     def expand(self, dvec, order: int) -> Series:
@@ -365,33 +351,11 @@ class FactoredWord:
         return f"FactoredWord({self.render()})"
 
 
-def dilog_factor_word(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
-                      exp_sign: int, power: int, count: int) -> FactoredWord:
-    """Product of count factors (1 + Q^{exp_sign (2l-1)} y)^{power} with
-    y = coeff * X^w and Q = q^h.  The factors commute pairwise."""
-    return FactoredWord(alg, ONE, [
-        (dilog_binomial(alg, h, coeff, w, exp_sign * (2 * ell - 1)), power)
-        for ell in range(1, count + 1)])
-
-
 def dilog_binomial(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
                    e: int) -> QTorusElement:
     """1 + Q^e y with y = coeff * X^w and Q = q^h."""
     return QTorusElement.one(alg) + QTorusElement.monomial(
         alg, w, coeff._qshift(h.numerator * e, h.denominator))
-
-
-def dilog_conjugation_factors(alg: SkewLattice, u: int, coeff: QScalar,
-                              direction, h: Fraction) -> FactoredWord:
-    """Finite product implementing Psi^{-1} A^m Psi = (this word) * A^m on a
-    monomial with pairing value ``u``: the empty word for u=0,
-    (1+Qy)...(1+Q^{2u-1}y) for u>0 and (1+Q^{-1}y)^{-1}...(1+Q^{1-2|u|}y)^{-1}
-    for u<0, with y = coeff X^dir and Q = q^h.  This is the left-multiplied
-    normal form; the engine's right-multiplied conjugation carries the
-    opposite q-exponent signs, the two being equal after commuting past A^m.
-    """
-    s = 1 if u > 0 else -1
-    return dilog_factor_word(alg, h, coeff, vec(direction), s, s, abs(u))
 
 
 def dilog_pairings(alg: SkewLattice, h: Fraction, w, exponents, row=None) -> dict:
@@ -415,7 +379,9 @@ def dilog_pairings(alg: SkewLattice, h: Fraction, w, exponents, row=None) -> dic
 
 class DilogConjugation:
     """Ad^{action} of Psi_{q^h}(coeff X^w), built once and applied to any
-    number of words; y = coeff X^w and Q = q^h below.
+    number of words; y = coeff X^w and Q = q^h below.  action=+1 is
+    x -> Psi x Psi^{-1} (the mutation automorphism mu#); action=-1 is
+    x -> Psi^{-1} x Psi (how scattering walls act).
 
     A monomial X^v with pairing p_v = omega(w, v)/h (an integer) conjugates
     to X^v * prod_{l<=|p_v|} (1 + Q^{sgn(p_v)(2l-1)} y)^{action sgn(p_v)}.

@@ -90,7 +90,7 @@ def test_criterion_2_table2():
     assert q1_specializes(qrows, crows)
     # t = 1 recovers Table 1
     assert not _differ(qrows, quantum_rows(alg, t=False), lambda w, e: words_equal(
-        w.map_scalars(lambda s: s.subs_t_one()), e, 12))
+        w.transport(alg, lambda n: n, lambda s: s.subs_t_one()), e, 12))
     _report("criterion 2: Table 2 (principal coefficients, incl. C_s column)",
             time.time() - t0, 5.0)
 

@@ -225,6 +225,7 @@ def test_seed_file_missing_key_is_a_clean_error(key, capsys, tmp_path):
 
 @pytest.mark.parametrize("change", [
     {"skew": 5}, {"skew": [[None, 1], [-1, 0]]}, {"skew": [[0, True], [-1, 0]]},
+    {"skew": [[0, "1/0"], [-1, 0]]},
     {"rank": [2]},
     {"labels": ["A"]}, {"labels": [1, 2]}, {"labels": "X1"},
     {"d": [1.5, 1]}, {"d": ["1", 1]}, {"d": 2},
@@ -275,6 +276,22 @@ def test_theta_vectors_have_two_entries(flag, values, seeds, capsys):
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} takes two comma-separated entries, got {value!r}\n"
+
+
+def test_zero_denominator_is_a_usage_error(seeds, capsys, tmp_path):
+    # Fraction(1, 0) is bad input, not a failed computation
+    code, out, err = run(capsys, ["theta", "--seed", seeds["a23"], "--gvector=-3,5",
+                                  "--basepoint", "1/0,1"])
+    assert (code, out) == (2, "")
+    assert err == "error: --basepoint has a zero denominator: '1/0,1'\n"
+    with open(seeds["a2"]) as fh:
+        data = json.load(fh)
+    data["skew"][0][1] = "1/0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["table", "--seed", str(bad), "--mode", "x-classical"])
+    assert (code, out) == (2, "")
+    assert err == "error: skew entry '1/0' has a zero denominator\n"
 
 
 @pytest.mark.parametrize("k", ["0", "3", "-1"])

@@ -28,7 +28,7 @@ from qca.scatter import (
     initial_diagram,
 )
 from qca.seeds import make_fixed_data
-from qca.words import FactoredWord, Series, degree, dilog_factor_word
+from qca.words import DilogConjugation, FactoredWord, Series, degree
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -57,8 +57,8 @@ def word_path(dg, wall, series, sign, cutoff) -> Series:
     h, coeff = wall.dilog
     out = Series(dg.torus, dg.dvec, cutoff, {})
     for m, c in series.terms.items():
-        conj = FactoredWord.monomial(dg.torus, m, c).conjugate_by_dilog(
-            h, coeff, wall.direction, action=-sign)
+        conj = DilogConjugation(dg.torus, h, coeff, wall.direction, -sign).apply(
+            FactoredWord.monomial(dg.torus, m, c))
         rel = max(cutoff - degree(dg.dvec, m), 0)
         out = out + conj.expand(dg.dvec, rel).truncate(cutoff)
     return out
@@ -260,7 +260,8 @@ def word_factor(dg, wall, sign, p, rel) -> Series:
     if wall.kind == "dilog":
         h, coeff = wall.dilog
         s0 = 1 if p > 0 else -1
-        word = dilog_factor_word(dg.torus, h, coeff, wall.direction, s0, -sign * s0, abs(p))
+        binomials = DilogConjugation(dg.torus, h, coeff, wall.direction).factors(s0, abs(p))
+        word = FactoredWord(dg.torus, ONE, [(b, -sign * s0) for b in binomials])
     else:
         f = QTorusElement(dg.torus, {
             dg.torus.zero(): ONE,
@@ -361,11 +362,11 @@ def test_wall_insertion_drops_only_that_walls_factors():
     dg.path_ordered_product((1, 0), 3)
     assert factors_of(dg, log_wall)
     assert all(factors_of(dg, w) for w in dg.walls)
-    sequences = dict(dg._seq_cache)
-    assert sequences
+    sequence = dg._seq_cache
+    assert sequence
 
     # a second coefficient on the existing log wall: only its entries go,
-    # and the crossing sequences stay (no wall was created)
+    # and the crossing sequence stays (no wall was created)
     before = dict(dg._fcache)
     m = tuple(2 * x for x in log_wall.direction)
     _insert_wall(dg, m, 4, [((1, 0), ONE)])
@@ -376,15 +377,15 @@ def test_wall_insertion_drops_only_that_walls_factors():
     assert all(dg._fcache[key] is f for key, f in kept.items())
     for key, f in kept.items():
         assert structure(as_series(dg, f)) == structure(fresh_build(dg, key, f))
-    assert dg._seq_cache == sequences
+    assert dg._seq_cache is sequence
 
     # a new wall (in a degree-3 direction of the completion): the crossing
-    # sequences go, every entry stays
+    # sequence goes, every entry stays
     dg.path_ordered_product((0, 1), 3)
     before = dict(dg._fcache)
     _insert_wall(dg, (4, -3), 3, [((1, 0), ONE)])
     assert len(dg.walls) == 4 and dg.walls[-1].direction == (4, -3)
-    assert dg._seq_cache == {}
+    assert dg._seq_cache is None
     assert dg._fcache == before
     assert all(dg._fcache[key] is f for key, f in before.items())
 

@@ -73,7 +73,7 @@ def test_principal_pair_rank3():
     pair = principal_compatible_pair(fd)
     assert check_compatible_pair(pair.Lambda, pair.Btilde,
                                  unfrozen_cols=fd.unfrozen) == pair.Dprime
-    hom = PStarHom(fd, pair.Lambda)  # multiplicativity validated inside
+    assert PStarHom(fd).Lambda == pair.Lambda  # multiplicativity validated inside
 
 
 def test_q_translation():

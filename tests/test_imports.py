@@ -102,7 +102,7 @@ def test_star_import_binds_every_public_name():
         "print(sorted(set(qca.__all__) - set(namespace)))\n"
         "print(sorted(set(qca.__all__) - set(dir(qca))))\n"
         "print(len(qca.__all__))")
-    assert out.splitlines() == ["[]", "[]", "55"]
+    assert out.splitlines() == ["[]", "[]", "51"]
 
 
 def test_unknown_names_raise_and_submodules_still_import():

@@ -3,23 +3,24 @@ import os
 
 import pytest
 
+import x_mutation_oracle as oracle
 from qca import fixtures, mutation
 from qca.checks import A2_SEQ, double_mutation_is_identity, q1_specializes
 from qca.commutative import CPoly, CRational
 from qca.fixtures import a2_tables
 from qca.mutation import (
     AMutationStep,
+    XMutationStep,
     apply_mutation_sequence,
     classical_a_table,
     classical_x_table,
-    mu_prime_word,
-    mu_sharp_word,
     mutate_word,
     quantum_a_table,
     quantum_x_table,
     word_to_classical,
     x_torus,
 )
+from qca.scalars import ONE
 from qca.seeds import Seed, load_seed_file, make_fixed_data
 from qca.words import FactoredWord, words_equal
 
@@ -31,7 +32,8 @@ def crat(fd, num_terms, den_terms=None):
 
 
 def test_mu_sharp_mu_prime_compose():
-    # mu# o mu' equals the one-step mutation on generators, A2, every step
+    # the reference mu# o mu' equals the one-step mutation on generators,
+    # A2, every step
     fd = a2_tables()
     alg = x_torus(fd)
     seed = Seed(fd)
@@ -39,7 +41,7 @@ def test_mu_sharp_mu_prime_compose():
         nxt = seed.mutate(k)
         for i in range(2):
             w = FactoredWord.monomial(alg, nxt.basis[i])
-            via_parts = mu_sharp_word(mu_prime_word(w, k, seed), k, seed)
+            via_parts = oracle.mu_sharp_word(oracle.mu_prime_word(w, k, seed), k, seed)
             direct = mutate_word(w, k, seed)
             assert words_equal(via_parts, direct, 10)
         seed = nxt
@@ -47,12 +49,15 @@ def test_mu_sharp_mu_prime_compose():
 
 def test_mu_prime_identity_branch():
     # mu' at i=k in cluster coordinates is inversion: on the Weyl monomial
-    # X^{e_{k;s'}} = X^{-e_k} it is the identity twist
+    # X^{e_{k;s'}} = X^{-e_k} it is the identity twist, also where c_k has
+    # a negative entry
     fd = a2_tables()
     alg = x_torus(fd)
-    seed = Seed(fd)
-    w = FactoredWord.monomial(alg, (0, -1))
-    assert words_equal(mu_prime_word(w, 1, seed), w, 8)
+    for seed in (Seed(fd), Seed(fd).mutate(1)):
+        step = XMutationStep(seed, 1, True, alg)
+        v = tuple(-x for x in seed.basis[1])
+        assert step.twist(v, ONE) == ONE
+    assert step.cminus is not None  # the second twist is not the identity
 
 
 def test_involutivity_variables():

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from qca.commutative import CPoly, CRational
 from qca.fixtures import a2_tables
 from qca.mutation import x_torus
@@ -166,3 +168,26 @@ def test_coefficient_bilinearity():
     got = poisson_bracket(t1x1, x2, s)
     want = _scale = poisson_bracket(CRational.variable(2, 0), x2, s)
     assert got == CRational(want.num.scale(TScalar({(1,): 1})), want.den)
+
+
+@st.composite
+def skew_forms(draw):
+    """A skew-symmetric integer form of rank 2 or 3, entries in [-2, 2]."""
+    n = draw(st.sampled_from((2, 3)))
+    skew = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = draw(st.integers(-2, 2))
+            skew[j][i] = -skew[i][j]
+    return make_fixed_data(skew)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(skew_forms(), st.data())
+def test_poisson_map_on_random_forms(fd, data):
+    # every unfrozen mutation is a Poisson map, at the initial seed and
+    # one mutation away
+    first = data.draw(st.sampled_from(fd.unfrozen))
+    for seed in (Seed(fd), Seed(fd).mutate(first)):
+        for k in fd.unfrozen:
+            assert check_poisson_map(seed, k)["ok"], (fd.skew, seed.history, k)

@@ -9,13 +9,16 @@ from qca.checks import (
 )
 from qca.fixtures import a23, a2_scattering
 from qca.scalars import ONE, qpow, vpow
-from qca.scatter import (
-    appendix_b_closed_form,
-    complete_to_order,
-    initial_diagram,
-    wall_crossing,
-)
+from qca.scatter import appendix_b_closed_form, complete_to_order, initial_diagram
 from qca.seeds import make_fixed_data
+from qca.words import Series, degree
+
+
+def crossing(dg, wall, m, order):
+    """Crossing ``wall`` with sign +1 applied to A^m, exact to ``order``
+    above the degree of m."""
+    cutoff = degree(dg.dvec, m) + order * dg.dscale
+    return dg.cross(wall, Series(dg.torus, dg.dvec, cutoff, {m: ONE}), 1, cutoff)
 
 
 def test_initial_a2_walls():
@@ -39,12 +42,12 @@ def test_initial_diagram_requires_injectivity():
 def test_classical_crossing_exponent_one():
     dg = initial_diagram(a2_scattering(), side="A", quantum=False, order=3)
     wall_a2 = next(w for w in dg.walls if w.direction == (0, 1))
-    got = wall_crossing(dg, wall_a2, (1, 0), 1, order=3)
+    got = crossing(dg, wall_a2, (1, 0), 3)
     # (1 + A2) A^{f1}
     assert got.coefficient((1, 0)) == ONE
     assert got.coefficient((1, 1)) == ONE
     # orthogonal monomial untouched
-    got = wall_crossing(dg, wall_a2, (0, 1), 1, order=3)
+    got = crossing(dg, wall_a2, (0, 1), 3)
     assert got.terms == {(0, 1): ONE}
 
 
@@ -68,7 +71,7 @@ def test_a2_completion_fig1():
         dg = classical_a2_diagram(order)
         assert adds_classical_a2_wall(dg), order
         assert not new_walls(dg)[0].full_line
-        assert dg.is_consistent(grid(2), order, orientation="cw")
+        assert dg.is_consistent(grid(2), order)
 
 
 def test_a23_quantum_initial_consistent_order_one():
@@ -90,14 +93,14 @@ def test_a23_completion_order2():
     w = new_walls(dg)[0]
     assert w.kind == "log"
     assert list(w.log_coeffs) == [1]
-    assert dg.is_consistent(grid(2), 2, orientation="cw")
+    assert dg.is_consistent(grid(2), 2)
 
 
 def test_quantum_dilog_wall_action_eq_g2():
     # Ad^{-1} of Psi_{v^3}(A2^{-3}) on A^{f1} = (1 + v^3 A2^{-3}) A^{f1}
     dg = initial_diagram(a23(), side="A", quantum=True, order=2)
     wall = next(w for w in dg.walls if w.normal == (1, 0))
-    got = wall_crossing(dg, wall, (1, 0), 1, order=2)
+    got = crossing(dg, wall, (1, 0), 2)
     lead = got.coefficient((1, 0))
     bend = got.coefficient((1, -3))
     assert lead == ONE

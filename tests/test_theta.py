@@ -6,12 +6,7 @@ from qca.checks import fig3_coefficient
 from qca.fixtures import a23
 from qca.scalars import ONE, QScalar, TScalar
 from qca.scatter import complete_to_order, initial_diagram
-from qca.theta import (
-    enumerate_broken_lines,
-    greedy_T,
-    theta_coefficient,
-    theta_function,
-)
+from qca.theta import enumerate_broken_lines, greedy_T, theta_function
 
 
 def a23_diagram(quantum=True, order=2):
@@ -23,6 +18,13 @@ M0 = (-3, 5)
 TARGET = (1, -1)
 Q = (Fraction(1), Fraction(1))
 FIG3 = fig3_coefficient()
+
+
+def theta_coefficient(m0, Q, diagram, order, exponent):
+    """The coefficient of A^exponent in theta_m0: the sum of the final
+    coefficients of the broken lines that end in that exponent."""
+    lines = enumerate_broken_lines(m0, Q, diagram, order, final_exponent=exponent)
+    return sum((bl.final_decoration.coeff for bl in lines), QScalar.integer(0))
 
 
 def test_fig3_unique_line_and_coefficient():

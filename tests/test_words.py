@@ -5,6 +5,7 @@ import pytest
 from qca.qtorus import QTorusElement, SkewLattice
 from qca.scalars import ONE, qpow, vpow
 from qca.words import (
+    DilogConjugation,
     ExpansionError,
     FactoredWord,
     Series,
@@ -150,7 +151,7 @@ def test_dilog_conjugation_matches_series():
     for action in (1, -1):
         for n in [(1, 0), (-1, 0), (2, -1)]:
             w = FactoredWord.monomial(alg, n)
-            conj = w.conjugate_by_dilog(h, ONE, direction, action)
+            conj = DilogConjugation(alg, h, ONE, direction, action).apply(w)
             dvec = (0, 1)
             got = conj.expand(dvec, 6)
             want = conjugation_oracle(alg, w, h, ONE, direction, action, dvec, 4)
@@ -166,7 +167,7 @@ def test_dilog_conjugation_binomial_atom():
     for action in (1, -1):
         for power in (1, -1):
             w = FactoredWord.from_element(p, power)
-            conj = w.conjugate_by_dilog(h, ONE, direction, action)
+            conj = DilogConjugation(alg, h, ONE, direction, action).apply(w)
             dvec = (1, 1)
             got = conj.expand(dvec, 6)
             want = conjugation_oracle(alg, w, h, ONE, direction, action, dvec, 4)
@@ -179,7 +180,7 @@ def test_eq_g2_form():
     alg = a23_lattice()
     h = Fraction(-3, 2)  # Q = q_BZ^{-3/2} = v^3
     w = FactoredWord.monomial(alg, (1, 0))
-    conj = w.conjugate_by_dilog(h, ONE, (0, -3), action=-1)
+    conj = DilogConjugation(alg, h, ONE, (0, -3), -1).apply(w)
     expect = FactoredWord.from_element(binom(alg, (0, -3), vpow(3))) \
         * FactoredWord.monomial(alg, (1, 0))
     assert words_equal(conj, expect, 8, dvec=(1, -1))
@@ -191,25 +192,36 @@ def test_eq_g1_form():
     alg = a23_lattice()
     h = Fraction(-1)  # Q = q_BZ^{-1} = v^2
     w = FactoredWord.monomial(alg, (0, 1))
-    conj = w.conjugate_by_dilog(h, ONE, (2, 0), action=-1)
+    conj = DilogConjugation(alg, h, ONE, (2, 0), -1).apply(w)
     expect = FactoredWord.from_element(binom(alg, (2, 0), vpow(2))) \
         * FactoredWord.monomial(alg, (0, 1))
     assert words_equal(conj, expect, 8, dvec=(1, -1))
 
 
+def conjugation_factors(alg, u: int, direction, h):
+    """The finite product with Psi^{-1} A^m Psi = (this word) * A^m on a
+    monomial with pairing value u: the empty word for u = 0,
+    (1+Qy)...(1+Q^{2u-1}y) for u > 0 and
+    (1+Q^{-1}y)^{-1}...(1+Q^{1-2|u|}y)^{-1} for u < 0, with y = X^direction
+    and Q = q^h.  This is the left-multiplied normal form; the engine's
+    right-multiplied conjugation carries the opposite q-exponent signs, the
+    two being equal after commuting past A^m."""
+    s = 1 if u > 0 else -1
+    binomials = DilogConjugation(alg, h, ONE, direction).factors(s, abs(u))
+    return FactoredWord(alg, ONE, [(b, s) for b in binomials])
+
+
 def test_dilog_conjugation_factors_spec_values():
     # u=1 with base v^3, A2^{-3}: single factor (1 + v^3 A2^{-3})
-    from qca.words import dilog_conjugation_factors
-
     alg = a23_lattice()
     h = Fraction(-3, 2)
-    w = dilog_conjugation_factors(alg, 1, ONE, (0, -3), h)
+    w = conjugation_factors(alg, 1, (0, -3), h)
     assert len(w.atoms) == 1 and w.atoms[0][1] == 1
     assert w.atoms[0][0] == binom(alg, (0, -3), vpow(3))
     # u=0: empty product
-    assert dilog_conjugation_factors(alg, 0, ONE, (0, -3), h).atoms == ()
+    assert conjugation_factors(alg, 0, (0, -3), h).atoms == ()
     # u=-2: (1+v^{-3}A2^{-3})^{-1} (1+v^{-9}A2^{-3})^{-1}
-    w = dilog_conjugation_factors(alg, -2, ONE, (0, -3), h)
+    w = conjugation_factors(alg, -2, (0, -3), h)
     assert [s for _, s in w.atoms] == [-1, -1]
     assert w.atoms[0][0] == binom(alg, (0, -3), vpow(-3))
     assert w.atoms[1][0] == binom(alg, (0, -3), vpow(-9))
@@ -239,9 +251,11 @@ def test_anchor_check_raises_under_python_O(monkeypatch):
 
     monkeypatch.setattr(words, "dilog_pairings", flipped)
     with pytest.raises(ArithmeticError, match="anchor choice guarantees polynomial factors"):
-        FactoredWord.from_element(p).conjugate_by_dilog(Fraction(1), ONE, (0, 1), 1)
+        DilogConjugation(alg, Fraction(1), ONE, (0, 1), 1).apply(
+            FactoredWord.from_element(p))
     monkeypatch.undo()
-    conj = FactoredWord.from_element(p).conjugate_by_dilog(Fraction(1), ONE, (0, 1), 1)
+    conj = DilogConjugation(alg, Fraction(1), ONE, (0, 1), 1).apply(
+        FactoredWord.from_element(p))
     assert len(conj.atoms) == 3
 
 
@@ -258,8 +272,8 @@ def test_conjugation_builds_each_binomial_once_per_call():
         return [p for p, _ in word.atoms
                 if p.terms.keys() == {(0, 0), direction}]
 
-    first = w.conjugate_by_dilog(h, ONE, direction, action=-1)
-    again = w.conjugate_by_dilog(h, ONE, direction, action=-1)
+    first = DilogConjugation(alg, h, ONE, direction, -1).apply(w)
+    again = DilogConjugation(alg, h, ONE, direction, -1).apply(w)
     made = binomials(first)
     assert len(made) > len({id(p) for p in made})  # some binomial repeats
     assert len({id(p) for p in made}) == len({p.render() for p in made})
@@ -267,10 +281,10 @@ def test_conjugation_builds_each_binomial_once_per_call():
     assert first.render() == again.render()
     # the same word as conjugating atom by atom
     for action in (1, -1):
-        whole = w.conjugate_by_dilog(h, ONE, direction, action)
+        whole = DilogConjugation(alg, h, ONE, direction, action).apply(w)
         parts = FactoredWord.one(alg)
         for p, s in w.atoms:
-            parts = parts * FactoredWord(alg, ONE, ((p, s),)).conjugate_by_dilog(
-                h, ONE, direction, action)
+            parts = parts * DilogConjugation(alg, h, ONE, direction, action).apply(
+                FactoredWord(alg, ONE, ((p, s),)))
         assert whole.render() == parts.render()
         assert words_equal(whole, parts, 6)

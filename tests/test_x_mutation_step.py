@@ -4,8 +4,8 @@
 per-word algorithm it replaced, kept in ``x_mutation_oracle``: on random
 rank-2 and rank-3 skew forms with symmetrizers d_i in {1, 2, 3}, with and
 without coefficients, the table rows, ``quantum_x_variables`` and
-``conjugate_by_dilog`` of words with inverted multi-term atoms agree with
-the oracle atom by atom and render the same.  On the same forms the
+``DilogConjugation.apply`` on words with inverted multi-term atoms agree
+with the oracle atom by atom and render the same.  On the same forms the
 mutation identities hold: mu_k mu_k = id and the *-homomorphism, by
 ``words_equal`` at K = 6.  Finally, one step builds each binomial and each
 running product once, shared by every word and every table row, while two
@@ -128,7 +128,7 @@ def test_conjugation_matches_oracle_on_inverted_atoms(data):
     coeff = data.draw(st.sampled_from((ONE, tpow((1,)), tpow((0, 1)))))
     w = data.draw(mixed_words(alg))
     for action in (1, -1):
-        assert_same_word(w.conjugate_by_dilog(h, coeff, direction, action),
+        assert_same_word(words.DilogConjugation(alg, h, coeff, direction, action).apply(w),
                          oracle.conjugate_by_dilog(w, h, coeff, direction, action))
 
 
