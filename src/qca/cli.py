@@ -92,22 +92,25 @@ def _table_text(rows):
     return out
 
 
-def _table_rows(args):
-    from .mutation import apply_mutation_sequence
-
+def _table_args(args):
+    """The fixed data, 0-based sequence and mode of a table or mutate call."""
     fd = load_seed_file(args.seed)
-    return apply_mutation_sequence(fd, _directions(_parse_ints(args.sequence), fd),
-                                   args.mode)
+    return fd, _directions(_parse_ints(args.sequence), fd), args.mode
 
 
 def cmd_table(args) -> int:
-    rows = _table_rows(args)
+    from .mutation import apply_mutation_sequence
+
+    rows = apply_mutation_sequence(*_table_args(args))
     _emit(rows, args.format, _table_text(rows))
     return 0
 
 
 def cmd_mutate(args) -> int:
-    last = _table_rows(args)[-1]
+    from .mutation import mutation_table, render_row
+
+    fd, sequence, mode = _table_args(args)
+    last = render_row(fd, len(sequence), *mutation_table(fd, sequence, mode)[-1])
     _emit(last, args.format, _table_text([last]))
     return 0
 

@@ -265,10 +265,6 @@ class CRational:
             out = out * value(f).inverse()
         return out
 
-    def is_laurent_polynomial(self) -> bool:
-        """True iff the reduced denominator is a monomial."""
-        return all(f.is_monomial() for f in self.den)
-
     def render(self, labels=None) -> str:
         n = self.num.render(labels)
         if not self.den:

@@ -15,8 +15,9 @@ dual-basis rule f'_k = -f_k + sum_j [-eps_kj]_+ f_j, f'_i = f_i (i != k).
 One pull-back serves both sides: the seeds along a sequence, one step per
 mutation, and each basis monomial of a seed (its basis on the X side, its
 f-basis on the A side) pulled back through the steps before it, last step
-first, gives that seed's cluster variables in the initial chart; a mutation
-table shares the steps among all its rows.
+first, gives that seed's cluster variables in the initial chart; each word
+is reduced after every step, and a mutation table shares the steps among
+all its rows.
 """
 
 from __future__ import annotations
@@ -283,12 +284,13 @@ def _steps(fd: FixedData, sequence, step, with_coefficients: bool,
 def _pull_back(algebra: SkewLattice, exponents, steps) -> list[FactoredWord]:
     """Each monomial of ``exponents`` pulled back through ``steps``, last
     step first: for the basis (X-side) or f-basis (A-side) of the seed that
-    the steps reach, its cluster variables in the initial chart."""
+    the steps reach, its cluster variables in the initial chart.  Each
+    word is reduced after every step (:meth:`FactoredWord.reduced`)."""
     out = []
     for v in exponents:
         w = FactoredWord.monomial(algebra, v)
         for step in reversed(steps):
-            w = step.apply(w)
+            w = step.apply(w).reduced()
         out.append(w)
     return out
 
@@ -298,7 +300,7 @@ def quantum_x_variables(fd: FixedData, sequence, with_coefficients: bool = True)
     the initial chart as factored words.  Returns (seed, [words])."""
     alg = x_torus(fd)
     seeds, steps = _steps(fd, sequence, XMutationStep, with_coefficients, alg)
-    return seeds[-1], [w.tidy() for w in _pull_back(alg, seeds[-1].basis, steps)]
+    return seeds[-1], _pull_back(alg, seeds[-1].basis, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +335,7 @@ def quantum_x_table(fd: FixedData, sequence, with_coefficients: bool):
     and steps are built once and shared by every row."""
     alg = x_torus(fd)
     seeds, steps = _steps(fd, sequence, XMutationStep, with_coefficients, alg)
-    return [(s, [w.tidy() for w in _pull_back(alg, s.basis, steps[:i])])
+    return [(s, _pull_back(alg, s.basis, steps[:i]))
             for i, s in enumerate(seeds)]
 
 
@@ -386,13 +388,18 @@ TABLES = {
 MODES = tuple(TABLES)
 
 
-def apply_mutation_sequence(fd: FixedData, sequence, mode: str):
-    """Table rows for any mode; variables rendered deterministically."""
+def mutation_table(fd: FixedData, sequence, mode: str):
+    """The rows (seed, variables) of the table of ``mode``, unrendered."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
     if mode in ("x-family", "a-prin") and fd.coefficients != "principal":
         raise ValueError(f"mode {mode} requires principal coefficients")
-    return [{
+    return TABLES[mode](fd, sequence)
+
+
+def render_row(fd: FixedData, step: int, seed: Seed, variables) -> dict:
+    """One table row, its variables rendered deterministically."""
+    return {
         "step": step,
         "mutation": seed.history[-1] + 1 if seed.history else None,
         "epsilon": [[int(x) if x.denominator == 1 else str(x) for x in r]
@@ -400,4 +407,10 @@ def apply_mutation_sequence(fd: FixedData, sequence, mode: str):
         "cvectors": [list(c) for c in seed.cvectors()],
         "variables": [v.render(fd.labels) if isinstance(v, CRational) else v.render()
                       for v in variables],
-    } for step, (seed, variables) in enumerate(TABLES[mode](fd, sequence))]
+    }
+
+
+def apply_mutation_sequence(fd: FixedData, sequence, mode: str):
+    """Table rows for any mode; variables rendered deterministically."""
+    return [render_row(fd, step, seed, variables)
+            for step, (seed, variables) in enumerate(mutation_table(fd, sequence, mode))]

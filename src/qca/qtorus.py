@@ -78,10 +78,6 @@ class SkewLattice:
         # iform is antisymmetric: its column j is minus its row j
         return [-sum(map(mul, row, n)) for row in self.iform]
 
-    def is_central(self, n) -> bool:
-        """True iff omega(e_i, n) = 0 for every generator (generic q)."""
-        return not any(sum(map(mul, row, n)) for row in self.iform)
-
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
@@ -262,11 +258,6 @@ class QTorusElement:
         return self._like({n: c.bar() for n, c in self.terms.items()})
 
     # -- misc --------------------------------------------------------------------
-    def map_terms(self, f) -> "QTorusElement":
-        """New element with coefficients f(n, c); drops zeros."""
-        terms = {n: f(n, c) for n, c in self.terms.items()}
-        return self._like({n: c for n, c in terms.items() if not c.is_zero()})
-
     def render(self, base: str = "q") -> str:
         """Deterministic rendering: terms sorted lexicographically by
         exponent; each monomial shown as generator powers in index order with
@@ -297,14 +288,3 @@ def dilog_series_coefficients(h: Fraction, order: int) -> list[QScalar]:
         coeffs.append(coeffs[-1] * qpow(h) / (qpow(2 * k * h) - 1))
     return coeffs
 
-
-def neg_li2_coefficients(h: Fraction, order: int) -> list[QScalar]:
-    """Taylor coefficients of -Li2(-x; Q), Q = q^h: the logarithm of Psi_Q.
-
-    coefficient of x^l is (-1)^{l+1} / (l (Q^l - Q^{-l})).
-    """
-    out = [QScalar.integer(0)]
-    for l in range(1, order + 1):
-        sign = 1 if l % 2 else -1
-        out.append(QScalar.rational(sign, l) / (qpow(l * h) - qpow(-l * h)))
-    return out

@@ -9,10 +9,14 @@ conjugation, built once: it keeps the binomials 1 + Q^e y and their running
 products and applies them to any number of words in one pass over their
 atoms.
 
-Equality of words is decided by expanding w1 * w2^{-1} as a truncated series
-in a graded completion and comparing with 1.  The expansion
-(:meth:`FactoredWord.expand`) runs in the flat Laurent ring of scalars.py,
-in qca.expansion, and converts each surviving term to a QScalar once; for
+:meth:`FactoredWord.reduced` rewrites a word by identities of the skew
+field: monomials gathered to the right, polynomial atoms made monic,
+inverse pairs cancelled.  Equality of words is decided exactly when the
+reduction of w1 * w2^{-1} has no atom left, and otherwise by expanding it
+as a truncated series in a graded completion and comparing with 1.  The
+expansion (:meth:`FactoredWord.expand`) runs in the flat Laurent ring of
+scalars.py, in qca.expansion, and converts each surviving term to a QScalar
+once; for
 equal words only X^0 survives.  Inverted atoms are divided out exactly by
 the bucket sweep of :meth:`Series.over` rather than inverted, so the
 grading is any integer functional under which every inverted atom has a
@@ -75,12 +79,6 @@ class Series(QTorusElement):
     @staticmethod
     def one(algebra: SkewLattice, dvec, cutoff=None) -> "Series":
         return Series(algebra, dvec, cutoff, {algebra.zero(): ONE})
-
-    def min_degree(self):
-        if not self.terms:
-            return None
-        dvec = self.dvec
-        return min(sum(map(mul, dvec, n)) for n in self.terms)
 
     def truncate(self, cutoff) -> "Series":
         if self.cutoff is not None and self.cutoff <= cutoff:
@@ -300,37 +298,57 @@ class FactoredWord:
         from .expansion import expand  # it imports this module
         return expand(self, dvec, order)
 
-    def tidy(self) -> "FactoredWord":
-        """Merge adjacent single-term atoms into one monomial per run and
-        fold their scalars into the prefix; semantics unchanged."""
-        alg = self.algebra
+    def reduced(self) -> "FactoredWord":
+        """The same element of the skew field, reduced in one left-to-right
+        pass over the atoms:
+
+        - single-term atoms are folded into the prefix and one trailing
+          monomial X^M, which the atoms after it move past:
+          X^M P = (X^M P X^-M) X^M, and X^M P X^-M is P with the
+          coefficient of X^n times q^{2 omega(M, n)};
+        - a multi-term atom is made monic: with v its lex-least exponent
+          and c the coefficient there, P = P^ c X^v with P^ = P X^-v c^-1,
+          and P^-1 = P^'^-1 X^-v c^-1 with P^' = c^-1 X^-v P, so that the
+          monic atom holds 1 X^0 and the monomial joins X^M;
+        - a monic atom cancels the nearest earlier copy of its inverse when
+          every atom between them commutes with it, that is,
+          omega(n, m) = 0 for every pair of their exponents.
+
+        Each rewrite is an identity, so the value is unchanged, and words
+        that differ by such rewrites reduce alike: mu_k mu_k(X^v) reduces
+        to X^v itself.  An atom that is monic already, with no monomial
+        before it, is kept as the same object."""
+        alg, den = self.algebra, self.algebra.form_den
+        zero = alg.zero()
         prefix = self.prefix
-        atoms: list = []
-        pending = None  # accumulated monomial exponent
-
-        def flush():
-            nonlocal pending
-            if pending is not None and pending != alg.zero():
-                atoms.append((QTorusElement.monomial(alg, pending), 1))
-            pending = None
-
+        m, mrow = zero, None  # the trailing monomial X^m and its pairing row
+        out: list = []
         for p, s in self.atoms:
-            if len(p.terms) == 1:
-                n, c = p.monomial_parts()
+            terms = p.terms
+            if len(terms) == 1:
+                (v, c), = terms.items()
                 if s == -1:
-                    n, c = vec_neg(n), c.inverse()
-                if pending is None:
-                    pending = n
-                    prefix = prefix * c
-                else:
-                    prefix = (prefix * c)._qshift(alg.omega_int(pending, n),
-                                                  alg.form_den)
-                    pending = vec_add(pending, n)
+                    v, c = vec_neg(v), c.inverse()
             else:
-                flush()
-                atoms.append((p, s))
-        flush()
-        return FactoredWord(alg, prefix, atoms)
+                v = min(terms)
+                c = terms[v]
+                hat = _monic(p, s, v, c, mrow, den)
+                if not _cancel(alg, out, hat, s):
+                    out.append((hat, s))
+                if s == -1:
+                    v, c = vec_neg(v), c.inverse()
+            # X^m c X^v = c q^{omega(m, v)} X^{m+v}
+            if not c.is_one():
+                prefix = prefix * c
+            if mrow is not None:
+                w = sum(map(mul, mrow, v))
+                if w:
+                    prefix = prefix._qshift(w, den)
+            m = vec_add(m, v)
+            mrow = alg.row_pairing(m) if m != zero else None
+        if m != zero:
+            out.append((QTorusElement(alg, {m: ONE}), 1))
+        return FactoredWord(alg, prefix, out)
 
     # -- misc -----------------------------------------------------------------------
     def render(self, base: str = "q") -> str:
@@ -349,6 +367,61 @@ class FactoredWord:
 
     def __repr__(self):
         return f"FactoredWord({self.render()})"
+
+
+def _monic(p: QTorusElement, s: int, v, c: QScalar, mrow, den: int) -> QTorusElement:
+    """The monic atom of p^s behind the monomial X^M (pairing row ``mrow``,
+    None when M = 0), pivot v and its coefficient c: the coefficient of
+    X^{n-v} is c_n / c * q^{2 omega(M, n - v) + s omega(v, n)}.  A unit c
+    is divided out by moving keys (:meth:`QScalar._over_unit`)."""
+    alg = p.algebra
+    row = alg.row_pairing(v)
+    if s == -1:
+        row = [-x for x in row]
+    const = 0
+    if mrow is not None:
+        row = [x + 2 * y for x, y in zip(row, mrow)]
+        const = -2 * sum(map(mul, mrow, v))
+    one = c.is_one()
+    if one and not any(v) and not any(row):
+        return p  # already monic, and nothing moves past it
+    unit = not one and c.is_unit()
+    inv = None if one or unit else c.inverse()
+    terms = {}
+    for n, cn in p.terms.items():
+        if n == v:
+            terms[tuple(map(sub, n, v))] = ONE
+            continue
+        w = sum(map(mul, row, n)) + const
+        if unit:
+            cn = cn._over_unit(c, w, den)
+        else:
+            if inv is not None:
+                cn = cn * inv
+            if w:
+                cn = cn._qshift(w, den)
+        terms[tuple(map(sub, n, v))] = cn
+    return p._like(terms)
+
+
+def _cancel(alg: SkewLattice, out: list, hat: QTorusElement, s: int) -> bool:
+    """Drop the nearest earlier hat^-s from ``out`` and return True when
+    every atom after it commutes with ``hat``; else False.  Commutation is
+    read off the pairing rows of hat's exponents, made once per call."""
+    rows = None
+    terms = hat.terms
+    for i in range(len(out) - 1, -1, -1):
+        a, t = out[i]
+        if a is hat or a.terms == terms:
+            if t == -s:
+                del out[i]
+                return True
+            continue
+        if rows is None:
+            rows = [alg.row_pairing(n) for n in terms if any(n)]
+        if any(sum(map(mul, r, m)) for r in rows for m in a.terms):
+            return False
+    return False
 
 
 def dilog_binomial(alg: SkewLattice, h: Fraction, coeff: QScalar, w,
@@ -517,11 +590,18 @@ def choose_grading(words, rank: int) -> tuple[int, ...]:
 
 def words_equal(w1: FactoredWord, w2: FactoredWord, order: int = 12,
                 dvec=None) -> bool:
-    """True iff expand(w1 * w2^{-1}) equals 1 up to the given relative order."""
+    """True iff w1 * w2^{-1} equals 1: exactly when its reduction has no
+    atom left (the reduced prefix is then the whole element), else when the
+    reduction's expansion equals 1 up to the given relative order.  The
+    grading is chosen on the unreduced product, so a truncated answer is
+    the one the unreduced expansion gives."""
     if w1.algebra != w2.algebra:
         raise ValueError("words live on different algebras")
     prod = w1 * w2.inverse()
+    reduced = prod.reduced()
+    if not reduced.atoms:
+        return reduced.prefix.is_one()
     if dvec is None:
         dvec = choose_grading([prod], w1.algebra.rank)
-    series = prod.expand(dvec, order).truncate(order)
+    series = reduced.expand(dvec, order).truncate(order)
     return series == Series.one(w1.algebra, dvec, order)

@@ -40,7 +40,7 @@ def test_table_text_and_json(seeds, capsys):
                                 "--sequence", "2,1,2,1,2",
                                 "--mode", "x-quantum-coeff"])
     assert code == 0
-    assert "step 5" in out and "X1 = X1*(1+t2*q*X2)" in out
+    assert "step 5" in out and "X1 = (1+t2*q^-1*X2)*X1" in out
     code, js, _ = run(capsys, ["table", "--seed", seeds["a2"],
                                "--sequence", "2,1,2,1,2",
                                "--mode", "x-family", "--format", "json"])

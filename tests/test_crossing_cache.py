@@ -28,6 +28,7 @@ from qca.scatter import (
     initial_diagram,
 )
 from qca.seeds import make_fixed_data
+from test_division import min_degree
 from qca.words import DilogConjugation, FactoredWord, Series, degree
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -95,7 +96,7 @@ def exp_series(g: Series, cutoff) -> Series:
     """sum_k g^k / k! to degree cutoff, g of positive degree."""
     out = term = Series.one(g.algebra, g.dvec, cutoff)
     k = 1
-    while k * g.min_degree() <= cutoff:
+    while k * min_degree(g) <= cutoff:
         term = (term * g).truncate(cutoff).scale(QScalar.rational(1, k))
         out = out + term
         k += 1
@@ -108,7 +109,7 @@ def log_path(dg, wall, series, sign, cutoff) -> Series:
     g = Series(dg.torus, dg.dvec, None, {
         tuple(j * x for x in wall.direction): QScalar.integer(sign) * a * qq
         for j, a in wall.log_coeffs.items()})
-    ecut = cutoff - min(series.min_degree() or 0, 0)  # None: no term below the cutoff
+    ecut = cutoff - min(min_degree(series) or 0, 0)  # None: no term below the cutoff
     exact = Series(dg.torus, dg.dvec, None, series.terms)
     return (exp_series(-g, ecut) * exact * exp_series(g, ecut)).truncate(cutoff)
 

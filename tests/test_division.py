@@ -22,6 +22,11 @@ from qca.words import ExpansionError, FactoredWord, Series, degree, words_equal
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
+def min_degree(series: Series):
+    """The lowest degree of a term of ``series``, None when it has none."""
+    return min((degree(series.dvec, n) for n in series.terms), default=None)
+
+
 def geometric_inverse(p: Series, rel_order: int) -> Series:
     """P^{-1} exact to relative order ``rel_order`` by the geometric series."""
     if not p.terms:
@@ -36,7 +41,7 @@ def geometric_inverse(p: Series, rel_order: int) -> Series:
     out = Series.one(p.algebra, p.dvec, rel_order)
     power = Series.one(p.algebra, p.dvec, rel_order)
     sign = -1
-    tmin = t.min_degree()
+    tmin = min_degree(t)
     j = 1
     while tmin is not None and j * tmin <= rel_order:
         power = (power * t).truncate(rel_order)
@@ -55,7 +60,7 @@ def oracle_expand(word: FactoredWord, dvec, order: int) -> Series:
     anchor = 0
     for p, s in word.atoms:
         fact = Series(p.algebra, dvec, None, p.terms)
-        fmin = fact.min_degree()
+        fmin = min_degree(fact)
         if s == -1:
             fact = geometric_inverse(fact, order)
             fmin = -fmin
@@ -452,9 +457,12 @@ def test_flat_range_raises():
         assert words_equal(word, word, 2, (0, 1))
         assert not words_equal(word, word.scale(tvar(0)), 2, (0, 1))
         assert_structurally_equal(word.expand((0, 1), 2), oracle_expand(word, (0, 1), 2))
-        # j = 4 is past the range
+        # j = 4 is past the range: a quotient that reduces to no atom is
+        # decided without expanding, one that keeps atoms overflows
+        assert words_equal(word, word, 4, (0, 1)) is True
+        assert not words_equal(word, word.inverse(), 2, (0, 1))
         with pytest.raises(OverflowError):
-            words_equal(word, word, 4, (0, 1))
+            words_equal(word, word.inverse(), 4, (0, 1))
         with pytest.raises(OverflowError):
             word.expand((0, 1), 4)
 

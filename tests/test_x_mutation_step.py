@@ -3,12 +3,16 @@
 ``XMutationStep`` (and the ``DilogConjugation`` it holds) against the
 per-word algorithm it replaced, kept in ``x_mutation_oracle``: on random
 rank-2 and rank-3 skew forms with symmetrizers d_i in {1, 2, 3}, with and
-without coefficients, the table rows, ``quantum_x_variables`` and
-``DilogConjugation.apply`` on words with inverted multi-term atoms agree
-with the oracle atom by atom and render the same.  On the same forms the
-mutation identities hold: mu_k mu_k = id and the *-homomorphism, by
-``words_equal`` at K = 6.  Finally, one step builds each binomial and each
-running product once, shared by every word and every table row, while two
+without coefficients, the table rows and ``quantum_x_variables`` agree atom
+by atom with the oracle's words reduced after each step, and equal its
+unreduced words as elements; ``DilogConjugation.apply`` on words with
+inverted multi-term atoms agrees with the oracle atom by atom.  The
+reduction itself is checked against expansion: a reduced word expands to
+the same series, and ``words_equal`` answers as the unreduced
+expand-and-compare does.  On the same forms the mutation identities hold:
+mu_k mu_k = id and the *-homomorphism, by ``words_equal`` at K = 6.
+Finally, one step per mutation builds each binomial once and reuses its
+running products across every word and every table row, while two
 separate calls share nothing.
 """
 
@@ -29,7 +33,7 @@ from qca.mutation import (
 from qca.qtorus import QTorusElement
 from qca.scalars import ONE, QScalar, tpow
 from qca.seeds import Seed, make_fixed_data
-from qca.words import FactoredWord, words_equal
+from qca.words import FactoredWord, choose_grading, words_equal
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 IDENTITY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -103,13 +107,15 @@ def assert_same_word(got, want):
 def test_table_and_variables_match_oracle(case):
     fd, seq, coeff = case
     got = quantum_x_table(fd, seq, coeff)
-    want = oracle.quantum_x_table(fd, seq, coeff)
-    assert len(got) == len(want) == len(seq) + 1
-    for (seed, ws), (seed2, ws2) in zip(got, want):
+    want = oracle.quantum_x_table(fd, seq, coeff, reduce=True)
+    unreduced = oracle.quantum_x_table(fd, seq, coeff)
+    assert len(got) == len(want) == len(unreduced) == len(seq) + 1
+    for (seed, ws), (seed2, ws2), (_, ws3) in zip(got, want, unreduced):
         assert seed.history == seed2.history and seed.gram == seed2.gram
         assert len(ws) == len(ws2) == fd.n
-        for w, w2 in zip(ws, ws2):
+        for w, w2, w3 in zip(ws, ws2, ws3):
             assert_same_word(w, w2)
+            assert words_equal(w, w3, K)
     seed, ws = quantum_x_variables(fd, seq, coeff)
     assert seed.history == tuple(seq)
     for w, w2 in zip(ws, want[-1][1]):
@@ -141,6 +147,43 @@ def test_mutate_word_matches_oracle_on_mixed_words(data):
     w = data.draw(mixed_words(x_torus(fd)))
     assert_same_word(mutate_word(w, k, seed, coeff),
                      oracle.mutate_word(w, k, seed, coeff))
+
+
+# ---------------------------------------------------------------------------
+# the reduction against expansion
+
+
+@PROPERTY
+@given(st.data())
+def test_reduced_word_expands_to_the_same_series(data):
+    alg = x_torus(data.draw(skew_forms()))
+    w = data.draw(mixed_words(alg))
+    dvec = choose_grading([w], alg.rank)
+    got, want = w.reduced().expand(dvec, K), w.expand(dvec, K)
+    assert got == want and got.cutoff == want.cutoff
+
+
+@PROPERTY
+@given(st.data())
+def test_words_equal_answers_as_the_unreduced_expansion(data):
+    alg = x_torus(data.draw(skew_forms()))
+    w = data.draw(mixed_words(alg))
+    kind = data.draw(st.sampled_from(("other", "reduced", "padded")))
+    if kind == "other":
+        w2 = data.draw(mixed_words(alg))
+    elif kind == "reduced":
+        w2 = w.reduced()
+    else:
+        # w with (m a) (m a)^-1 inserted, for a monomial m and an atom a
+        m = FactoredWord.monomial(alg, data.draw(st.tuples(*[st.integers(-2, 2)] * alg.rank)))
+        ma = m * FactoredWord.from_element(data.draw(atoms(alg)))
+        cut = data.draw(st.integers(0, len(w.atoms)))
+        w2 = FactoredWord(alg, w.prefix, w.atoms[:cut]) * ma * ma.inverse() \
+            * FactoredWord(alg, ONE, w.atoms[cut:])
+    want = oracle.words_equal(w, w2, K)
+    assert words_equal(w, w2, K) == want
+    if kind != "other":
+        assert want
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +258,12 @@ def assert_built_once(made):
     assert len(used) > len(set(used))  # some running product is reused
 
 
-def binomial_atoms(ws):
-    return [p for w in ws for p, _ in w.atoms
-            if len(p.terms) == 2 and p.algebra.zero() in p.terms]
-
-
 def test_quantum_x_variables_builds_once_for_all_words(monkeypatch):
     made = record_builds(monkeypatch)
     seq = [0, 1, 0, 1]
-    _, ws = quantum_x_variables(a23(), seq, True)
+    quantum_x_variables(a23(), seq, True)
     assert len(made["steps"]) == len(seq)
     assert_built_once(made)
-    # the words share their binomials by identity
-    ids = {id(p) for p in binomial_atoms(ws)}
-    assert ids <= set(map(id, made["binomials"]))
-    assert len(binomial_atoms(ws)) > len(ids)
 
 
 def test_quantum_x_table_builds_once_for_all_rows(monkeypatch):
@@ -238,15 +272,10 @@ def test_quantum_x_table_builds_once_for_all_rows(monkeypatch):
     rows = quantum_x_table(a2_tables(), seq, True)
     assert len(made["steps"]) == len(seq)  # one step per mutation, not per row
     assert_built_once(made)
-    # a binomial of the first step appears in several rows as one object
-    rows_of = {}
-    for i, (_, ws) in enumerate(rows):
-        for p in binomial_atoms(ws):
-            rows_of.setdefault(id(p), set()).add(i)
-    assert max(map(len, rows_of.values())) > 1
     # and the rows equal the oracle's
     monkeypatch.undo()
-    for (_, ws), (_, ws2) in zip(rows, oracle.quantum_x_table(a2_tables(), seq, True)):
+    want = oracle.quantum_x_table(a2_tables(), seq, True, reduce=True)
+    for (_, ws), (_, ws2) in zip(rows, want):
         for w, w2 in zip(ws, ws2):
             assert_same_word(w, w2)
 

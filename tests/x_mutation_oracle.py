@@ -5,17 +5,21 @@ Each conjugation call builds its binomials afresh (once per call), splits
 every atom P as X^{v0} * (X^{-v0} P) with full torus products, and
 multiplies each shifted term by its binomials one product at a time; each
 mutation of each word twists and conjugates in two passes, and the table
-re-mutates its seeds for every row.  The outputs must agree with the
-package's atom by atom.
+re-mutates its seeds for every row.  :func:`words_equal` is equality as it
+was decided before words were reduced.  With ``reduce`` set, each word is
+reduced after every step, as the package's pull-back does, and the outputs
+must agree with the package's atom by atom; without it, each word is only
+tidied at the end, as the package printed it before words were reduced,
+and the outputs must be equal to the package's as elements.
 """
 
 from fractions import Fraction
 
 from qca.mutation import x_torus
-from qca.qtorus import QTorusElement, vec, vec_neg
+from qca.qtorus import QTorusElement, vec, vec_add, vec_neg
 from qca.scalars import ONE, tpow
 from qca.seeds import Seed
-from qca.words import FactoredWord, dilog_binomial, dilog_pairings
+from qca.words import FactoredWord, Series, choose_grading, dilog_binomial, dilog_pairings
 
 
 def conjugate_by_dilog(word, h, coeff, direction, action=1):
@@ -91,8 +95,8 @@ def mu_prime_word(w, k, seed, with_coefficients=True):
             return coeff
         return coeff * tpow([m * x for x in cm])
 
-    return FactoredWord(w.algebra, w.prefix,
-                        tuple((p.map_terms(twist), s) for p, s in w.atoms))
+    return FactoredWord(w.algebra, w.prefix, tuple(
+        (p._like({n: twist(n, c) for n, c in p.terms.items()}), s) for p, s in w.atoms))
 
 
 def mu_sharp_word(w, k, seed, with_coefficients=True):
@@ -108,7 +112,39 @@ def mutate_word(w, k, seed, with_coefficients=True):
                          k, seed, with_coefficients)
 
 
-def quantum_x_variables(fd, sequence, with_coefficients=True):
+def tidy(w):
+    """Merge adjacent single-term atoms into one monomial per run and fold
+    their scalars into the prefix; the value is unchanged."""
+    alg = w.algebra
+    prefix = w.prefix
+    atoms = []
+    pending = None  # accumulated monomial exponent
+
+    def flush():
+        nonlocal pending
+        if pending is not None and pending != alg.zero():
+            atoms.append((QTorusElement.monomial(alg, pending), 1))
+        pending = None
+
+    for p, s in w.atoms:
+        if len(p.terms) == 1:
+            n, c = p.monomial_parts()
+            if s == -1:
+                n, c = vec_neg(n), c.inverse()
+            if pending is None:
+                pending = n
+                prefix = prefix * c
+            else:
+                prefix = (prefix * c)._qshift(alg.omega_int(pending, n), alg.form_den)
+                pending = vec_add(pending, n)
+        else:
+            flush()
+            atoms.append((p, s))
+    flush()
+    return FactoredWord(alg, prefix, atoms)
+
+
+def quantum_x_variables(fd, sequence, with_coefficients=True, reduce=False):
     alg = x_torus(fd)
     seeds = [Seed(fd)]
     for k in sequence:
@@ -119,10 +155,20 @@ def quantum_x_variables(fd, sequence, with_coefficients=True):
         w = FactoredWord.monomial(alg, final.basis[i])
         for j in range(len(sequence) - 1, -1, -1):
             w = mutate_word(w, sequence[j], seeds[j], with_coefficients)
-        out.append(w.tidy())
+            if reduce:
+                w = w.reduced()
+        out.append(w if reduce else tidy(w))
     return final, out
 
 
-def quantum_x_table(fd, sequence, with_coefficients):
-    return [quantum_x_variables(fd, sequence[:step], with_coefficients)
+def quantum_x_table(fd, sequence, with_coefficients, reduce=False):
+    return [quantum_x_variables(fd, sequence[:step], with_coefficients, reduce)
             for step in range(len(sequence) + 1)]
+
+
+def words_equal(w1, w2, order):
+    """Equality as it was decided before words were reduced: expand
+    w1 * w2^{-1} under the chosen grading and compare with 1."""
+    prod = w1 * w2.inverse()
+    dvec = choose_grading([prod], w1.algebra.rank)
+    return prod.expand(dvec, order).truncate(order) == Series.one(w1.algebra, dvec, order)
