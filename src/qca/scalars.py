@@ -689,27 +689,6 @@ class QScalar:
             return QScalar._raw(num, den, scale)
         return QScalar._make(num, den, scale)
 
-    def is_unit(self) -> bool:
-        """A single term +-q^e * t^mono over the denominator 1."""
-        return len(self._num) == 1 and self._den is FLAT_ONE \
-            and abs(next(iter(self._num.values()))) == 1
-
-    def _over_unit(self, unit: "QScalar", w: int, d: int) -> "QScalar":
-        """self / unit * q^(w/d) for a unit (:meth:`is_unit`), structurally
-        equal to ``(self / unit)._qshift(w, d)``: the numerator's keys move
-        by the unit's key and the shift, at one common scale."""
-        dw = d // gcd(w, d)
-        L = lcm(self.scale, unit.scale, dw)
-        (k, sign), = flat_rescale(unit._num, L // unit.scale).items()
-        f = L // self.scale
-        num = flat_shift(flat_rescale(self._num, f), -k, sign, w * L // d)
-        den = flat_rescale(self._den, f)
-        if den is FLAT_ONE and -_U_LIMIT <= k < _U_LIMIT:
-            # a t-free unit leaves every t-exponent as it is
-            return QScalar._make(*_reduce_scale(num, den, L))
-        # the normal form moves a negative t-exponent into the denominator
-        return QScalar._raw(num, dict(den), L)
-
     def inverse(self) -> "QScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")

@@ -316,8 +316,7 @@ class FactoredWord:
 
         Each rewrite is an identity, so the value is unchanged, and words
         that differ by such rewrites reduce alike: mu_k mu_k(X^v) reduces
-        to X^v itself.  An atom that is monic already, with no monomial
-        before it, is kept as the same object."""
+        to X^v itself."""
         alg, den = self.algebra, self.algebra.form_den
         zero = alg.zero()
         prefix = self.prefix
@@ -372,8 +371,7 @@ class FactoredWord:
 def _monic(p: QTorusElement, s: int, v, c: QScalar, mrow, den: int) -> QTorusElement:
     """The monic atom of p^s behind the monomial X^M (pairing row ``mrow``,
     None when M = 0), pivot v and its coefficient c: the coefficient of
-    X^{n-v} is c_n / c * q^{2 omega(M, n - v) + s omega(v, n)}.  A unit c
-    is divided out by moving keys (:meth:`QScalar._over_unit`)."""
+    X^{n-v} is c_n / c * q^{2 omega(M, n - v) + s omega(v, n)}."""
     alg = p.algebra
     row = alg.row_pairing(v)
     if s == -1:
@@ -382,24 +380,17 @@ def _monic(p: QTorusElement, s: int, v, c: QScalar, mrow, den: int) -> QTorusEle
     if mrow is not None:
         row = [x + 2 * y for x, y in zip(row, mrow)]
         const = -2 * sum(map(mul, mrow, v))
-    one = c.is_one()
-    if one and not any(v) and not any(row):
-        return p  # already monic, and nothing moves past it
-    unit = not one and c.is_unit()
-    inv = None if one or unit else c.inverse()
+    inv = None if c.is_one() else c.inverse()
     terms = {}
     for n, cn in p.terms.items():
         if n == v:
             terms[tuple(map(sub, n, v))] = ONE
             continue
+        if inv is not None:
+            cn = cn * inv
         w = sum(map(mul, row, n)) + const
-        if unit:
-            cn = cn._over_unit(c, w, den)
-        else:
-            if inv is not None:
-                cn = cn * inv
-            if w:
-                cn = cn._qshift(w, den)
+        if w:
+            cn = cn._qshift(w, den)
         terms[tuple(map(sub, n, v))] = cn
     return p._like(terms)
 
@@ -412,7 +403,7 @@ def _cancel(alg: SkewLattice, out: list, hat: QTorusElement, s: int) -> bool:
     terms = hat.terms
     for i in range(len(out) - 1, -1, -1):
         a, t = out[i]
-        if a is hat or a.terms == terms:
+        if a.terms == terms:
             if t == -s:
                 del out[i]
                 return True

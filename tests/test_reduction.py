@@ -2,6 +2,8 @@
 
 The quantum tables print reduced words.  Two things are checked here:
 
+- an inverse pair of atoms cancels across an atom that commutes with it
+  and not across one that does not;
 - mu_k mu_k = id is decided structurally: on every demo seed, after every
   prefix of length <= 2, with and without coefficients, each cluster
   variable times the inverse of its double mutation reduces to no atom
@@ -28,9 +30,11 @@ from qca.checks import A2_SEQ
 from qca.cli import _directions, _parse_ints
 from qca.duality import principal_compatible_pair
 from qca.fixtures import a2_tables
-from qca.mutation import AMutationStep, TABLES, _steps, a_torus, quantum_x_variables
+from qca.mutation import AMutationStep, TABLES, _steps, a_torus, quantum_x_variables, x_torus
+from qca.qtorus import QTorusElement
+from qca.scalars import ONE
 from qca.seeds import load_seed_file
-from qca.words import FactoredWord, words_equal
+from qca.words import FactoredWord, choose_grading, words_equal
 
 SEEDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "demos", "seeds")
@@ -111,3 +115,22 @@ def test_double_mutation_reduces_to_nothing(seed_name):
             for w, w2 in zip(before, after):
                 left = (w * w2.inverse()).reduced()
                 assert not left.atoms and left.prefix.is_one(), (prefix, k, coeff)
+
+
+def test_inverse_pair_cancels_only_across_commuting_atoms():
+    # on A2, X1 and X1^2 commute and X1 and X2 do not
+    alg = x_torus(a2_tables())
+
+    def poly(*exps):
+        return QTorusElement(alg, {n: ONE for n in ((0, 0),) + exps})
+
+    a, x2 = poly((1, 0)), FactoredWord.monomial(alg, (0, 1))
+    for b, commutes in ((poly((2, 0)), True), (poly((0, 1)), False)):
+        for m in (FactoredWord.monomial(alg, (0, 0)), x2):
+            ma = m * FactoredWord.from_element(a)
+            w = ma * FactoredWord.from_element(b) * ma.inverse()
+            r = w.reduced()
+            assert len(r.atoms) == (1 if commutes else 3)
+            assert words_equal(w, m * FactoredWord.from_element(b) * m.inverse(), K) == commutes
+            dvec = choose_grading([w], alg.rank)
+            assert r.expand(dvec, K) == w.expand(dvec, K)

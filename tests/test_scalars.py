@@ -472,15 +472,3 @@ def test_tpow_is_the_quotient_of_two_t_monomials(vec):
     want = (QScalar.t_monomial([max(x, 0) for x in vec])
             / QScalar.t_monomial([max(-x, 0) for x in vec]))
     assert structure(tpow(vec)) == structure(want)
-
-
-@PROPERTY
-@given(fractions(), st.integers(-6, 6), st.sampled_from([1, 2, 3]),
-       st.lists(st.integers(0, 2), max_size=3), st.sampled_from([1, -1]),
-       st.integers(-7, 7), st.sampled_from([1, 2, 6]))
-def test_division_by_a_unit_moves_keys(a, num, den, texp, sign, w, d):
-    # the monic atoms of FactoredWord.reduced divide by a unit pivot
-    x = a[0]
-    unit = QScalar.term(Fraction(num, den), texp, sign)
-    assert unit.is_unit() and not (unit + unit).is_unit()
-    assert structure(x._over_unit(unit, w, d)) == structure((x / unit)._qshift(w, d))

@@ -9,7 +9,8 @@ unreduced words as elements; ``DilogConjugation.apply`` on words with
 inverted multi-term atoms agrees with the oracle atom by atom.  The
 reduction itself is checked against expansion: a reduced word expands to
 the same series, and ``words_equal`` answers as the unreduced
-expand-and-compare does.  On the same forms the mutation identities hold:
+expand-and-compare does, also on words with an atom between an inverse
+pair, which the reduction cancels only when that atom commutes with it.  On the same forms the mutation identities hold:
 mu_k mu_k = id and the *-homomorphism, by ``words_equal`` at K = 6.
 Finally, one step per mutation builds each binomial once and reuses its
 running products across every word and every table row, while two
@@ -64,10 +65,13 @@ def sequences(draw, min_len=1, max_len=3):
 
 
 @st.composite
-def atoms(draw, alg, multi_term=False):
+def atoms(draw, alg, multi_term=False, along=None):
     """A nonzero torus element with one to three terms and small q- and
-    t-power coefficients."""
+    t-power coefficients; with ``along`` a nonzero vector, its exponents
+    are multiples of it."""
     exps = st.tuples(*[st.integers(-2, 2)] * alg.rank)
+    if along is not None:
+        exps = st.integers(-2, 2).map(lambda k: tuple(k * x for x in along))
     count = draw(st.integers(2, 3)) if multi_term else draw(st.integers(1, 3))
     terms = {}
     for n in draw(st.lists(exps, min_size=count, max_size=count, unique=True)):
@@ -86,6 +90,37 @@ def mixed_words(draw, alg):
                    (draw(atoms(alg)), draw(st.sampled_from((1, -1)))))
     prefix = draw(st.sampled_from((ONE, QScalar.term(1, (1,)), QScalar.rational(-1, 2))))
     return FactoredWord(alg, prefix, out)
+
+
+def spliced(w, cut, piece):
+    """w with the word ``piece`` inserted before its atom ``cut``."""
+    return FactoredWord(w.algebra, w.prefix, w.atoms[:cut]) * piece \
+        * FactoredWord(w.algebra, ONE, w.atoms[cut:])
+
+
+@st.composite
+def sandwiches(draw, alg):
+    """(m a) b (m a)^-1 for a monomial m and multi-term atoms a and b.
+    Half the time b's exponents are multiples of the difference d of a's
+    two least exponents, so that b commutes with the monic atom of a when
+    a has two terms (and then a and a^-1 cancel across b), and may not
+    when a has three."""
+    a = draw(atoms(alg, multi_term=True))
+    along = None
+    if draw(st.booleans()):
+        n0, n1 = sorted(a.terms)[:2]
+        along = tuple(y - x for x, y in zip(n0, n1))
+    b = draw(atoms(alg, multi_term=True, along=along))
+    m = FactoredWord.monomial(alg, draw(st.tuples(*[st.integers(-2, 2)] * alg.rank)))
+    ma = m * FactoredWord.from_element(a)
+    return ma * FactoredWord.from_element(b) * ma.inverse()
+
+
+@st.composite
+def sandwiched_words(draw, alg):
+    """A mixed word with a sandwich inserted."""
+    w = draw(mixed_words(alg))
+    return spliced(w, draw(st.integers(0, len(w.atoms))), draw(sandwiches(alg)))
 
 
 def assert_same_word(got, want):
@@ -157,7 +192,7 @@ def test_mutate_word_matches_oracle_on_mixed_words(data):
 @given(st.data())
 def test_reduced_word_expands_to_the_same_series(data):
     alg = x_torus(data.draw(skew_forms()))
-    w = data.draw(mixed_words(alg))
+    w = data.draw(st.one_of(mixed_words(alg), sandwiched_words(alg)))
     dvec = choose_grading([w], alg.rank)
     got, want = w.reduced().expand(dvec, K), w.expand(dvec, K)
     assert got == want and got.cutoff == want.cutoff
@@ -168,21 +203,21 @@ def test_reduced_word_expands_to_the_same_series(data):
 def test_words_equal_answers_as_the_unreduced_expansion(data):
     alg = x_torus(data.draw(skew_forms()))
     w = data.draw(mixed_words(alg))
-    kind = data.draw(st.sampled_from(("other", "reduced", "padded")))
+    kind = data.draw(st.sampled_from(("other", "reduced", "padded", "sandwiched")))
     if kind == "other":
         w2 = data.draw(mixed_words(alg))
     elif kind == "reduced":
         w2 = w.reduced()
-    else:
+    elif kind == "padded":
         # w with (m a) (m a)^-1 inserted, for a monomial m and an atom a
         m = FactoredWord.monomial(alg, data.draw(st.tuples(*[st.integers(-2, 2)] * alg.rank)))
         ma = m * FactoredWord.from_element(data.draw(atoms(alg)))
-        cut = data.draw(st.integers(0, len(w.atoms)))
-        w2 = FactoredWord(alg, w.prefix, w.atoms[:cut]) * ma * ma.inverse() \
-            * FactoredWord(alg, ONE, w.atoms[cut:])
+        w2 = spliced(w, data.draw(st.integers(0, len(w.atoms))), ma * ma.inverse())
+    else:
+        w2 = spliced(w, data.draw(st.integers(0, len(w.atoms))), data.draw(sandwiches(alg)))
     want = oracle.words_equal(w, w2, K)
     assert words_equal(w, w2, K) == want
-    if kind != "other":
+    if kind in ("reduced", "padded"):
         assert want
 
 
