@@ -34,12 +34,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _parse_ints(text: str):
-    return [int(x) for x in text.split(",") if x != ""]
-
-
-def _parse_fracs(text: str):
-    return [Fraction(x) for x in text.split(",") if x != ""]
+def _parse_list(text: str, parse) -> list:
+    """The entries of a comma-separated list, each read by ``parse``; empty
+    text is the empty list, and an empty entry is a usage error."""
+    entries = text.split(",") if text else []
+    if "" in entries:
+        raise ValueError(f"empty entry in the comma-separated list {text!r}")
+    return [parse(x) for x in entries]
 
 
 def _directions(entries, fd) -> list[int]:
@@ -63,7 +64,7 @@ def nonnegative_int(text: str) -> int:
 def _parse_pair(text: str, parse, flag: str) -> tuple:
     """A rank-2 vector: exactly two entries."""
     try:
-        entries = parse(text)
+        entries = _parse_list(text, parse)
     except ZeroDivisionError:  # bad input, not a failed computation
         raise ValueError(f"{flag} has a zero denominator: {text!r}") from None
     if len(entries) != 2:
@@ -95,7 +96,7 @@ def _table_text(rows):
 def _table_args(args):
     """The fixed data, 0-based sequence and mode of a table or mutate call."""
     fd = load_seed_file(args.seed)
-    return fd, _directions(_parse_ints(args.sequence), fd), args.mode
+    return fd, _directions(_parse_list(args.sequence, int), fd), args.mode
 
 
 def cmd_table(args) -> int:
@@ -147,9 +148,9 @@ def cmd_theta(args) -> int:
     from .scatter import complete_to_order, initial_diagram
     from .theta import enumerate_broken_lines, theta_of_lines
 
-    m0 = _parse_pair(args.gvector, _parse_ints, "--gvector")
-    Q = _parse_pair(args.basepoint, _parse_fracs, "--basepoint")
-    filt = (_parse_pair(args.filter_exponent, _parse_ints, "--filter-exponent")
+    m0 = _parse_pair(args.gvector, int, "--gvector")
+    Q = _parse_pair(args.basepoint, Fraction, "--basepoint")
+    filt = (_parse_pair(args.filter_exponent, int, "--filter-exponent")
             if args.filter_exponent else None)
     fd = load_seed_file(args.seed)
     dg = complete_to_order(

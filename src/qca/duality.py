@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .seeds import FixedData, Seed, row_reduce
 from .words import FactoredWord, words_equal
@@ -48,6 +49,7 @@ class PStarMap:
         return tuple(out)
 
 
+@cache
 def p1_star(fd: FixedData) -> PStarMap:
     """The default full extension n -> {n, .}: row i is ({e_i,e_j} d_j)_j,
     read off the integer principal form as prin_ij d_j / form_den.
@@ -64,10 +66,9 @@ def p1_star(fd: FixedData) -> PStarMap:
         for i in range(fd.n)))
 
 
-def p1_star_injective(fd: FixedData, pmap: PStarMap | None = None) -> bool:
+def p1_star_injective(fd: FixedData) -> bool:
     """Injectivity of p1* on the unfrozen sublattice (rank over Q)."""
-    pmap = pmap or p1_star(fd)
-    rows = [list(map(Fraction, pmap.rows[i])) for i in fd.unfrozen]
+    rows = [list(map(Fraction, p1_star(fd).rows[i])) for i in fd.unfrozen]
     return len(row_reduce(rows, fd.n)[1]) == len(fd.unfrozen)
 
 
@@ -135,6 +136,7 @@ def _transpose(mat):
     return tuple(tuple(row[i] for row in mat) for i in range(len(mat[0])))
 
 
+@cache
 def principal_compatible_pair(fd: FixedData) -> CompatiblePair:
     """Solve for an integer antisymmetric Lambda with
     Btilde^T Lambda = (D' 0), D' = d * D_uf^{-1}, together with the
@@ -230,7 +232,7 @@ class PStarHom:
                         "homomorphism for this (Lambda, p*)")
         from .mutation import a_torus
 
-        self.atorus = a_torus(fd, Lambda)
+        self.atorus = a_torus(fd)
 
     def scalar_map(self, s):
         # q_FG^e -> q_BZ^{-e d / 2}
@@ -250,8 +252,8 @@ class PStarHom:
         seed = Seed(self.fd)
         out = []
         for k in self.fd.unfrozen:
-            xstep = XMutationStep(seed, k, True, xalg)
-            astep = AMutationStep(seed, k, True, self.atorus)
+            xstep = XMutationStep(seed, k, True)
+            astep = AMutationStep(seed, k, True)
             for i, e in enumerate(seed.mutate(k).basis):
                 lhs = self.apply(xstep.apply(FactoredWord.monomial(xalg, e)))
                 rhs = astep.apply(FactoredWord.monomial(self.atorus, self.pmap.apply(e)))

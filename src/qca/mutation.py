@@ -23,7 +23,7 @@ all its rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from operator import mul
 
 from .commutative import CPoly, CRational
@@ -32,6 +32,8 @@ from .scalars import ONE, QScalar, tpow
 from .seeds import FixedData, Seed
 from .words import DilogConjugation, FactoredWord
 
+
+@cache
 def x_torus(fd: FixedData) -> SkewLattice:
     """The quantum X-torus: the form {.,.} itself is the q-exponent."""
     return SkewLattice(fd.n, fd.skew, fd.labels)
@@ -111,26 +113,24 @@ def mutate_a_classical(vars: list[CRational], k: int, seed: Seed,
 
 class XMutationStep:
     """One quantum X-mutation mu = mu# o mu' at direction k of ``seed``,
-    built once and applied to any number of words on ``algebra``, the
-    X-torus of the seed's fixed data.
+    built once and applied to any number of words on the X-torus of the
+    seed's fixed data.
 
-    It holds the twist mu', X^v -> t^{m(v) [-c_k]_+} X^v with
-    m(v) = -{v, e_k} d_k, as the row of m and the t-powers by multiplicity,
-    and the conjugation mu# by Psi_{q_k}(t^{c_k} X^{e_k}) as a
-    :class:`DilogConjugation` (the pairing row of e_k, the binomials and
-    their running products).  :meth:`apply` twists and conjugates each atom
-    in one pass.
+    It holds the twist mu', X^v -> t^{m(v) [-c_k]_+} X^v, as the t-powers
+    by multiplicity, and the conjugation mu# by Psi_{q_k}(t^{c_k} X^{e_k})
+    as a :class:`DilogConjugation` (the pairing row of e_k, the binomials
+    and their running products).  m(v) = -{v, e_k} d_k is the
+    conjugation's pairing p_v, so :meth:`apply` twists and conjugates each
+    atom in one pass.
     """
 
-    __slots__ = ("seed", "algebra", "conjugation", "cminus", "_mrow", "_tpows")
+    __slots__ = ("algebra", "conjugation", "cminus", "_tpows")
 
-    def __init__(self, seed: Seed, k: int, with_coefficients: bool,
-                 algebra: SkewLattice):
+    def __init__(self, seed: Seed, k: int, with_coefficients: bool):
         fd = seed.fixed
         if k not in fd.unfrozen:
             raise ValueError(f"direction {k} is frozen")
-        self.seed, self.algebra = seed, algebra
-        ek, dk = seed.basis[k], fd.d[k]
+        self.algebra = x_torus(fd)
         coeff, cm = ONE, None
         if with_coefficients:
             c = seed.cvector(k)
@@ -138,15 +138,12 @@ class XMutationStep:
             if any(x < 0 for x in c):
                 cm = [max(-x, 0) for x in c]
         self.cminus = cm  # [-c_k]_+, None when the twist is the identity
-        # form_den * {v, e_k} d_k = mrow . v
-        self._mrow = [dk * sum(map(mul, row, ek)) for row in fd.prin[:fd.n]]
         self._tpows: dict = {}  # m -> t^{m [-c_k]_+}
-        self.conjugation = DilogConjugation(algebra, Fraction(1, dk), coeff, ek, 1)
+        self.conjugation = DilogConjugation(self.algebra, Fraction(1, fd.d[k]), coeff,
+                                            seed.basis[k], 1)
 
-    def twist(self, v, coeff: QScalar) -> QScalar:
-        """mu' on the coefficient of X^v."""
-        fd = self.seed.fixed
-        m = -fd.integral(sum(map(mul, self._mrow, v)), "coefficient twist exponent")
+    def twist(self, m: int, coeff: QScalar) -> QScalar:
+        """mu' on the coefficient of an X^v with m(v) = m."""
         if m == 0:
             return coeff
         t = self._tpows.get(m)
@@ -164,16 +161,20 @@ def mutate_word(w: FactoredWord, k: int, seed: Seed,
     """One quantum X-mutation applied to a word: mu = mu# o mu'.  Each call
     builds its own step; a caller mutating many words builds one
     :class:`XMutationStep` and applies it to each."""
-    return XMutationStep(seed, k, with_coefficients, w.algebra).apply(w)
+    return XMutationStep(seed, k, with_coefficients).apply(w)
 
 
 # ---------------------------------------------------------------------------
 # quantum A-mutation (Berenstein-Zelevinsky with principal coefficients)
 
 
-def a_torus(fd: FixedData, Lambda) -> SkewLattice:
-    """The quantum A-torus: q-exponent of the defining relation is Lambda/2
-    (in q_BZ units)."""
+@cache
+def a_torus(fd: FixedData) -> SkewLattice:
+    """The quantum A-torus of the principal compatible pair: q-exponent of
+    the defining relation is Lambda/2 (in q_BZ units)."""
+    from .duality import principal_compatible_pair  # only the A side loads it
+
+    Lambda = principal_compatible_pair(fd).Lambda
     form = tuple(tuple(Fraction(Lambda[i][j], 2) for j in range(fd.n))
                  for i in range(fd.n))
     labels = tuple(lbl.replace("X", "A") if "X" in lbl else f"A{i + 1}"
@@ -201,8 +202,8 @@ def a_mutation_binomial(alg: SkewLattice, k: int, seed: Seed,
 
 class AMutationStep:
     """One quantum A-mutation at direction k of ``seed``, built once and
-    applied to any number of words on ``algebra``, a quantum A-torus of the
-    seed's fixed data.
+    applied to any number of words on the quantum A-torus of the seed's
+    fixed data.
 
     A monomial A^m decomposes over the mutated chart's f-basis; only the
     generator f'_k = f_{k;mu_k(s)} moves, to the two-term element B of
@@ -214,16 +215,15 @@ class AMutationStep:
 
     __slots__ = ("fixed", "algebra", "binomial", "_arow", "_fkp", "_powers")
 
-    def __init__(self, seed: Seed, k: int, with_coefficients: bool,
-                 algebra: SkewLattice):
+    def __init__(self, seed: Seed, k: int, with_coefficients: bool):
         fd = seed.fixed
-        self.fixed, self.algebra = fd, algebra
-        self._fkp = seed.mutate(k).f_basis()[k]  # raises on a frozen k
+        self._fkp = seed.mutate(k).f_basis()[k]  # raises on a frozen k first
+        self.fixed, self.algebra = fd, a_torus(fd)
         # form_den * <d_k e'_k, m> = arow . m, with e'_k = -e_{k;s}
         dk = fd.d[k]
         self._arow = [-dk * x * fd.prin[i][fd.n + i] for i, x in enumerate(seed.basis[k])]
-        self.binomial = a_mutation_binomial(algebra, k, seed, with_coefficients)
-        self._powers = [QTorusElement.one(algebra)]
+        self.binomial = a_mutation_binomial(self.algebra, k, seed, with_coefficients)
+        self._powers = [QTorusElement.one(self.algebra)]
 
     def _image(self, m, c):
         """c A^m = lead B^(a_k) as (lead, a_k)."""
@@ -263,22 +263,20 @@ def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
     """One quantum A-mutation applied to a word.  Each call builds its own
     step; a caller mutating many words builds one :class:`AMutationStep`
     and applies it to each."""
-    return AMutationStep(seed, k, with_coefficients, w.algebra).apply(w)
+    return AMutationStep(seed, k, with_coefficients).apply(w)
 
 
 # ---------------------------------------------------------------------------
 # cluster variables in the initial chart, X- and A-side
 
 
-def _steps(fd: FixedData, sequence, step, with_coefficients: bool,
-           algebra: SkewLattice):
+def _steps(fd: FixedData, sequence, step, with_coefficients: bool):
     """The seeds along ``sequence`` (initial seed first) and one ``step``
     (XMutationStep or AMutationStep) per mutation."""
     seeds = [Seed(fd)]
     for k in sequence:
         seeds.append(seeds[-1].mutate(k))
-    return seeds, [step(s, k, with_coefficients, algebra)
-                   for s, k in zip(seeds, sequence)]
+    return seeds, [step(s, k, with_coefficients) for s, k in zip(seeds, sequence)]
 
 
 def _pull_back(algebra: SkewLattice, exponents, steps) -> list[FactoredWord]:
@@ -298,9 +296,8 @@ def _pull_back(algebra: SkewLattice, exponents, steps) -> list[FactoredWord]:
 def quantum_x_variables(fd: FixedData, sequence, with_coefficients: bool = True):
     """Cluster variables of the seed reached by ``sequence``, expressed in
     the initial chart as factored words.  Returns (seed, [words])."""
-    alg = x_torus(fd)
-    seeds, steps = _steps(fd, sequence, XMutationStep, with_coefficients, alg)
-    return seeds[-1], _pull_back(alg, seeds[-1].basis, steps)
+    seeds, steps = _steps(fd, sequence, XMutationStep, with_coefficients)
+    return seeds[-1], _pull_back(x_torus(fd), seeds[-1].basis, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +331,7 @@ def quantum_x_table(fd: FixedData, sequence, with_coefficients: bool):
     """Rows of (seed, [X-variable words in the initial chart]); the seeds
     and steps are built once and shared by every row."""
     alg = x_torus(fd)
-    seeds, steps = _steps(fd, sequence, XMutationStep, with_coefficients, alg)
+    seeds, steps = _steps(fd, sequence, XMutationStep, with_coefficients)
     return [(s, _pull_back(alg, s.basis, steps[:i]))
             for i, s in enumerate(seeds)]
 
@@ -344,10 +341,8 @@ def quantum_a_table(fd: FixedData, sequence):
     quantum A-torus of the principal compatible pair, with principal
     coefficients; the seeds and steps are built once and shared by every
     row."""
-    from .duality import principal_compatible_pair
-
-    alg = a_torus(fd, principal_compatible_pair(fd).Lambda)
-    seeds, steps = _steps(fd, sequence, AMutationStep, True, alg)
+    alg = a_torus(fd)
+    seeds, steps = _steps(fd, sequence, AMutationStep, True)
     return [(s, _pull_back(alg, s.f_basis(), steps[:i])) for i, s in enumerate(seeds)]
 
 
@@ -392,7 +387,8 @@ def mutation_table(fd: FixedData, sequence, mode: str):
     """The rows (seed, variables) of the table of ``mode``, unrendered."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
-    if mode in ("x-family", "a-prin") and fd.coefficients != "principal":
+    # all but these modes print the principal coefficients t_i
+    if mode not in ("x-classical", "x-quantum", "a-classical") and fd.coefficients != "principal":
         raise ValueError(f"mode {mode} requires principal coefficients")
     return TABLES[mode](fd, sequence)
 

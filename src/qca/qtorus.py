@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add, mul
 
-from .scalars import ONE, QScalar, qpow, render_monomial, render_sum
+from .scalars import QScalar, render_monomial, render_sum
 
 
 @dataclass(frozen=True)
@@ -275,16 +275,3 @@ class QTorusElement:
 
     def __repr__(self):
         return f"QTorusElement({self.render()})"
-
-
-def dilog_series_coefficients(h: Fraction, order: int) -> list[QScalar]:
-    """Taylor coefficients c_0..c_K of Psi_Q(x) with Q = q^h.
-
-    From the difference relation Psi(Q^2 x) = (1 + Qx) Psi(x):
-    c_k = c_{k-1} * Q / (Q^{2k} - 1).
-    """
-    coeffs = [ONE]
-    for k in range(1, order + 1):
-        coeffs.append(coeffs[-1] * qpow(h) / (qpow(2 * k * h) - 1))
-    return coeffs
-

@@ -859,7 +859,6 @@ def _coerce(x) -> QScalar:
     raise TypeError(f"cannot coerce {type(x).__name__} to QScalar")
 
 
-ZERO = QScalar()
 ONE = QScalar.integer(1)
 
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .duality import p1_star, p1_star_injective, principal_compatible_pair
+from .duality import p1_star, p1_star_injective
 from .expansion import FlatSeries, accumulate, flat_terms, fold, log_factor, one_den
 from .mutation import a_torus, x_torus
 from .qtorus import SkewLattice, vec, vec_neg
@@ -76,7 +76,7 @@ class ScatteringDiagram:
     """Rank-2 diagram over a seed, classical or quantum, A- or X-side."""
 
     def __init__(self, fd: FixedData, side: str = "A", quantum: bool = False,
-                 order: int = 2, Lambda=None):
+                 order: int = 2):
         if fd.n != 2 or len(fd.unfrozen) != 2:
             raise ValueError("scattering diagrams are implemented in rank 2")
         if side not in ("A", "X"):
@@ -88,25 +88,20 @@ class ScatteringDiagram:
         self.quantum = quantum
         self.order = order
         self.pmap = p1_star(fd)
-        if not p1_star_injective(fd, self.pmap):
+        if not p1_star_injective(fd):
             raise ValueError(
                 "p1* is not injective on the unfrozen sublattice "
                 "(known as the injectivity assumption)")
         if side == "A":
             self.dir_map = self.pmap.apply
             if quantum:
-                if Lambda is None:
-                    Lambda = principal_compatible_pair(fd).Lambda
-                self.Lambda = Lambda
-                self.torus = a_torus(fd, Lambda)
+                self.torus = a_torus(fd)
             else:
-                self.Lambda = None
                 zero = tuple(tuple(Fraction(0) for _ in range(2)) for _ in range(2))
                 labels = tuple(f"A{i + 1}" for i in range(2))
                 self.torus = SkewLattice(2, zero, labels)
         else:
             self.dir_map = lambda n: vec(n)
-            self.Lambda = None
             self.torus = x_torus(fd)
         # dir_map's matrix, inverted once: n = inv . m solves dir_map(n) = m,
         # and the degree n1 + n2 on N+ is the integer grading dvec . m / dscale
@@ -361,9 +356,9 @@ def _ccw_key(base, r):
 
 
 def initial_diagram(fd: FixedData, side: str = "A", quantum: bool = False,
-                    order: int = 2, Lambda=None) -> ScatteringDiagram:
+                    order: int = 2) -> ScatteringDiagram:
     """One full-line incoming wall per unfrozen direction."""
-    dg = ScatteringDiagram(fd, side, quantum, order, Lambda)
+    dg = ScatteringDiagram(fd, side, quantum, order)
     d = fd.d_lcm
     for i in fd.unfrozen:
         n0 = (1 if i == 0 else 0, 1 if i == 1 else 0)
@@ -393,8 +388,7 @@ def complete_to_order(diagram: ScatteringDiagram, order: int) -> ScatteringDiagr
     ``GENERATORS`` only: every crossing is a ring automorphism, so the loop
     is the identity to a given order as soon as it fixes +-e1 and +-e2 to
     that order (Kontsevich-Soibelman; Gross-Pandharipande-Siebert)."""
-    dg = ScatteringDiagram(diagram.fd, diagram.side, diagram.quantum, order,
-                           diagram.Lambda)
+    dg = ScatteringDiagram(diagram.fd, diagram.side, diagram.quantum, order)
     dg.walls = [_copy_wall(w) for w in diagram.walls]
     for k in range(2, order + 1):
         _complete_degree(dg, k)

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,6 @@ class FixedData:
     def d_lcm(self) -> int:
         return lcm(*self.d) if self.n else 1
 
-    def form_int(self, a, b) -> int:
-        """form_den * {a, b}_prin for a, b in N + M* (e- then f-coordinates);
-        a vector of length n lies in N."""
-        return sum(x * sum(map(mul, self.prin[i], b)) for i, x in enumerate(a) if x)
-
     def pair_int(self, n, m) -> int:
         """form_den * <n, m> for n in N (e-coordinates) and m in M*
         (f-coordinates)."""
@@ -94,7 +88,7 @@ class FixedData:
 
     def integral(self, value: int, what: str) -> int:
         """value / form_den, which must be an integer: the checked division
-        behind every integer read off ``form_int`` or ``pair_int``."""
+        behind every integer read off ``prin`` or ``pair_int``."""
         q, r = divmod(value, self.form_den)
         if r:
             raise ArithmeticError(f"non-integral {what}: {Fraction(value, self.form_den)}")

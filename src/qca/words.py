@@ -496,8 +496,8 @@ class DilogConjugation:
 
     def apply(self, word: FactoredWord, twist=None) -> FactoredWord:
         """The conjugate of ``word``, in one pass over its atoms.  ``twist``,
-        a map (exponent, coefficient) -> coefficient, is applied to the
-        terms of each atom first when given (mu' of a mutation)."""
+        a map (pairing p_v, coefficient) -> coefficient, is applied to the
+        terms c X^v of each atom first when given (mu' of a mutation)."""
         prefix = word.prefix
         atoms: list = []
         for p, s in word.atoms:
@@ -511,9 +511,9 @@ class DilogConjugation:
         scalar factor, or None when that is 1."""
         alg, h, w, action = self.algebra, self.h, self.direction, self.action
         terms = p.terms
-        if twist is not None:
-            terms = {n: twist(n, c) for n, c in terms.items()}
         pairings = dilog_pairings(alg, h, w, terms, self.row)
+        if twist is not None:
+            terms = {n: twist(pairings[n], c) for n, c in terms.items()}
         if action == 1:
             v0 = min(pairings, key=lambda v: (pairings[v], v))
         else:

@@ -38,12 +38,12 @@ from qca.mutation import (
 )
 from qca.commutative import CRational
 from qca.poisson import element_q1, poisson_bracket, semiclassical_bracket
-from qca.qtorus import QTorusElement, dilog_series_coefficients
+from qca.qtorus import QTorusElement
 from qca.scalars import ONE, QScalar, qpow, vpow
 from qca.scatter import appendix_b_closed_form, complete_to_order, initial_diagram
 from qca.seeds import Seed
 from qca.words import FactoredWord, words_equal
-from test_qtorus import neg_li2_coefficients
+from test_qtorus import dilog_series_coefficients, neg_li2_coefficients
 
 
 def _report(name: str, elapsed: float, budget: float):

@@ -315,6 +315,54 @@ def test_frozen_direction_is_named_one_based(argv, capsys, tmp_path):
     assert err == "error: direction 3 is frozen\n"
 
 
+@pytest.fixture()
+def coefficient_free(tmp_path):
+    path = tmp_path / "none.json"
+    save_seed_file(make_fixed_data([[0, -1], [1, 0]], coefficients="none"), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["x-family", "x-quantum-coeff", "a-prin", "a-quantum"])
+def test_principal_modes_refuse_a_coefficient_free_seed(mode, coefficient_free, capsys):
+    for verb in ("table", "mutate"):
+        code, out, err = run(capsys, [verb, "--seed", coefficient_free,
+                                      "--sequence", "1", "--mode", mode])
+        assert (code, out) == (2, "")
+        assert err == f"error: mode {mode} requires principal coefficients\n"
+
+
+@pytest.mark.parametrize("mode", ["x-classical", "x-quantum", "a-classical"])
+def test_coefficient_free_modes_run_on_a_coefficient_free_seed(mode, coefficient_free,
+                                                               capsys):
+    code, out, err = run(capsys, ["mutate", "--seed", coefficient_free,
+                                  "--sequence", "1", "--mode", mode])
+    assert (code, err) == (0, "")
+    assert "X1 = " in out and "t1" not in out and "t2" not in out
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["table", "--seed", "a2", "--sequence", "1,,2", "--mode", "x-classical"], "1,,2"),
+    (["mutate", "--seed", "a2", "--sequence=,1", "--mode", "x-quantum"], ",1"),
+    (["mutate", "--seed", "a2", "--sequence", "1,", "--mode", "x-quantum"], "1,"),
+    (["theta", "--seed", "a23", "--gvector=,1,0,", "--basepoint", "1,1"], ",1,0,"),
+    (["theta", "--seed", "a23", "--gvector=-3,5", "--basepoint", "1,,2"], "1,,2"),
+    (["theta", "--seed", "a23", "--gvector=-3,5", "--basepoint", "1,1",
+      "--filter-exponent=1,-1,"], "1,-1,"),
+])
+def test_an_empty_list_entry_is_a_usage_error(argv, text, seeds, capsys):
+    code, out, err = run(capsys, [seeds.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: empty entry in the comma-separated list {text!r}\n"
+
+
+def test_an_empty_sequence_is_the_empty_sequence(seeds, capsys):
+    for verb in ("table", "mutate"):
+        code, out, err = run(capsys, [verb, "--seed", seeds["a2"], "--sequence", "",
+                                      "--mode", "x-classical"])
+        assert (code, err) == (0, "")
+        assert out.startswith("step 0 (initial)\n") and "step 1" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["pstar", "--seed", "a2", "--check-intertwining", "--order=-1"],
     ["theta", "--seed", "a23", "--gvector=-3,5", "--basepoint", "1,1", "--order=-1"],

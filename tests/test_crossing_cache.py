@@ -348,7 +348,7 @@ def factors_of(dg, wall):
 def fresh_build(dg, key, entry) -> Series:
     """The entry ``key`` rebuilt from nothing on a diagram with the same
     walls (and so the same wall ids) and an empty cache."""
-    twin = ScatteringDiagram(dg.fd, dg.side, dg.quantum, dg.order, dg.Lambda)
+    twin = ScatteringDiagram(dg.fd, dg.side, dg.quantum, dg.order)
     twin.walls = dg.walls
     twin._flat_scale()
     wall = next(w for w in dg.walls if id(w) == key[0])

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qca.duality import (
     CompatibilityError,
@@ -172,3 +173,37 @@ def test_no_compatible_pair_without_frozen_rank3():
     fd = make_fixed_data([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
     with pytest.raises(CompatibilityError):
         principal_compatible_pair(fd)
+
+
+@st.composite
+def fixed_data(draw):
+    """Rank 2 or 3: an integer skew form with entries in [-2, 2], each d_i
+    in {1, 2, 3} and a nonempty unfrozen set; None where make_fixed_data
+    rejects the draw."""
+    n = draw(st.sampled_from((2, 3)))
+    skew = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = draw(st.integers(-2, 2))
+            skew[j][i] = -skew[i][j]
+    d = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n, max_size=n))
+    unfrozen = draw(st.lists(st.sampled_from(range(n)), min_size=1, unique=True))
+    try:
+        return make_fixed_data(skew, d=d, unfrozen=sorted(unfrozen))
+    except ValueError:
+        return None
+
+
+def has_compatible_pair(fd) -> bool:
+    try:
+        principal_compatible_pair(fd)
+    except (CompatibilityError, ArithmeticError):  # no pair, or no integral p*
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fixed_data())
+def test_p_star_intertwines_mutation_on_random_fixed_data(fd):
+    assume(fd is not None and has_compatible_pair(fd))
+    assert all(ok for _, _, ok in PStarHom(fd).intertwining(6)), fd

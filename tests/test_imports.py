@@ -51,6 +51,62 @@ def test_no_private_name_is_imported(path):
 
 
 # ---------------------------------------------------------------------------
+# Public names: each one is read outside the tests.
+
+# read by no module of the package, of bench/ or of demos/, and kept on
+# purpose: the paper's data in checks.py and three entry points
+KEPT = {"EPSILONS", "classical_rows", "quantum_rows",
+        "ScatteringDiagram.cross", "SkewLattice.make", "QScalar.rational"}
+
+
+def public_definitions() -> list[str]:
+    """The public module-level names and methods of the package, a method
+    as Class.method."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out += [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                out += [f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef)]
+    return [name for name in out if not name.rsplit(".", 1)[-1].startswith("_")]
+
+
+def names_read(paths) -> set[str]:
+    """The identifiers that ``paths`` read, as names, attributes or
+    imports, or as parts of a dotted string such as "Series.inverse"."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and all(part.isidentifier() for part in node.value.split(".")):
+                read.update(node.value.split("."))
+    return read
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    import qca
+
+    root = SRC.parent.parent
+    read = names_read([*SRC.glob("*.py"), *(root / "bench").rglob("*.py"),
+                       *(root / "demos").rglob("*.py")])
+    unread = [name for name in public_definitions()
+              if name.rsplit(".", 1)[-1] not in read and name not in KEPT
+              and name not in qca.__all__ and not name.startswith("cmd_")]
+    assert unread == []
+
+
+# ---------------------------------------------------------------------------
 # Import footprint: each case runs in a fresh interpreter.
 
 def run_fresh(code: str) -> str:

@@ -7,22 +7,26 @@ import x_mutation_oracle as oracle
 from qca import fixtures, mutation
 from qca.checks import A2_SEQ, double_mutation_is_identity, q1_specializes
 from qca.commutative import CPoly, CRational
+from qca.duality import PStarHom
 from qca.fixtures import a2_tables
 from qca.mutation import (
     AMutationStep,
     XMutationStep,
+    a_torus,
     apply_mutation_sequence,
     classical_a_table,
     classical_x_table,
     mutate_word,
     quantum_a_table,
     quantum_x_table,
+    quantum_x_variables,
     word_to_classical,
     x_torus,
 )
 from qca.scalars import ONE
+from qca.scatter import initial_diagram
 from qca.seeds import Seed, load_seed_file, make_fixed_data
-from qca.words import FactoredWord, words_equal
+from qca.words import FactoredWord, dilog_pairings, words_equal
 
 
 def crat(fd, num_terms, den_terms=None):
@@ -54,9 +58,13 @@ def test_mu_prime_identity_branch():
     fd = a2_tables()
     alg = x_torus(fd)
     for seed in (Seed(fd), Seed(fd).mutate(1)):
-        step = XMutationStep(seed, 1, True, alg)
+        step = XMutationStep(seed, 1, True)
         v = tuple(-x for x in seed.basis[1])
-        assert step.twist(v, ONE) == ONE
+        # the twist exponent -{v, e_k} d_k is the conjugation's pairing p_v
+        (p,) = dilog_pairings(alg, step.conjugation.h, seed.basis[1], [v]).values()
+        assert p == 0 and step.twist(p, ONE) == ONE
+        monomial = FactoredWord.monomial(alg, v)
+        assert step.apply(monomial).render() == monomial.render()
     assert step.cminus is not None  # the second twist is not the identity
 
 
@@ -224,13 +232,33 @@ def test_a_mutation_step_is_mutate_a_word():
     # one step serves every word as the one-call form does, powers included
     fd, seq = _seed_and_sequence("a23", "2,2,1")
     rows = quantum_a_table(fd, seq)
-    alg = rows[0][1][0].algebra
     seed = Seed(fd)
     for k in fd.unfrozen:
-        step = AMutationStep(seed, k, True, alg)
+        step = AMutationStep(seed, k, True)
         for _, words in rows:
             for w in words:
                 assert step.apply(w).render() == mutation.mutate_a_word(w, k, seed).render()
-    # a frozen direction is rejected before the torus is read
+
+
+def test_tori_are_built_once_per_fixed_data(monkeypatch):
+    # equal fixed data share one X-torus and one A-torus, and every layer
+    # builds its words on them
+    fd, twin = fixtures.a23(), fixtures.a23()
+    assert fd == twin and fd is not twin
+    xalg, aalg = x_torus(fd), a_torus(fd)
+    assert x_torus(twin) is xalg and a_torus(twin) is aalg
+    _, words = quantum_x_variables(twin, [0, 1], True)
+    assert {id(w.algebra) for w in words} == {id(xalg)}
+    seed = Seed(twin)
+    assert XMutationStep(seed, 0, True).algebra is xalg
+    assert AMutationStep(seed, 0, True).algebra is aalg
+    assert PStarHom(twin).atorus is aalg
+    assert initial_diagram(twin, quantum=True).torus is aalg
+    # a frozen direction is rejected before the A-torus, and so any
+    # compatible pair, is asked for
+    def unasked(fd):
+        raise AssertionError("the A-torus was asked for")
+
+    monkeypatch.setattr(mutation, "a_torus", unasked)
     with pytest.raises(ValueError, match="direction 2 is frozen"):
-        AMutationStep(Seed(fixtures.rank3_frozen()), 2, True, None)
+        AMutationStep(Seed(fixtures.rank3_frozen()), 2, True)

@@ -1,8 +1,20 @@
 import random
 from fractions import Fraction
 
-from qca.qtorus import QTorusElement, SkewLattice, dilog_series_coefficients
+from qca.qtorus import QTorusElement, SkewLattice
 from qca.scalars import ONE, QScalar, qpow, vpow
+
+
+def dilog_series_coefficients(h: Fraction, order: int) -> list[QScalar]:
+    """Taylor coefficients c_0..c_K of Psi_Q(x) with Q = q^h.
+
+    From the difference relation Psi(Q^2 x) = (1 + Qx) Psi(x):
+    c_k = c_{k-1} * Q / (Q^{2k} - 1).
+    """
+    coeffs = [ONE]
+    for k in range(1, order + 1):
+        coeffs.append(coeffs[-1] * qpow(h) / (qpow(2 * k * h) - 1))
+    return coeffs
 
 
 def neg_li2_coefficients(h: Fraction, order: int) -> list[QScalar]:

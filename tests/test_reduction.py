@@ -27,8 +27,7 @@ import pytest
 import x_mutation_oracle as oracle
 from test_cli_golden import CASES, GOLDEN
 from qca.checks import A2_SEQ
-from qca.cli import _directions, _parse_ints
-from qca.duality import principal_compatible_pair
+from qca.cli import _directions, _parse_list
 from qca.fixtures import a2_tables
 from qca.mutation import AMutationStep, TABLES, _steps, a_torus, quantum_x_variables, x_torus
 from qca.qtorus import QTorusElement
@@ -59,7 +58,7 @@ def golden_cases():
         if key not in seen:
             seen.add(key)
             fd = load_seed_file(key[0])
-            out.append((name, fd, _directions(_parse_ints(key[1]), fd), key[2]))
+            out.append((name, fd, _directions(_parse_list(key[1], int), fd), key[2]))
     out.append(("demo-mutation_tables", a2_tables(), list(A2_SEQ), "x-quantum-coeff"))
     return out
 
@@ -67,8 +66,8 @@ def golden_cases():
 def unreduced_a_table(fd, sequence):
     """The A-side table with no word reduced: each row's f-basis monomials
     pulled back through the A-mutation steps as they come."""
-    alg = a_torus(fd, principal_compatible_pair(fd).Lambda)
-    seeds, steps = _steps(fd, sequence, AMutationStep, True, alg)
+    alg = a_torus(fd)
+    seeds, steps = _steps(fd, sequence, AMutationStep, True)
     rows = []
     for i, seed in enumerate(seeds):
         words = []

@@ -14,12 +14,20 @@ and the outputs must be equal to the package's as elements.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from qca.mutation import x_torus
 from qca.qtorus import QTorusElement, vec, vec_add, vec_neg
 from qca.scalars import ONE, tpow
 from qca.seeds import Seed
 from qca.words import FactoredWord, Series, choose_grading, dilog_binomial, dilog_pairings
+
+
+def form_int(fd, a, b) -> int:
+    """form_den * {a, b}_prin for a, b in N + M* (e- then f-coordinates),
+    read off the fixed data's integer principal form; a vector of length n
+    lies in N."""
+    return sum(x * sum(map(mul, fd.prin[i], b)) for i, x in enumerate(a) if x)
 
 
 def conjugate_by_dilog(word, h, coeff, direction, action=1):
@@ -90,7 +98,7 @@ def mu_prime_word(w, k, seed, with_coefficients=True):
     dk = fd.d[k]
 
     def twist(v, coeff):
-        m = -fd.integral(fd.form_int(v, ek) * dk, "coefficient twist exponent")
+        m = -fd.integral(form_int(fd, v, ek) * dk, "coefficient twist exponent")
         if m == 0:
             return coeff
         return coeff * tpow([m * x for x in cm])
