@@ -108,10 +108,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    from .mutation import mutation_table, render_row
+    from .mutation import mutation_row, render_row
 
     fd, sequence, mode = _table_args(args)
-    last = render_row(fd, len(sequence), *mutation_table(fd, sequence, mode)[-1])
+    last = render_row(fd, len(sequence), *mutation_row(fd, sequence, mode))
     _emit(last, args.format, _table_text([last]))
     return 0
 

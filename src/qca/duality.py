@@ -4,8 +4,9 @@ dictionary between the two quantizations.
 The translation identifies q_FG^{1/d} with q_BZ^{-1/2} (d = lcm of the
 unfrozen d_i) and sends the Weyl monomial X^n to A^{p*(n)}.  For this to be
 an algebra map the skew forms must match: Lambda(p* e_i, p* e_j) = -d
-{e_i, e_j}, which is validated at construction (it holds automatically on
-unfrozen pairs for any compatible pair with D' = d D_uf^{-1}).
+{e_i, e_j}, which is validated once per fixed data, with the principal
+compatible pair (it holds automatically on unfrozen pairs for any
+compatible pair with D' = d D_uf^{-1}).
 
 Coefficients here are always central scalars; the degenerate regime where
 eps restricted to the unfrozen block drops rank (so that honest principal
@@ -195,7 +196,23 @@ def principal_compatible_pair(fd: FixedData) -> CompatiblePair:
         Lambda[j][i] = -int(sol[a])
     Lt = tuple(tuple(r) for r in Lambda)
     dprime = check_compatible_pair(Lt, bt, unfrozen_cols=fd.unfrozen)
+    _check_intertwines(fd, pmap, Lt)
     return CompatiblePair(Lt, bt, dprime)
+
+
+def _check_intertwines(fd: FixedData, pmap: PStarMap, Lambda) -> None:
+    """Multiplicativity of p*: Lambda(p*e_i, p*e_j) = -d {e_i, e_j} for all
+    i, j, without which X^n -> A^{p*(n)} is no *-algebra homomorphism."""
+    d, rows = fd.d_lcm, pmap.rows
+    for i in range(fd.n):
+        for j in range(fd.n):
+            lhs = sum(rows[i][a] * Lambda[a][b] * rows[j][b]
+                      for a in range(fd.n) for b in range(fd.n))
+            if lhs != -d * fd.skew[i][j]:
+                raise CompatibilityError(
+                    (i, j), lhs,
+                    "p* does not intertwine the skew forms; no *-algebra "
+                    "homomorphism for this (Lambda, p*)")
 
 
 def _solve(rows, rhs):
@@ -213,23 +230,14 @@ def _solve(rows, rhs):
 class PStarHom:
     """The *-algebra homomorphism X-torus-with-coefficients ->
     A-torus-with-coefficients induced by p*, on the Lambda of the
-    principal compatible pair."""
+    principal compatible pair (whose solve checks multiplicativity once per
+    fixed data)."""
 
     def __init__(self, fd: FixedData):
         self.fd = fd
         self.pmap = p1_star(fd)
-        self.Lambda = Lambda = principal_compatible_pair(fd).Lambda
+        self.Lambda = principal_compatible_pair(fd).Lambda
         self.d = fd.d_lcm
-        # multiplicativity: Lambda(p*e_i, p*e_j) = -d {e_i, e_j}
-        for i in range(fd.n):
-            for j in range(fd.n):
-                lhs = sum(self.pmap.rows[i][a] * Lambda[a][b] * self.pmap.rows[j][b]
-                          for a in range(fd.n) for b in range(fd.n))
-                if lhs != -self.d * fd.skew[i][j]:
-                    raise CompatibilityError(
-                        (i, j), lhs,
-                        "p* does not intertwine the skew forms; no *-algebra "
-                        "homomorphism for this (Lambda, p*)")
         from .mutation import a_torus
 
         self.atorus = a_torus(fd)
@@ -246,16 +254,15 @@ class PStarHom:
         (k, i, ok) per unfrozen k and generator X_{i;mu_k(s)}, comparing the
         image of its X-side mutation with the A-side mutation of
         A^{p*(e_{i;mu_k(s)})} to the given order."""
-        from .mutation import AMutationStep, XMutationStep, x_torus
+        from .mutation import mutate_a_word, mutate_word, x_torus
 
         xalg = x_torus(self.fd)
         seed = Seed(self.fd)
         out = []
         for k in self.fd.unfrozen:
-            xstep = XMutationStep(seed, k, True)
-            astep = AMutationStep(seed, k, True)
             for i, e in enumerate(seed.mutate(k).basis):
-                lhs = self.apply(xstep.apply(FactoredWord.monomial(xalg, e)))
-                rhs = astep.apply(FactoredWord.monomial(self.atorus, self.pmap.apply(e)))
+                lhs = self.apply(mutate_word(FactoredWord.monomial(xalg, e), k, seed))
+                rhs = mutate_a_word(FactoredWord.monomial(self.atorus, self.pmap.apply(e)),
+                                    k, seed)
                 out.append((k, i, words_equal(lhs, rhs, order)))
         return out

@@ -16,8 +16,15 @@ One pull-back serves both sides: the seeds along a sequence, one step per
 mutation, and each basis monomial of a seed (its basis on the X side, its
 f-basis on the A side) pulled back through the steps before it, last step
 first, gives that seed's cluster variables in the initial chart; each word
-is reduced after every step, and a mutation table shares the steps among
-all its rows.
+is reduced after every step.
+
+The exchange graph of each fixed data is built once: every seed is a node
+reached from its parent by one mutation, and every step is built once per
+(fixed data, history, direction, side, coefficients), so all calls that walk
+through a seed share it and its steps.  Seeds and steps are never changed
+after they are built (a step only memoizes what it derives from its seed:
+t-powers, binomials and their products and powers), so sharing them is
+safe.
 """
 
 from __future__ import annotations
@@ -37,6 +44,42 @@ from .words import DilogConjugation, FactoredWord
 def x_torus(fd: FixedData) -> SkewLattice:
     """The quantum X-torus: the form {.,.} itself is the q-exponent."""
     return SkewLattice(fd.n, fd.skew, fd.labels)
+
+
+# the exchange graph: fixed data -> its initial seed, (seed, k) -> mu_k(seed);
+# a Seed hashes by identity, and every node stays in the graph
+_ROOTS: dict = {}
+_CHILDREN: dict = {}
+
+
+def _path(fd: FixedData, history) -> list[Seed]:
+    """The seeds along ``history``, initial seed first: the nodes of the
+    exchange graph of ``fd``, each built once from its parent, so paths
+    with a common prefix share its seeds.  A loop, not recursion, so any
+    length of history is fine."""
+    seed = _ROOTS.get(fd)
+    if seed is None:
+        seed = _ROOTS[fd] = Seed(fd)
+    seeds = [seed]
+    for k in history:
+        child = _CHILDREN.get((seed, k))
+        if child is None:
+            child = _CHILDREN[(seed, k)] = seed.mutate(k)
+        seeds.append(child)
+        seed = child
+    return seeds
+
+
+def _seed(fd: FixedData, history) -> Seed:
+    """The shared ``Seed(fd).mutate_sequence(history)``."""
+    return _path(fd, history)[-1]
+
+
+@cache
+def _step(fd: FixedData, history: tuple, k: int, kind, with_coefficients: bool):
+    """The one ``kind`` (XMutationStep or AMutationStep) at direction k of
+    the seed reached by ``history``."""
+    return kind(_seed(fd, history), k, with_coefficients)
 
 
 def _cvec_parts(seed: Seed, k: int, with_coefficients: bool):
@@ -158,10 +201,10 @@ class XMutationStep:
 
 def mutate_word(w: FactoredWord, k: int, seed: Seed,
                 with_coefficients: bool = True) -> FactoredWord:
-    """One quantum X-mutation applied to a word: mu = mu# o mu'.  Each call
-    builds its own step; a caller mutating many words builds one
-    :class:`XMutationStep` and applies it to each."""
-    return XMutationStep(seed, k, with_coefficients).apply(w)
+    """One quantum X-mutation applied to a word: mu = mu# o mu'.  The step
+    is the shared one of the seed's fixed data and history, so calls at
+    equal seeds build it once."""
+    return _step(seed.fixed, seed.history, k, XMutationStep, with_coefficients).apply(w)
 
 
 # ---------------------------------------------------------------------------
@@ -260,44 +303,51 @@ class AMutationStep:
 
 def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
                   with_coefficients: bool = True) -> FactoredWord:
-    """One quantum A-mutation applied to a word.  Each call builds its own
-    step; a caller mutating many words builds one :class:`AMutationStep`
-    and applies it to each."""
-    return AMutationStep(seed, k, with_coefficients).apply(w)
+    """One quantum A-mutation applied to a word.  The step is the shared one
+    of the seed's fixed data and history, so calls at equal seeds build it
+    once."""
+    return _step(seed.fixed, seed.history, k, AMutationStep, with_coefficients).apply(w)
 
 
 # ---------------------------------------------------------------------------
 # cluster variables in the initial chart, X- and A-side
 
 
-def _steps(fd: FixedData, sequence, step, with_coefficients: bool):
-    """The seeds along ``sequence`` (initial seed first) and one ``step``
-    (XMutationStep or AMutationStep) per mutation."""
-    seeds = [Seed(fd)]
-    for k in sequence:
-        seeds.append(seeds[-1].mutate(k))
-    return seeds, [step(s, k, with_coefficients) for s, k in zip(seeds, sequence)]
+def _steps(fd: FixedData, sequence, kind, with_coefficients: bool):
+    """The seeds along ``sequence`` (initial seed first) and the ``kind``
+    (XMutationStep or AMutationStep) of each mutation, all shared."""
+    sequence = tuple(sequence)
+    seeds = _path(fd, sequence)
+    return seeds, [_step(fd, sequence[:i], k, kind, with_coefficients)
+                   for i, k in enumerate(sequence)]
 
 
-def _pull_back(algebra: SkewLattice, exponents, steps) -> list[FactoredWord]:
-    """Each monomial of ``exponents`` pulled back through ``steps``, last
-    step first: for the basis (X-side) or f-basis (A-side) of the seed that
-    the steps reach, its cluster variables in the initial chart.  Each
+def _pull_back(algebra: SkewLattice, v, steps) -> FactoredWord:
+    """The monomial of exponent ``v`` pulled back through ``steps``, last
+    step first: for a basis (X-side) or f-basis (A-side) vector of the seed
+    that the steps reach, its cluster variable in the initial chart.  The
     word is reduced after every step (:meth:`FactoredWord.reduced`)."""
-    out = []
-    for v in exponents:
-        w = FactoredWord.monomial(algebra, v)
-        for step in reversed(steps):
-            w = step.apply(w).reduced()
-        out.append(w)
-    return out
+    w = FactoredWord.monomial(algebra, v)
+    for step in reversed(steps):
+        w = step.apply(w).reduced()
+    return w
 
 
 def quantum_x_variables(fd: FixedData, sequence, with_coefficients: bool = True):
     """Cluster variables of the seed reached by ``sequence``, expressed in
     the initial chart as factored words.  Returns (seed, [words])."""
     seeds, steps = _steps(fd, sequence, XMutationStep, with_coefficients)
-    return seeds[-1], _pull_back(x_torus(fd), seeds[-1].basis, steps)
+    alg = x_torus(fd)
+    return seeds[-1], [_pull_back(alg, v, steps) for v in seeds[-1].basis]
+
+
+def quantum_a_variables(fd: FixedData, sequence):
+    """The A-side of :func:`quantum_x_variables`: the cluster variables of
+    the seed reached by ``sequence`` on the quantum A-torus of the principal
+    compatible pair, with principal coefficients.  Returns (seed, [words])."""
+    seeds, steps = _steps(fd, sequence, AMutationStep, True)
+    alg = a_torus(fd)
+    return seeds[-1], [_pull_back(alg, v, steps) for v in seeds[-1].f_basis()]
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +357,12 @@ def quantum_x_variables(fd: FixedData, sequence, with_coefficients: bool = True)
 def _classical_table(fd: FixedData, sequence, mutate):
     """Rows of (seed, [CRational variables in the initial chart]), one
     ``mutate(variables, k, seed)`` per step."""
-    seed = Seed(fd)
+    seeds = _path(fd, sequence)
     variables = [CRational.variable(fd.n, i) for i in range(fd.n)]
-    rows = [(seed, variables)]
-    for k in sequence:
+    rows = [(seeds[0], variables)]
+    for seed, k, nxt in zip(seeds, sequence, seeds[1:]):
         variables = mutate(variables, k, seed)
-        seed = seed.mutate(k)
-        rows.append((seed, variables))
+        rows.append((nxt, variables))
     return rows
 
 
@@ -328,22 +377,19 @@ def classical_a_table(fd: FixedData, sequence, with_coefficients: bool):
 
 
 def quantum_x_table(fd: FixedData, sequence, with_coefficients: bool):
-    """Rows of (seed, [X-variable words in the initial chart]); the seeds
-    and steps are built once and shared by every row."""
-    alg = x_torus(fd)
-    seeds, steps = _steps(fd, sequence, XMutationStep, with_coefficients)
-    return [(s, _pull_back(alg, s.basis, steps[:i]))
-            for i, s in enumerate(seeds)]
+    """Rows of (seed, [X-variable words in the initial chart]), one per
+    prefix of ``sequence``; the rows share the seeds and steps."""
+    sequence = tuple(sequence)
+    return [quantum_x_variables(fd, sequence[:i], with_coefficients)
+            for i in range(len(sequence) + 1)]
 
 
 def quantum_a_table(fd: FixedData, sequence):
-    """Rows of (seed, [A-variable words in the initial chart]) on the
-    quantum A-torus of the principal compatible pair, with principal
-    coefficients; the seeds and steps are built once and shared by every
-    row."""
-    alg = a_torus(fd)
-    seeds, steps = _steps(fd, sequence, AMutationStep, True)
-    return [(s, _pull_back(alg, s.f_basis(), steps[:i])) for i, s in enumerate(seeds)]
+    """Rows of (seed, [A-variable words in the initial chart]) of
+    :func:`quantum_a_variables`, one per prefix of ``sequence``; the rows
+    share the seeds and steps."""
+    sequence = tuple(sequence)
+    return [quantum_a_variables(fd, sequence[:i]) for i in range(len(sequence) + 1)]
 
 
 def word_to_classical(w: FactoredWord) -> CRational:
@@ -381,16 +427,35 @@ TABLES = {
     "a-quantum": quantum_a_table,
 }
 MODES = tuple(TABLES)
+# mode -> its last row alone: each quantum row is its own pull-back, while
+# a classical row is built from the row before it
+_LAST_ROWS = {
+    "x-quantum": partial(quantum_x_variables, with_coefficients=False),
+    "x-quantum-coeff": partial(quantum_x_variables, with_coefficients=True),
+    "a-quantum": quantum_a_variables,
+}
 
 
-def mutation_table(fd: FixedData, sequence, mode: str):
-    """The rows (seed, variables) of the table of ``mode``, unrendered."""
+def _check_mode(fd: FixedData, mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
     # all but these modes print the principal coefficients t_i
     if mode not in ("x-classical", "x-quantum", "a-classical") and fd.coefficients != "principal":
         raise ValueError(f"mode {mode} requires principal coefficients")
+
+
+def mutation_table(fd: FixedData, sequence, mode: str):
+    """The rows (seed, variables) of the table of ``mode``, unrendered."""
+    _check_mode(fd, mode)
     return TABLES[mode](fd, sequence)
+
+
+def mutation_row(fd: FixedData, sequence, mode: str):
+    """The last row (seed, variables) of the table of ``mode``, unrendered;
+    a quantum mode pulls back that row alone."""
+    _check_mode(fd, mode)
+    last = _LAST_ROWS.get(mode)
+    return last(fd, sequence) if last else TABLES[mode](fd, sequence)[-1]
 
 
 def render_row(fd: FixedData, step: int, seed: Seed, variables) -> dict:

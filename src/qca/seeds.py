@@ -22,7 +22,8 @@ class FixedData:
     e- and f-coordinates with <e_i, f_j> = delta_ij / d_i, as the integer
     matrix ``prin`` = form * form_den; ``form_den`` is the lcm of the d_i and
     of the skew entries' denominators.  Equality and hashing use the fields
-    only.
+    only; the hash is computed once, since every per-fixed-data cache hashes
+    its key on each lookup.
     """
 
     n: int
@@ -71,6 +72,11 @@ class FixedData:
                         f"{{e{i + 1},e{j + 1}}}*d{j + 1} = {Fraction(v, den)}")
         if self.coefficients not in ("principal", "none"):
             raise ValueError(f"unknown coefficients mode {self.coefficients!r}")
+        object.__setattr__(self, "_hash", hash((self.n, self.unfrozen, self.skew, self.d,
+                                                self.labels, self.coefficients)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self) -> int:

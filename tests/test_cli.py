@@ -10,9 +10,9 @@ from qca.cli import main
 from qca.duality import CompatibilityError
 from qca.scalars import QPoleError
 from qca.scatter import ConsistencyError
-from qca.seeds import make_fixed_data, save_seed_file
+from qca.seeds import Seed, make_fixed_data, save_seed_file
 from qca.words import ExpansionError
-from qca import fixtures
+from qca import fixtures, mutation
 
 HERE = os.path.dirname(__file__)
 
@@ -66,6 +66,25 @@ def test_table_prints_non_integral_epsilon_exactly(capsys, tmp_path):
     code, js, _ = run(capsys, argv + ["--format", "json"])
     assert code == 0
     assert json.loads(js)[0]["epsilon"] == [[0, 1, 0], [-1, 0, "1/2"], [0, "-1/2", 0]]
+
+
+@pytest.mark.parametrize("mode", ["x-quantum", "x-quantum-coeff", "a-quantum"])
+def test_mutate_pulls_back_only_the_row_it_prints(mode, seeds, capsys, monkeypatch):
+    pulled = []
+
+    def recorded(algebra, v, steps):
+        pulled.append((v, len(steps)))
+        return pull_back(algebra, v, steps)
+
+    pull_back = mutation._pull_back
+    monkeypatch.setattr(mutation, "_pull_back", recorded)
+    code, _, _ = run(capsys, ["mutate", "--seed", seeds["a2"], "--sequence", "2,1,2",
+                              "--mode", mode])
+    assert code == 0
+    last = Seed(fixtures.a2_tables()).mutate_sequence([1, 0, 1])
+    want = last.f_basis() if mode == "a-quantum" else last.basis
+    # one pull-back per variable of the last row, through all three steps
+    assert pulled == [(v, 3) for v in want]
 
 
 def test_table_determinism(seeds, capsys):

@@ -101,6 +101,14 @@ def test_cli_output_matches_golden(name, argv):
     assert _record(argv) == want
 
 
+def test_cold_and_warm_calls_print_the_same(cold_caches):
+    # each call once from empty caches, then again on what the first filled
+    for name, argv in CASES:
+        cold_caches()
+        cold = _record(argv)
+        assert _record(argv) == cold, name
+
+
 def _regenerate() -> None:
     os.makedirs(GOLDEN, exist_ok=True)
     for name, argv in CASES:

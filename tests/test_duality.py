@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qca import duality, mutation
 from qca.duality import (
     CompatibilityError,
     PStarHom,
@@ -75,6 +76,29 @@ def test_principal_pair_rank3():
     assert check_compatible_pair(pair.Lambda, pair.Btilde,
                                  unfrozen_cols=fd.unfrozen) == pair.Dprime
     assert PStarHom(fd).Lambda == pair.Lambda  # multiplicativity validated inside
+
+
+def test_multiplicativity_check_raises_on_a_perturbed_lambda():
+    fd = a23()
+    Lambda = principal_compatible_pair(fd).Lambda
+    duality._check_intertwines(fd, p1_star(fd), Lambda)
+    perturbed = ((0, Lambda[0][1] + 1), (Lambda[1][0] - 1, 0))
+    with pytest.raises(CompatibilityError) as info:
+        duality._check_intertwines(fd, p1_star(fd), perturbed)
+    assert info.value.entry == (0, 1)
+
+
+def test_multiplicativity_is_checked_once_per_fixed_data(monkeypatch):
+    fd = rank3_frozen()
+    principal_compatible_pair(fd)  # cached before the count starts
+    checked = []
+    check = duality._check_intertwines
+    monkeypatch.setattr(duality, "_check_intertwines",
+                        lambda *args: checked.append(args[0]) or check(*args))
+    pair = principal_compatible_pair.__wrapped__(fd)  # the solve, uncached
+    assert checked == [fd]
+    PStarHom(fd), PStarHom(fd)
+    assert checked == [fd] and PStarHom(fd).Lambda == pair.Lambda
 
 
 def test_q_translation():
@@ -207,3 +231,47 @@ def has_compatible_pair(fd) -> bool:
 def test_p_star_intertwines_mutation_on_random_fixed_data(fd):
     assume(fd is not None and has_compatible_pair(fd))
     assert all(ok for _, _, ok in PStarHom(fd).intertwining(6)), fd
+
+
+def _fresh_words(fd, seed, k, coeff):
+    """The monomials of the basis and of the f-basis of mu_k(seed), mutated
+    by steps built afresh: X-side, and A-side where a compatible pair
+    exists."""
+    nxt = seed.mutate(k)
+    xstep = mutation.XMutationStep(seed, k, coeff)
+    out = [xstep.apply(FactoredWord.monomial(x_torus(fd), v)).render() for v in nxt.basis]
+    if coeff and has_compatible_pair(fd):
+        astep = mutation.AMutationStep(seed, k, True)
+        out += [astep.apply(FactoredWord.monomial(mutation.a_torus(fd), v)).render()
+                for v in nxt.f_basis()]
+    return out
+
+
+def _shared_words(fd, history, k, coeff):
+    """As :func:`_fresh_words`, by the shared seeds and steps."""
+    nxt = mutation._seed(fd, history + (k,))
+    xstep = mutation._step(fd, history, k, mutation.XMutationStep, coeff)
+    out = [xstep.apply(FactoredWord.monomial(x_torus(fd), v)).render() for v in nxt.basis]
+    if coeff and has_compatible_pair(fd):
+        astep = mutation._step(fd, history, k, mutation.AMutationStep, True)
+        out += [astep.apply(FactoredWord.monomial(mutation.a_torus(fd), v)).render()
+                for v in nxt.f_basis()]
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fixed_data(), st.data())
+def test_shared_seeds_and_steps_are_the_fresh_ones(fd, data):
+    assume(fd is not None)
+    history = tuple(data.draw(st.lists(st.sampled_from(fd.unfrozen), max_size=5)))
+    coeff = data.draw(st.booleans())
+    fresh = Seed(fd)
+    for i, k in enumerate(history):
+        shared = mutation._seed(fd, history[:i])
+        assert (shared.ext, shared.gram, shared.fbasis, shared.history) \
+            == (fresh.ext, fresh.gram, fresh.fbasis, fresh.history)
+        assert _shared_words(fd, history[:i], k, coeff) == _fresh_words(fd, fresh, k, coeff)
+        fresh = fresh.mutate(k)
+    shared = mutation._seed(fd, history)
+    assert (shared.ext, shared.gram, shared.fbasis, shared.history) \
+        == (fresh.ext, fresh.gram, fresh.fbasis, fresh.history)

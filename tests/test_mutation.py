@@ -214,7 +214,7 @@ def test_a_side_double_mutation_is_the_identity(name):
     assert failed == []
 
 
-def test_a_quantum_table_builds_one_binomial_per_mutation(monkeypatch):
+def test_a_quantum_table_builds_one_binomial_per_mutation(monkeypatch, cold_caches):
     calls = []
 
     def counted(*args, **kwargs):
@@ -224,6 +224,9 @@ def test_a_quantum_table_builds_one_binomial_per_mutation(monkeypatch):
     binomial = mutation.a_mutation_binomial
     monkeypatch.setattr(mutation, "a_mutation_binomial", counted)
     fd, seq = _seed_and_sequence("a2", "2,1,2,1,2")
+    quantum_a_table(fd, seq)
+    assert calls == seq
+    # the steps are shared: a second table builds no binomial
     quantum_a_table(fd, seq)
     assert calls == seq
 
@@ -242,8 +245,9 @@ def test_a_mutation_step_is_mutate_a_word():
 
 def test_tori_are_built_once_per_fixed_data(monkeypatch):
     # equal fixed data share one X-torus and one A-torus, and every layer
-    # builds its words on them
-    fd, twin = fixtures.a23(), fixtures.a23()
+    # builds its words on them; the bundled fixture is one shared object,
+    # so its twin is built afresh
+    fd, twin = fixtures.a23(), make_fixed_data([[0, -1], [1, 0]], d=[2, 3])
     assert fd == twin and fd is not twin
     xalg, aalg = x_torus(fd), a_torus(fd)
     assert x_torus(twin) is xalg and a_torus(twin) is aalg

@@ -13,8 +13,8 @@ expand-and-compare does, also on words with an atom between an inverse
 pair, which the reduction cancels only when that atom commutes with it.  On the same forms the mutation identities hold:
 mu_k mu_k = id and the *-homomorphism, by ``words_equal`` at K = 6.
 Finally, one step per mutation builds each binomial once and reuses its
-running products across every word and every table row, while two
-separate calls share nothing.
+running products across every word and every table row, and calls at
+equal seeds share one step.
 """
 
 from fractions import Fraction
@@ -293,7 +293,7 @@ def assert_built_once(made):
     assert len(used) > len(set(used))  # some running product is reused
 
 
-def test_quantum_x_variables_builds_once_for_all_words(monkeypatch):
+def test_quantum_x_variables_builds_once_for_all_words(monkeypatch, cold_caches):
     made = record_builds(monkeypatch)
     seq = [0, 1, 0, 1]
     quantum_x_variables(a23(), seq, True)
@@ -301,7 +301,7 @@ def test_quantum_x_variables_builds_once_for_all_words(monkeypatch):
     assert_built_once(made)
 
 
-def test_quantum_x_table_builds_once_for_all_rows(monkeypatch):
+def test_quantum_x_table_builds_once_for_all_rows(monkeypatch, cold_caches):
     made = record_builds(monkeypatch)
     seq = [0, 1, 0, 1, 0]
     rows = quantum_x_table(a2_tables(), seq, True)
@@ -315,12 +315,16 @@ def test_quantum_x_table_builds_once_for_all_rows(monkeypatch):
             assert_same_word(w, w2)
 
 
-def test_separate_calls_share_nothing():
+def test_equal_seeds_share_one_step(monkeypatch, cold_caches):
     fd = a23()
-    seed = Seed(fd).mutate(0)
+    seed, twin = Seed(fd).mutate(0), Seed(fd).mutate(0)
+    assert seed is not twin
     alg = x_torus(fd)
     w = FactoredWord.monomial(alg, (2, -1)) * FactoredWord.from_element(
         QTorusElement(alg, {(0, 0): ONE, (1, 1): ONE}), -1)
-    first, again = mutate_word(w, 1, seed), mutate_word(w, 1, seed)
-    assert first.render() == again.render()
-    assert not {id(p) for p, _ in first.atoms} & {id(p) for p, _ in again.atoms}
+    made = record_builds(monkeypatch)
+    first, again = mutate_word(w, 1, seed), mutate_word(w, 1, twin)
+    assert len(made["steps"]) == 1
+    monkeypatch.undo()
+    fresh = mutation.XMutationStep(seed, 1, True).apply(w)
+    assert first.render() == again.render() == fresh.render()
