@@ -254,13 +254,13 @@ class PStarHom:
         (k, i, ok) per unfrozen k and generator X_{i;mu_k(s)}, comparing the
         image of its X-side mutation with the A-side mutation of
         A^{p*(e_{i;mu_k(s)})} to the given order."""
-        from .mutation import mutate_a_word, mutate_word, x_torus
+        from .mutation import mutate_a_word, mutate_word, shared_seed, x_torus
 
         xalg = x_torus(self.fd)
-        seed = Seed(self.fd)
+        seed = shared_seed(self.fd, ())
         out = []
         for k in self.fd.unfrozen:
-            for i, e in enumerate(seed.mutate(k).basis):
+            for i, e in enumerate(shared_seed(self.fd, (k,)).basis):
                 lhs = self.apply(mutate_word(FactoredWord.monomial(xalg, e), k, seed))
                 rhs = mutate_a_word(FactoredWord.monomial(self.atorus, self.pmap.apply(e)),
                                     k, seed)

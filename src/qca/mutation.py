@@ -19,12 +19,15 @@ first, gives that seed's cluster variables in the initial chart; each word
 is reduced after every step.
 
 The exchange graph of each fixed data is built once: every seed is a node
-reached from its parent by one mutation, and every step is built once per
-(fixed data, history, direction, side, coefficients), so all calls that walk
-through a seed share it and its steps.  Seeds and steps are never changed
-after they are built (a step only memoizes what it derives from its seed:
-t-powers, binomials and their products and powers), so sharing them is
-safe.
+reached from its parent by one mutation, every step is built once per
+(fixed data, history, direction, side, coefficients), and each node's
+cluster variables are pulled back once per process per (side,
+coefficients), so all calls that walk through a seed share it, its steps
+and its variables.  Seeds, steps and words are never changed after they
+are built (a step only memoizes what it derives from its seed: t-powers,
+binomials and their products and powers; a word is a tuple of atoms), so
+sharing them is safe.  A pull-back that raises is not cached and raises
+again on the next call.
 """
 
 from __future__ import annotations
@@ -70,8 +73,9 @@ def _path(fd: FixedData, history) -> list[Seed]:
     return seeds
 
 
-def _seed(fd: FixedData, history) -> Seed:
-    """The shared ``Seed(fd).mutate_sequence(history)``."""
+def shared_seed(fd: FixedData, history) -> Seed:
+    """The shared ``Seed(fd).mutate_sequence(history)``: the node of the
+    exchange graph of ``fd`` that ``history`` reaches."""
     return _path(fd, history)[-1]
 
 
@@ -79,7 +83,7 @@ def _seed(fd: FixedData, history) -> Seed:
 def _step(fd: FixedData, history: tuple, k: int, kind, with_coefficients: bool):
     """The one ``kind`` (XMutationStep or AMutationStep) at direction k of
     the seed reached by ``history``."""
-    return kind(_seed(fd, history), k, with_coefficients)
+    return kind(shared_seed(fd, history), k, with_coefficients)
 
 
 def _cvec_parts(seed: Seed, k: int, with_coefficients: bool):
@@ -260,7 +264,8 @@ class AMutationStep:
 
     def __init__(self, seed: Seed, k: int, with_coefficients: bool):
         fd = seed.fixed
-        self._fkp = seed.mutate(k).f_basis()[k]  # raises on a frozen k first
+        # the shared child node; reaching it raises on a frozen k first
+        self._fkp = shared_seed(fd, seed.history + (k,)).f_basis()[k]
         self.fixed, self.algebra = fd, a_torus(fd)
         # form_den * <d_k e'_k, m> = arow . m, with e'_k = -e_{k;s}
         dk = fd.d[k]
@@ -333,21 +338,34 @@ def _pull_back(algebra: SkewLattice, v, steps) -> FactoredWord:
     return w
 
 
+@cache
+def _variables(fd: FixedData, history: tuple, kind, with_coefficients: bool):
+    """The one tuple of cluster variables of the seed reached by
+    ``history``, pulled back through the shared ``kind`` steps: its basis
+    on the X side, its f-basis on the A side."""
+    seeds, steps = _steps(fd, history, kind, with_coefficients)
+    if kind is XMutationStep:
+        alg, vectors = x_torus(fd), seeds[-1].basis
+    else:
+        alg, vectors = a_torus(fd), seeds[-1].f_basis()
+    return tuple(_pull_back(alg, v, steps) for v in vectors)
+
+
 def quantum_x_variables(fd: FixedData, sequence, with_coefficients: bool = True):
     """Cluster variables of the seed reached by ``sequence``, expressed in
-    the initial chart as factored words.  Returns (seed, [words])."""
-    seeds, steps = _steps(fd, sequence, XMutationStep, with_coefficients)
-    alg = x_torus(fd)
-    return seeds[-1], [_pull_back(alg, v, steps) for v in seeds[-1].basis]
+    the initial chart as factored words.  Returns (seed, [words]): a new
+    list over the words shared by every call at that seed."""
+    history = tuple(sequence)
+    return shared_seed(fd, history), list(
+        _variables(fd, history, XMutationStep, with_coefficients))
 
 
 def quantum_a_variables(fd: FixedData, sequence):
     """The A-side of :func:`quantum_x_variables`: the cluster variables of
     the seed reached by ``sequence`` on the quantum A-torus of the principal
     compatible pair, with principal coefficients.  Returns (seed, [words])."""
-    seeds, steps = _steps(fd, sequence, AMutationStep, True)
-    alg = a_torus(fd)
-    return seeds[-1], [_pull_back(alg, v, steps) for v in seeds[-1].f_basis()]
+    history = tuple(sequence)
+    return shared_seed(fd, history), list(_variables(fd, history, AMutationStep, True))
 
 
 # ---------------------------------------------------------------------------

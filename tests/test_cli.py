@@ -69,7 +69,8 @@ def test_table_prints_non_integral_epsilon_exactly(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["x-quantum", "x-quantum-coeff", "a-quantum"])
-def test_mutate_pulls_back_only_the_row_it_prints(mode, seeds, capsys, monkeypatch):
+def test_mutate_pulls_back_only_the_row_it_prints(mode, seeds, capsys, monkeypatch,
+                                                  cold_caches):
     pulled = []
 
     def recorded(algebra, v, steps):
@@ -78,12 +79,15 @@ def test_mutate_pulls_back_only_the_row_it_prints(mode, seeds, capsys, monkeypat
 
     pull_back = mutation._pull_back
     monkeypatch.setattr(mutation, "_pull_back", recorded)
-    code, _, _ = run(capsys, ["mutate", "--seed", seeds["a2"], "--sequence", "2,1,2",
-                              "--mode", mode])
+    argv = ["mutate", "--seed", seeds["a2"], "--sequence", "2,1,2", "--mode", mode]
+    code, out, _ = run(capsys, argv)
     assert code == 0
     last = Seed(fixtures.a2_tables()).mutate_sequence([1, 0, 1])
     want = last.f_basis() if mode == "a-quantum" else last.basis
     # one pull-back per variable of the last row, through all three steps
+    assert pulled == [(v, 3) for v in want]
+    # the same call again reads the row's shared words
+    assert run(capsys, argv) == (0, out, "")
     assert pulled == [(v, 3) for v in want]
 
 

@@ -153,6 +153,24 @@ def test_intertwining_rank3():
     _check_intertwining(rank3_frozen())
 
 
+def test_a_second_intertwining_check_mutates_no_seed(monkeypatch, cold_caches):
+    calls = []
+    mutate = Seed.mutate
+
+    def counted(seed, k):
+        calls.append(k)
+        return mutate(seed, k)
+
+    monkeypatch.setattr(Seed, "mutate", counted)
+    fd = a23()
+    assert all(ok for _, _, ok in PStarHom(fd).intertwining(6))
+    # one mutation per adjacent node of the shared exchange graph; the
+    # A-steps read those nodes instead of mutating again
+    assert calls == list(fd.unfrozen)
+    assert all(ok for _, _, ok in PStarHom(fd).intertwining(6))
+    assert calls == list(fd.unfrozen)
+
+
 def test_intertwining_coefficient_free():
     fd = a23()
     hom = PStarHom(fd)
@@ -249,7 +267,7 @@ def _fresh_words(fd, seed, k, coeff):
 
 def _shared_words(fd, history, k, coeff):
     """As :func:`_fresh_words`, by the shared seeds and steps."""
-    nxt = mutation._seed(fd, history + (k,))
+    nxt = mutation.shared_seed(fd, history + (k,))
     xstep = mutation._step(fd, history, k, mutation.XMutationStep, coeff)
     out = [xstep.apply(FactoredWord.monomial(x_torus(fd), v)).render() for v in nxt.basis]
     if coeff and has_compatible_pair(fd):
@@ -267,11 +285,11 @@ def test_shared_seeds_and_steps_are_the_fresh_ones(fd, data):
     coeff = data.draw(st.booleans())
     fresh = Seed(fd)
     for i, k in enumerate(history):
-        shared = mutation._seed(fd, history[:i])
+        shared = mutation.shared_seed(fd, history[:i])
         assert (shared.ext, shared.gram, shared.fbasis, shared.history) \
             == (fresh.ext, fresh.gram, fresh.fbasis, fresh.history)
         assert _shared_words(fd, history[:i], k, coeff) == _fresh_words(fd, fresh, k, coeff)
         fresh = fresh.mutate(k)
-    shared = mutation._seed(fd, history)
+    shared = mutation.shared_seed(fd, history)
     assert (shared.ext, shared.gram, shared.fbasis, shared.history) \
         == (fresh.ext, fresh.gram, fresh.fbasis, fresh.history)
