@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
+from ._cache import memo
 from .seeds import FixedData, Seed, row_reduce
 from .words import FactoredWord, words_equal
 
@@ -50,7 +50,7 @@ class PStarMap:
         return tuple(out)
 
 
-@cache
+@memo
 def p1_star(fd: FixedData) -> PStarMap:
     """The default full extension n -> {n, .}: row i is ({e_i,e_j} d_j)_j,
     read off the integer principal form as prin_ij d_j / form_den.
@@ -137,7 +137,7 @@ def _transpose(mat):
     return tuple(tuple(row[i] for row in mat) for i in range(len(mat[0])))
 
 
-@cache
+@memo
 def principal_compatible_pair(fd: FixedData) -> CompatiblePair:
     """Solve for an integer antisymmetric Lambda with
     Btilde^T Lambda = (D' 0), D' = d * D_uf^{-1}, together with the

@@ -4,37 +4,36 @@ caller shares the one object."""
 
 from __future__ import annotations
 
-from functools import cache
-
+from ._cache import memo
 from .seeds import FixedData, make_fixed_data
 
 
-@cache
+@memo
 def a2_tables() -> FixedData:
     """The mutation-table fixture: eps = ((0,-1),(1,0)), d = (1,1)."""
     return make_fixed_data([[0, -1], [1, 0]])
 
 
-@cache
+@memo
 def a2_scattering() -> FixedData:
     """The scattering-figure fixture: {e1,e2} = +1, d = (1,1), whose initial
     walls carry 1 + A2 and 1 + A1^{-1}."""
     return make_fixed_data([[0, 1], [-1, 0]])
 
 
-@cache
+@memo
 def a23() -> FixedData:
     """A(2,3): eps = ((0,-3),(2,0)), d = (2,3)."""
     return make_fixed_data([[0, -1], [1, 0]], d=[2, 3])
 
 
-@cache
+@memo
 def rank3_frozen() -> FixedData:
     """Rank 3 with one frozen direction; admits a compatible pair."""
     return make_fixed_data([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], unfrozen=[0, 1])
 
 
-@cache
+@memo
 def rank3_full() -> FixedData:
     """Rank 3, all directions unfrozen (no compatible pair exists)."""
     return make_fixed_data([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])

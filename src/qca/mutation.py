@@ -19,23 +19,24 @@ first, gives that seed's cluster variables in the initial chart; each word
 is reduced after every step.
 
 The exchange graph of each fixed data is built once: every seed is a node
-reached from its parent by one mutation, every step is built once per
-(fixed data, history, direction, side, coefficients), and each node's
-cluster variables are pulled back once per process per (side,
-coefficients), so all calls that walk through a seed share it, its steps
-and its variables.  Seeds, steps and words are never changed after they
-are built (a step only memoizes what it derives from its seed: t-powers,
-binomials and their products and powers; a word is a tuple of atoms), so
-sharing them is safe.  A pull-back that raises is not cached and raises
-again on the next call.
+built once from its parent by one mutation, every step is built once per
+(node, direction, side, coefficients), and each node's cluster variables
+are pulled back once per process per (side, coefficients), so all calls
+that walk through a seed share it, its steps and its variables.  All of
+these are memos of :mod:`qca._cache`, which ``qca._cache.clear()`` frees.
+Seeds, steps and words are never changed after they are built (a step
+only memoizes what it derives from its seed: t-powers, binomials and their
+products and powers; a word is a tuple of atoms), so sharing them is safe.
+A pull-back that raises is not cached and raises again on the next call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from operator import mul
 
+from ._cache import memo
 from .commutative import CPoly, CRational
 from .qtorus import QTorusElement, SkewLattice, vec
 from .scalars import ONE, QScalar, tpow
@@ -43,16 +44,22 @@ from .seeds import FixedData, Seed
 from .words import DilogConjugation, FactoredWord
 
 
-@cache
+@memo
 def x_torus(fd: FixedData) -> SkewLattice:
     """The quantum X-torus: the form {.,.} itself is the q-exponent."""
     return SkewLattice(fd.n, fd.skew, fd.labels)
 
 
-# the exchange graph: fixed data -> its initial seed, (seed, k) -> mu_k(seed);
-# a Seed hashes by identity, and every node stays in the graph
-_ROOTS: dict = {}
-_CHILDREN: dict = {}
+# the exchange graph of fd: _root(fd) is its initial seed and _child(seed, k)
+# is mu_k(seed); a Seed hashes by identity, and every node stays in the graph
+@memo
+def _root(fd: FixedData) -> Seed:
+    return Seed(fd)
+
+
+@memo
+def _child(seed: Seed, k: int) -> Seed:
+    return seed.mutate(k)
 
 
 def _path(fd: FixedData, history) -> list[Seed]:
@@ -60,16 +67,9 @@ def _path(fd: FixedData, history) -> list[Seed]:
     exchange graph of ``fd``, each built once from its parent, so paths
     with a common prefix share its seeds.  A loop, not recursion, so any
     length of history is fine."""
-    seed = _ROOTS.get(fd)
-    if seed is None:
-        seed = _ROOTS[fd] = Seed(fd)
-    seeds = [seed]
+    seeds = [_root(fd)]
     for k in history:
-        child = _CHILDREN.get((seed, k))
-        if child is None:
-            child = _CHILDREN[(seed, k)] = seed.mutate(k)
-        seeds.append(child)
-        seed = child
+        seeds.append(_child(seeds[-1], k))
     return seeds
 
 
@@ -79,11 +79,11 @@ def shared_seed(fd: FixedData, history) -> Seed:
     return _path(fd, history)[-1]
 
 
-@cache
-def _step(fd: FixedData, history: tuple, k: int, kind, with_coefficients: bool):
+@memo
+def _step(seed: Seed, k: int, kind, with_coefficients: bool):
     """The one ``kind`` (XMutationStep or AMutationStep) at direction k of
-    the seed reached by ``history``."""
-    return kind(shared_seed(fd, history), k, with_coefficients)
+    the graph node ``seed``."""
+    return kind(seed, k, with_coefficients)
 
 
 def _cvec_parts(seed: Seed, k: int, with_coefficients: bool):
@@ -206,16 +206,17 @@ class XMutationStep:
 def mutate_word(w: FactoredWord, k: int, seed: Seed,
                 with_coefficients: bool = True) -> FactoredWord:
     """One quantum X-mutation applied to a word: mu = mu# o mu'.  The step
-    is the shared one of the seed's fixed data and history, so calls at
-    equal seeds build it once."""
-    return _step(seed.fixed, seed.history, k, XMutationStep, with_coefficients).apply(w)
+    is the shared one of the graph node with the seed's fixed data and
+    history, so calls at equal seeds build it once."""
+    node = shared_seed(seed.fixed, seed.history)
+    return _step(node, k, XMutationStep, with_coefficients).apply(w)
 
 
 # ---------------------------------------------------------------------------
 # quantum A-mutation (Berenstein-Zelevinsky with principal coefficients)
 
 
-@cache
+@memo
 def a_torus(fd: FixedData) -> SkewLattice:
     """The quantum A-torus of the principal compatible pair: q-exponent of
     the defining relation is Lambda/2 (in q_BZ units)."""
@@ -309,9 +310,10 @@ class AMutationStep:
 def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
                   with_coefficients: bool = True) -> FactoredWord:
     """One quantum A-mutation applied to a word.  The step is the shared one
-    of the seed's fixed data and history, so calls at equal seeds build it
-    once."""
-    return _step(seed.fixed, seed.history, k, AMutationStep, with_coefficients).apply(w)
+    of the graph node with the seed's fixed data and history, so calls at
+    equal seeds build it once."""
+    node = shared_seed(seed.fixed, seed.history)
+    return _step(node, k, AMutationStep, with_coefficients).apply(w)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +323,9 @@ def mutate_a_word(w: FactoredWord, k: int, seed: Seed,
 def _steps(fd: FixedData, sequence, kind, with_coefficients: bool):
     """The seeds along ``sequence`` (initial seed first) and the ``kind``
     (XMutationStep or AMutationStep) of each mutation, all shared."""
-    sequence = tuple(sequence)
     seeds = _path(fd, sequence)
-    return seeds, [_step(fd, sequence[:i], k, kind, with_coefficients)
-                   for i, k in enumerate(sequence)]
+    return seeds, [_step(seed, k, kind, with_coefficients)
+                   for seed, k in zip(seeds, sequence)]
 
 
 def _pull_back(algebra: SkewLattice, v, steps) -> FactoredWord:
@@ -338,7 +339,7 @@ def _pull_back(algebra: SkewLattice, v, steps) -> FactoredWord:
     return w
 
 
-@cache
+@memo
 def _variables(fd: FixedData, history: tuple, kind, with_coefficients: bool):
     """The one tuple of cluster variables of the seed reached by
     ``history``, pulled back through the shared ``kind`` steps: its basis

@@ -78,7 +78,8 @@ class ScatteringDiagram:
     def __init__(self, fd: FixedData, side: str = "A", quantum: bool = False,
                  order: int = 2):
         if fd.n != 2 or len(fd.unfrozen) != 2:
-            raise ValueError("scattering diagrams are implemented in rank 2")
+            raise ValueError("scattering diagrams need rank 2 with both directions "
+                             f"unfrozen, got rank {fd.n} with unfrozen {list(fd.unfrozen)}")
         if side not in ("A", "X"):
             raise ValueError("side must be 'A' or 'X'")
         if side == "X" and not quantum:

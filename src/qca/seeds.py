@@ -35,6 +35,8 @@ class FixedData:
 
     def __post_init__(self):
         n = self.n
+        if n < 1:
+            raise ValueError(f"rank must be a positive integer, got {n}")
         if not all(type(i) is int and 0 <= i < n for i in self.unfrozen):
             raise ValueError("unfrozen indices out of range")
         uf = set(self.unfrozen)
@@ -84,7 +86,7 @@ class FixedData:
 
     @property
     def d_lcm(self) -> int:
-        return lcm(*self.d) if self.n else 1
+        return lcm(*self.d)
 
     def pair_int(self, n, m) -> int:
         """form_den * <n, m> for n in N (e-coordinates) and m in M*
@@ -316,8 +318,8 @@ def fixed_data_from_json(data: dict) -> FixedData:
         if key not in data:
             raise ValueError(f"seed file is missing the required key {key!r}")
     n = data["rank"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"rank must be a positive integer, got {n!r}")
     skew = data["skew"]
     # exact types: a bool is no skew entry
     if not isinstance(skew, list) or len(skew) != n or any(

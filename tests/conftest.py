@@ -4,18 +4,10 @@ import pytest
 
 
 def clear_caches():
-    """Empty every per-fixed-data cache of the package: the bundled
-    fixtures, the tori, p* and the principal compatible pair, the exchange
-    graph, the mutation steps and the pulled-back variables."""
-    from qca import duality, fixtures, mutation
+    """Empty every process-wide cache of the package."""
+    from qca._cache import clear
 
-    for made in fixtures.ALL.values():
-        made.cache_clear()
-    for cached in (mutation.x_torus, mutation.a_torus, mutation._step,
-                   mutation._variables, duality.p1_star, duality.principal_compatible_pair):
-        cached.cache_clear()
-    mutation._ROOTS.clear()
-    mutation._CHILDREN.clear()
+    clear()
 
 
 @pytest.fixture

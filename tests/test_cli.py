@@ -266,6 +266,26 @@ def test_malformed_seed_field_is_a_clean_error(change, capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_rank_zero_seed_names_the_rank(capsys, tmp_path):
+    bad = tmp_path / "rank0.json"
+    bad.write_text(json.dumps({"rank": 0, "skew": []}))
+    code, out, err = run(capsys, ["table", "--seed", str(bad), "--mode", "x-classical"])
+    assert (code, out) == (2, "")
+    assert err == "error: rank must be a positive integer, got 0\n"
+
+
+@pytest.mark.parametrize("verb", ["scatter", "theta"])
+def test_scattering_names_the_frozen_direction(verb, capsys, tmp_path):
+    path = tmp_path / "a2_frozen.json"
+    save_seed_file(make_fixed_data([[0, 1], [-1, 0]], unfrozen=[0]), path)
+    argv = {"scatter": ["scatter"],
+            "theta": ["theta", "--gvector=-3,5", "--basepoint", "1,1"]}[verb]
+    code, out, err = run(capsys, argv + ["--seed", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: scattering diagrams need rank 2 with both directions "
+                   "unfrozen, got rank 2 with unfrozen [0]\n")
+
+
 def test_directory_as_seed_is_a_clean_error(capsys, tmp_path):
     code, out, err = run(capsys, ["table", "--seed", str(tmp_path),
                                   "--mode", "x-classical"])

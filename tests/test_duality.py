@@ -267,11 +267,11 @@ def _fresh_words(fd, seed, k, coeff):
 
 def _shared_words(fd, history, k, coeff):
     """As :func:`_fresh_words`, by the shared seeds and steps."""
-    nxt = mutation.shared_seed(fd, history + (k,))
-    xstep = mutation._step(fd, history, k, mutation.XMutationStep, coeff)
+    seed, nxt = mutation.shared_seed(fd, history), mutation.shared_seed(fd, history + (k,))
+    xstep = mutation._step(seed, k, mutation.XMutationStep, coeff)
     out = [xstep.apply(FactoredWord.monomial(x_torus(fd), v)).render() for v in nxt.basis]
     if coeff and has_compatible_pair(fd):
-        astep = mutation._step(fd, history, k, mutation.AMutationStep, True)
+        astep = mutation._step(seed, k, mutation.AMutationStep, True)
         out += [astep.apply(FactoredWord.monomial(mutation.a_torus(fd), v)).render()
                 for v in nxt.f_basis()]
     return out

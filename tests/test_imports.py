@@ -51,12 +51,125 @@ def test_no_private_name_is_imported(path):
 
 
 # ---------------------------------------------------------------------------
+# Caches: every process-wide memo goes through qca._cache.memo.
+
+FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}
+# cli._parser builds the argument parser once.  It holds no engine data, and
+# registering it would load qca._cache on `import qca.cli`.
+UNREGISTERED = {("cli.py", "_parser")}
+
+
+def _empty_container(node) -> bool:
+    """An empty {}, [], set(), dict() or list()."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "dict", "list")
+            and not node.args and not node.keywords)
+
+
+def unregistered_memos(name: str, source: str) -> list[str]:
+    """The caches in the module ``name`` that do not go through memo: a
+    functools cache, lru_cache or cached_property, imported or read as an
+    attribute of functools, and a module-level name bound to an empty
+    container, which can only be filled at run time."""
+    tree = ast.parse(source, filename=name)
+    exempt = {id(sub) for node in tree.body
+              if isinstance(node, ast.FunctionDef) and (name, node.name) in UNREGISTERED
+              for decorator in node.decorator_list for sub in ast.walk(decorator)}
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "functools"}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [(node.lineno, f"functools.{alias.name}")
+                    for alias in node.names if alias.name in FUNCTOOLS_CACHES]
+        elif isinstance(node, ast.Attribute) and node.attr in FUNCTOOLS_CACHES \
+                and isinstance(node.value, ast.Name) and node.value.id in aliases \
+                and id(node) not in exempt:
+            out.append((node.lineno, f"functools.{node.attr}"))
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            # ROOTS, CHILDREN = {}, {} binds each name to its own value
+            pairs = (zip(target.elts, node.value.elts)
+                     if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                     else [(target, node.value)])
+            out += [(node.lineno, ast.unparse(name)) for name, value in pairs
+                    if _empty_container(value)]
+    return [f"{what} (line {line})" for line, what in sorted(out)]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "_cache.py"),
+                         ids=lambda p: p.name)
+def test_every_cache_goes_through_memo(path):
+    assert unregistered_memos(path.name, path.read_text()) == []
+
+
+def test_the_cache_check_finds_each_kind():
+    source = ("import functools\n"
+              "import functools as ft\n"
+              "from functools import cache, partial\n"
+              "SEEN: dict = {}\n"
+              "ROOTS, CHILDREN = [], set()\n"
+              "TABLES = {'a': 1}\n"
+              "@ft.lru_cache(maxsize=4)\n"
+              "def _parser():\n"
+              "    return dict()\n"
+              "@functools.cache\n"
+              "def _parser():\n"
+              "    pass\n")
+    assert unregistered_memos("other.py", source) == [
+        "functools.cache (line 3)", "SEEN (line 4)", "CHILDREN (line 5)",
+        "ROOTS (line 5)", "functools.lru_cache (line 7)", "functools.cache (line 10)"]
+    assert unregistered_memos("cli.py", source) == [
+        "functools.cache (line 3)", "SEEN (line 4)", "CHILDREN (line 5)", "ROOTS (line 5)"]
+
+
+def test_clear_empties_every_memo(monkeypatch, cold_caches):
+    from qca import _cache, fixtures
+    from qca.duality import PStarHom
+    from qca.mutation import quantum_x_table, quantum_x_variables
+    from qca.seeds import Seed
+
+    fd = fixtures.a23()
+    quantum_x_table(fd, [0, 1, 0], True)
+    assert all(ok for _, _, ok in PStarHom(fd).intertwining(4))
+    for made in fixtures.ALL.values():
+        made()
+    names = sorted(f"{f.__module__}.{f.__name__}" for f in _cache._MEMOS)
+    assert names == sorted(
+        [f"qca.fixtures.{f.__name__}" for f in fixtures.ALL.values()]
+        + [f"qca.mutation.{name}" for name in (
+            "x_torus", "a_torus", "_root", "_child", "_step", "_variables")]
+        + ["qca.duality.p1_star", "qca.duality.principal_compatible_pair"])
+    assert all(f.cache_info().currsize > 0 for f in _cache._MEMOS)
+    _cache.clear()
+    assert [f.cache_info().currsize for f in _cache._MEMOS] == [0] * len(names)
+    calls = []
+    mutate = Seed.mutate
+
+    def counted(seed, k):
+        calls.append(k)
+        return mutate(seed, k)
+
+    monkeypatch.setattr(Seed, "mutate", counted)
+    quantum_x_variables(fd, [0, 1], True)
+    assert calls == [0, 1]
+
+
+# ---------------------------------------------------------------------------
 # Public names: each one is read outside the tests.
 
 # read by no module of the package, of bench/ or of demos/, and kept on
-# purpose: the paper's data in checks.py and three entry points
+# purpose: the paper's data in checks.py, three entry points and the one
+# reset of every cache
 KEPT = {"EPSILONS", "classical_rows", "quantum_rows",
-        "ScatteringDiagram.cross", "SkewLattice.make", "QScalar.rational"}
+        "ScatteringDiagram.cross", "SkewLattice.make", "QScalar.rational", "clear"}
 
 
 def public_definitions() -> list[str]:

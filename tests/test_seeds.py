@@ -36,6 +36,12 @@ def test_gcd_d_rejected():
         make_fixed_data([[0, -1], [1, 0]], d=[2, 2])
 
 
+def test_rank_zero_rejected():
+    # before the gcd check, which would read the empty d as gcd 0
+    with pytest.raises(ValueError, match="rank must be a positive integer, got 0"):
+        make_fixed_data([])
+
+
 def test_integrality_rejected():
     with pytest.raises(ValueError):
         make_fixed_data([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]], d=[1, 1])
