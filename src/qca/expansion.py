@@ -10,11 +10,11 @@ the one flat truncated series, over one central flat denominator.
 one; :func:`accumulate` is the multiply-accumulate kernel of every product,
 crossings included.  :func:`fold` applies a word of atoms P^{+-1} step by
 step: :func:`expand`, behind :meth:`FactoredWord.expand
-<qca.words.FactoredWord.expand>`, is its last value, and each value is one
-of scatter.py's crossing factors.  :func:`one_den` is the one denominator
-policy, and :meth:`FlatSeries.series` the one conversion back to QScalars,
-of the terms that survive.  :func:`exp_terms` is the univariate exponential
-of a log wall's factor.
+<qca.words.FactoredWord.expand>`, is its last value.  :func:`one_den` is
+the one denominator policy, and :meth:`FlatSeries.series` the one
+conversion back to QScalars, of the terms that survive.
+:func:`log_coefficient` is a coefficient of the exponent of a log wall's
+crossing factor, which scatter.py expands in the wall's one monomial.
 
 words.py imports this module when it first expands a word and scatter.py
 when it is loaded; importing the package loads neither.
@@ -28,7 +28,7 @@ from operator import add, itemgetter, mul
 
 from .qtorus import vec_neg
 from .scalars import (
-    FLAT_ONE, flat_mac, flat_mul, flat_pair, flat_qscalar, flat_quotient, flat_rescale, flat_shift)
+    FLAT_ONE, flat_mac, flat_mul, flat_pair, flat_qscalar, flat_quotient, flat_shift)
 from .words import ExpansionError, Series, degree, product_cut
 
 
@@ -102,11 +102,6 @@ class FlatSeries:
             terms = {n: c for n, c in terms.items() if deg[n] <= cutoff}
             deg = {n: deg[n] for n in terms}
         return FlatSeries(terms, deg, cutoff, self.den)
-
-    def rescale(self, r: int) -> "FlatSeries":
-        """This series at r times its scale: u becomes u^r."""
-        return FlatSeries({n: flat_rescale(c, r) for n, c in self.terms.items()},
-                          self.deg, self.cutoff, flat_rescale(self.den, r))
 
     def series(self, alg, dvec, scale: int) -> Series:
         """This series as a Series at ``scale``: each term converted to a
@@ -297,25 +292,13 @@ def expand(word, dvec, order: int) -> Series:
     return s.series(alg, dvec, scale)
 
 
-def log_factor(v, dvec, coeffs: dict, A: int, scale: int, sign: int, rel: int) -> FlatSeries:
-    """exp(sign sum_j a_j (1 - u^{jA}) y^j / (u^L - u^-L)) for y = X^v of
-    positive degree and coeffs {j: a_j}, QScalars, at scale L: a log wall's
-    crossing factor, with A = 2 p L / form_den, exact to relative order
-    ``rel``.  The powers of y commute, so it is one univariate exponential."""
-    top = rel // degree(dvec, v)
-    powers, d = exp_terms({
-        j: log_coefficient(flat_pair(a, scale), j * A, scale, sign)
-        for j, a in coeffs.items() if j <= top and A}, top)
-    terms = {tuple(n * x for x in v): c for n, c in powers.items()}
-    return FlatSeries(terms, {n: degree(dvec, n) for n in terms}, rel, d)
-
-
 def log_coefficient(a: tuple, A: int, L: int, sign: int):
     """sign * a * (1 - u^A) / (u^L - u^-L) as a flat pair, for a = (num,
-    den) a flat pair at scale L and A != 0: the coefficient
-    sign a_j (1 - q^{A/L}) / (q - q^{-1}) of a log wall's crossing factor.
-    With g = gcd(A, 2L), u^|A| - 1 and u^{2L} - 1 are u^g - 1 times
-    S_|A| and S_2L, S_k = sum_{i < k/g} u^{ig}, so the ratio is
+    den) a flat pair at scale L and A != 0: for a = a_j and A = 2 j p L /
+    form_den, the coefficient sign a_j (1 - q^{A/L}) / (q - q^{-1}) of y^j
+    in the exponent of a log wall's crossing factor for pairing p.  With
+    g = gcd(A, 2L), u^|A| - 1 and u^{2L} - 1 are u^g - 1 times S_|A| and
+    S_2L, S_k = sum_{i < k/g} u^{ig}, so the ratio is
     -u^L S_A / S_2L for A > 0 and u^{L+A} S_|A| / S_2L for A < 0, in lowest
     terms; S_2L is 1 when 2L divides A and is cancelled against a's
     numerator when it divides it."""
@@ -332,39 +315,3 @@ def log_coefficient(a: tuple, A: int, L: int, sign: int):
         else:
             num = quotient
     return num, den
-
-
-def exp_terms(coeffs: dict, top: int):
-    """exp(sum_j b_j y^j) up to y^top for a central y, b_j = num / den the
-    flat pair ``coeffs[j]``: ({n: E_n}, den) with the exponential
-    (1 / den) * sum_n E_n y^n.  With b_j = H_j / d over one common
-    denominator d (:func:`one_den`), n e_n = sum_j j b_j e_{n-j} gives
-    e_n = E'_n / (d^n n!) for E'_0 = 1 and
-    E'_n = sum_j j (n-1)!/(n-j)! d^{j-1} H_j E'_{n-j}; then
-    E_n = E'_n d^{N-n} N!/n! and den = d^N N!, N the highest n with
-    E'_n != 0."""
-    nums, d = one_den([num for num, _ in coeffs.values()], [d for _, d in coeffs.values()])
-    h = dict(zip(coeffs, nums))  # H_j
-    dpow = [FLAT_ONE]
-    while len(dpow) <= top:
-        dpow.append(dpow[-1] if d is FLAT_ONE else flat_mul(dpow[-1], d))
-    E = [FLAT_ONE]
-    for n in range(1, top + 1):
-        acc: dict = {}
-        for j, hj in h.items():
-            if j <= n and E[n - j]:
-                k = j
-                for i in range(n - j + 1, n):
-                    k *= i  # j (n-1)!/(n-j)!
-                e = E[n - j] if j == 1 else flat_mul(E[n - j], dpow[j - 1])
-                flat_mac(acc, scaled(hj, k), e)
-        E.append(acc)
-    while not E[top]:
-        top -= 1
-    out, k = {}, 1
-    for n in range(top, -1, -1):  # k = top!/n!
-        if E[n]:
-            out[n] = scaled(E[n] if n == top else flat_mul(E[n], dpow[top - n]), k)
-        k *= n or 1
-    den = scaled(dpow[top], k)
-    return out, FLAT_ONE if den == FLAT_ONE else den

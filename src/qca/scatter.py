@@ -17,15 +17,20 @@ p with the wall (Kontsevich-Soibelman; Gross-Hacking-Keel-Kontsevich):
                 for g = sum_j a_j y^j/(q-q^{-1}), y = X^v: the powers of y
                 commute, so F is one univariate exponential.
 
+Each factor is a power series in the wall's one monomial y, and is built
+coefficient by coefficient from a recurrence in j: Miller's power
+recurrence for f^a (Knuth, TAOCP vol. 2, 4.7), the q-binomial theorem for
+the |p| binomials, and the same power recurrence for the exponential.
+
 Crossings run on qca.expansion's flat Laurent ring at one scale L per
 diagram, the lcm of form_den and of every wall coefficient's scale.  Each
-factor is an expansion.FlatSeries cached per (wall, sign, p): on a
-dilogarithm or classical wall, F_p is the value of expansion.fold that
-multiplies F_{p -+ 1} by one more binomial.  A crossing puts its factors
-over one denominator with expansion.one_den and multiplies through
-expansion.accumulate.  Loops stay flat from the first wall to the last:
-``path_ordered_product`` and ``cross`` convert the terms that come out once
-(FlatSeries.series), and ``is_consistent`` compares without converting.
+factor is cached per (wall, sign, p) as its coefficients C_0..C_J in y,
+and a request for a higher order computes only the coefficients it lacks.
+A crossing puts its factors over one denominator with expansion.one_den
+and multiplies through expansion.accumulate.  Loops stay flat from the
+first wall to the last: ``path_ordered_product`` and ``cross`` convert the
+terms that come out once (FlatSeries.series), and ``is_consistent``
+compares without converting.
 
 Generated walls are outgoing rays R>=0 (-p1*(n)); the loop is a full
 counterclockwise circle starting inside the initial chamber.
@@ -35,14 +40,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import mul
 
 from .duality import p1_star, p1_star_injective
-from .expansion import FlatSeries, accumulate, flat_terms, fold, log_factor, one_den
+from .expansion import FlatSeries, accumulate, flat_terms, log_coefficient, one_den, scaled
 from .mutation import a_torus, x_torus
 from .qtorus import SkewLattice, vec, vec_neg
-from .scalars import FLAT_ONE, ONE, QScalar, flat_mul, flat_pair, flat_shift, qpow
+from .scalars import (
+    FLAT_ONE, ONE, QScalar, flat_mac, flat_mul, flat_pair, flat_quotient, flat_rescale, flat_shift,
+    qpow)
 from .seeds import FixedData, Seed, primitive
 from .words import Series, degree, dilog_pairings
 
@@ -70,6 +77,183 @@ class Wall:
         if self.full_line:
             return (self.ray, vec_neg(self.ray))
         return (self.ray,)
+
+
+class _Factor:
+    """A crossing factor F = sum_j C_j y^j, a power series in the wall's one
+    monomial y = X^v (of degree dv > 0), known to y^J: C_j = R_j / (e_j D^j)
+    for flat numerators R_j, integers e_j and one flat D.  :meth:`extend`
+    computes only the coefficients not yet known, ``_step`` one of them;
+    this base class is F = 1, and ``top``, when not None, is the index past
+    which every C_j is 0.  ``reach`` is the highest relative order the known
+    coefficients are exact to.  :meth:`flat` puts C_0..C_J over one flat
+    denominator as the (j v, C_j, j dv) items of the crossing loop."""
+
+    __slots__ = ("v", "dv", "top", "reach", "R", "e", "D", "_dpow", "_flat")
+
+    def __init__(self, v, dv: int, top, D: dict = FLAT_ONE):
+        self.v, self.dv, self.top, self.D = v, dv, top, D
+        self.R, self.e = [FLAT_ONE], [1]
+        self._dpow = [FLAT_ONE]
+        self._flat = None
+        self.reach = inf if top == 0 else dv - 1
+
+    def extend(self, rel: int) -> None:
+        """Know the coefficients up to relative order ``rel``."""
+        J = rel // self.dv
+        if self.top is not None and J >= self.top:
+            J, self.reach = self.top, inf
+        else:
+            self.reach = (J + 1) * self.dv - 1
+        for n in range(len(self.R), J + 1):
+            self._step(n)
+        self._flat = None
+
+    def dpow(self, i: int) -> dict:
+        """D^i."""
+        return _power(self._dpow, self.D, i)
+
+    def flat(self):
+        """(items, den): the (j v, C_j den, j dv) of the nonzero C_j, by j,
+        and den = lcm(e_j) D^J, J the highest such j."""
+        if self._flat is None:
+            R, e, v, dv = self.R, self.e, self.v, self.dv
+            J = len(R) - 1
+            while J and not R[J]:
+                J -= 1
+            common = lcm(*e[:J + 1])
+            items = []
+            for j in range(J + 1):
+                c = R[j]
+                if c:
+                    if j < J and self.D is not FLAT_ONE:
+                        c = flat_mul(c, self.dpow(J - j))
+                    if common != e[j]:
+                        c = scaled(c, common // e[j])
+                    items.append((tuple(j * x for x in v), c, j * dv))
+            den = self.dpow(J)
+            if common != 1:
+                den = scaled(den, common)
+            self._flat = items, den
+        return self._flat
+
+    def rescale(self, r: int) -> None:
+        """This factor at r times its scale: u becomes u^r."""
+        self.R = [flat_rescale(c, r) for c in self.R]
+        self.D = flat_rescale(self.D, r)
+        self._dpow = [flat_rescale(c, r) for c in self._dpow]
+        self._flat = None
+
+
+class _PowerFactor(_Factor):
+    """F = f^a on a classical wall, f = 1 + sum_k c_k y^k and a = s p, or
+    F = exp(sum_k c_k y^k) on a log wall: F' = (a f' / f) F or g' F gives
+    n F_n = sum_k (alpha k - beta n) c_k F_{n-k} (Miller's power recurrence
+    with alpha = a + 1, beta = 1; alpha = 1, beta = 0 for exp).  Each c_k
+    enters when the recurrence first needs it, as the flat pair
+    ``pair(k, c, L)`` of the wall's coefficient c at the factor's scale L,
+    over the common D: a new denominator moves D, and every R_n with it.
+    What n does not divide of the sum goes into e_n."""
+
+    __slots__ = ("pending", "pair", "L", "hd", "alpha", "beta")
+
+    def __init__(self, v, dv: int, top, coeffs: dict, pair, L: int, alpha: int, beta: int):
+        super().__init__(v, dv, top if coeffs else 0)
+        self.pending = sorted(coeffs.items(), reverse=True)  # the c_k not in hd yet
+        self.pair, self.L, self.alpha, self.beta = pair, L, alpha, beta
+        self.hd: list = []  # (k, h_k D^{k-1}) with c_k = h_k / D, by k
+
+    def _admit(self, n: int) -> None:
+        """Bring every c_k with k <= n over the common denominator."""
+        new = []
+        while self.pending and self.pending[-1][0] <= n:
+            k, c = self.pending.pop()
+            new.append((k, self.pair(k, c, self.L)))
+        (m, *nums), D = one_den([FLAT_ONE] + [num for _, (num, _) in new],
+                                [self.D] + [den for _, (_, den) in new])
+        if m != FLAT_ONE:  # D = D m: R_n / (e_n D^n) = R_n m^n / (e_n (D m)^n)
+            mpow = [FLAT_ONE]  # and h_k D^{k-1} = (h_k m) (D m)^{k-1} / m^k
+            self.R = [r if not i or not r else flat_mul(r, _power(mpow, m, i))
+                      for i, r in enumerate(self.R)]
+            self.hd = [(k, flat_mul(hd, _power(mpow, m, k))) for k, hd in self.hd]
+            self.D, self._dpow = D, [FLAT_ONE]
+        # c_k F_{n-k} = h_k D^{k-1} R_{n-k} / (e_{n-k} D^n); a new k is above every old one
+        self.hd.extend((k, h if k == 1 else flat_mul(h, self.dpow(k - 1)))
+                       for (k, _), h in zip(new, nums))
+
+    def _step(self, n: int) -> None:
+        if self.pending and self.pending[-1][0] <= n:
+            self._admit(n)
+        R, e, bn = self.R, self.e, self.beta * n
+        parts = [(self.alpha * k - bn, hk, n - k) for k, hk in self.hd
+                 if k <= n and R[n - k]]
+        common = lcm(*(e[m] for _, _, m in parts))
+        acc: dict = {}
+        for w, hk, m in parts:
+            if w:
+                flat_mac(acc, scaled(hk, w * (common // e[m])), R[m])
+        r = n * common
+        g = gcd(r, *acc.values())
+        R.append(acc if g == 1 else {key: c // g for key, c in acc.items()})
+        e.append(r // g)
+
+    def rescale(self, r: int) -> None:
+        super().rescale(r)
+        self.L *= r
+        self.hd = [(k, flat_rescale(c, r)) for k, c in self.hd]
+
+
+class _DilogFactor(_Factor):
+    """F = prod_{k=1}^{n} (1 + x^{2k-1} c y)^{+-1}, x = u^ex and c = N / D,
+    by the q-binomial theorem: C_j = b_j c^j for Laurent polynomials b_j in
+    u, b_j = b_{j-1} x^{2j-1} (1 - x^{2(n-j+1)}) / (1 - x^{2j}) for the
+    product and b_j = -b_{j-1} x (1 - x^{2(n+j-1)}) / (1 - x^{2j}) for its
+    inverse, each division exact.  When c is 1, b_j is R_j and ``b`` is None."""
+
+    __slots__ = ("n", "ex", "inverse", "b", "N", "_npow")
+
+    def __init__(self, v, dv: int, n: int, ex: int, inverse: bool, N: dict, D: dict):
+        super().__init__(v, dv, None if inverse else n, D)
+        self.n, self.ex, self.inverse = n, ex, inverse
+        self.N = FLAT_ONE if N == FLAT_ONE else N
+        self.b = None if self.N is FLAT_ONE else [FLAT_ONE]
+        self._npow = [FLAT_ONE]
+
+    def _step(self, j: int) -> None:
+        n, ex, prev = self.n, self.ex, (self.R if self.b is None else self.b)[j - 1]
+        if self.inverse:
+            t = flat_mac(flat_shift(prev, 0, -1, ex), prev, FLAT_ONE, (2 * (n + j) - 1) * ex)
+        else:
+            t = flat_mac(flat_shift(prev, 0, 1, (2 * j - 1) * ex), prev, {0: -1},
+                         (2 * n + 1) * ex)
+        M = 2 * j * ex  # 1 - u^M = -u^M (1 - u^-M)
+        if M < 0:
+            t, M = flat_shift(t, 0, -1, -M), -M
+        bj = flat_quotient(t, {0: 1, M: -1})
+        if self.b is None:
+            self.R.append(bj)
+        else:
+            self.b.append(bj)
+            self.R.append(flat_mul(bj, _power(self._npow, self.N, j)))
+        self.e.append(1)
+
+    def rescale(self, r: int) -> None:
+        super().rescale(r)
+        self.ex *= r
+        self.N = flat_rescale(self.N, r)
+        self._npow = [flat_rescale(c, r) for c in self._npow]
+        if self.b is not None:
+            self.b = [flat_rescale(c, r) for c in self.b]
+
+
+def _power(powers: list, base: dict, i: int) -> dict:
+    """base^i from the list ``powers`` of base^0, base^1, ..., which it
+    extends; the shared FLAT_ONE when base is 1."""
+    if base is FLAT_ONE:
+        return FLAT_ONE
+    while len(powers) <= i:
+        powers.append(flat_mul(powers[-1], base))
+    return powers[i]
 
 
 class ScatteringDiagram:
@@ -115,9 +299,8 @@ class ScatteringDiagram:
         self.dscale = lcm(*(x.denominator for x in grading))
         self.dvec = tuple(int(x * self.dscale) for x in grading)
         self.walls: list[Wall] = []
-        # (wall id, sign, p) -> the crossing factor F, a FlatSeries at the
-        # highest relative order asked for; a dilogarithm or classical F_p is
-        # built from F_{p -+ 1}, cached too.  _forget drops a wall's entries
+        # (wall id, sign, p) -> the crossing factor F, a _Factor known to the
+        # highest relative order asked for.  _forget drops a wall's entries
         self._fcache: dict = {}
         self._scale = self.torus.form_den  # L: u = q^{1/L} in _fcache
         self._f = 1                        # L / form_den
@@ -135,7 +318,8 @@ class ScatteringDiagram:
         scale = lcm(self._scale, *scales, *map(_wall_scale, self.walls))
         if scale != self._scale:
             r = scale // self._scale
-            self._fcache = {key: f.rescale(r) for key, f in self._fcache.items()}
+            for factor in self._fcache.values():
+                factor.rescale(r)
             self._scale, self._f = scale, scale // self.torus.form_den
         return scale
 
@@ -173,10 +357,10 @@ class ScatteringDiagram:
         for m, c in terms.items():
             dm = degree(dvec, m)
             if dm <= cutoff:
-                factor = self._factor(wall, sign, pairings[m], cutoff - dm)
-                rows.append((m, dm, factor.items, cutoff))
+                items, d = self._factor(wall, sign, pairings[m], cutoff - dm).flat()
+                rows.append((m, dm, items, cutoff))
                 nums.append(c)
-                dens.append(factor.den)
+                dens.append(d)
         nums, den = one_den(nums, dens)
         out, _ = accumulate(self.torus, self._f, nums, rows)
         return out, den
@@ -192,53 +376,42 @@ class ScatteringDiagram:
                 for m in exponents}
 
     def _factor(self, wall: Wall, sign: int, p: int, rel: int):
-        """The crossing factor F for pairing p, a FlatSeries exact to
-        relative order ``rel``: cached at the highest order asked for."""
-        cache, wid = self._fcache, id(wall)
-        factor = cache.get((wid, sign, p))
-        if factor is not None and factor.cutoff >= rel:
-            return factor
-        if wall.kind == "log":
-            if degree(self.dvec, wall.direction) <= 0:
-                raise ConsistencyError("wall log element is not positively graded")
-            factor = cache[(wid, sign, p)] = log_factor(
-                wall.direction, self.dvec, wall.log_coeffs, 2 * p * self._f,
-                self._scale, sign, rel)
-            return factor
-        # F_p = F_{p -+ 1} * B^{+-1} for one binomial B (the last atom of the
-        # word of |p| binomials): walk up from the nearest entry below
-        step = 1 if p > 0 else -1
-        k, factor = p, None
-        while k and factor is None:
-            k -= step
-            factor = cache.get((wid, sign, k))
-            if factor is not None and factor.cutoff < rel:
-                factor = None
-        if factor is None:  # k == 0: start from F_0 = 1
-            zero = self.torus.zero()
-            factor = FlatSeries({zero: FLAT_ONE}, {zero: 0}, None)
-        factor, ks = factor.truncate(rel), range(k + step, p + step, step)
-        for k, factor in zip(ks, fold(self.torus, self._f, factor, (
-                self._binomial(wall, sign, j) for j in ks), rel)):
-            cache[(wid, sign, k)] = factor
-        cache[(wid, sign, p)] = factor
+        """The crossing factor F for pairing p, exact to relative order
+        ``rel``: cached per (wall, sign, p), and extended by the
+        coefficients it lacks when a higher order is asked for."""
+        key = (id(wall), sign, p)
+        factor = self._fcache.get(key)
+        if factor is None:
+            factor = self._fcache[key] = self._new_factor(wall, sign, p)
+        if rel > factor.reach:
+            factor.extend(rel)
         return factor
 
-    def _binomial(self, wall: Wall, sign: int, k: int):
-        """The |k|-th factor B^{+-1} of the crossing word for pairing k as
-        (B, +-1, what), B an exact FlatSeries: 1 + Q^{+-(2|k|-1)} y on a
-        dilogarithm wall, the wall function f on a classical wall."""
-        s0, zero, v = 1 if k > 0 else -1, self.torus.zero(), wall.direction
-        if wall.kind == "dilog":  # Q^e c y = u^{h e L} c y, c = num / den
+    def _new_factor(self, wall: Wall, sign: int, p: int):
+        """The factor F of ``wall`` for sign and pairing p, with only its
+        constant coefficient 1 known."""
+        v = wall.direction
+        dv = degree(self.dvec, v)
+        if dv <= 0:
+            raise ConsistencyError(f"wall {wall.kind} element is not positively graded")
+        if not p:
+            return _Factor(v, dv, 0)
+        if wall.kind == "dilog":
             h, coeff = wall.dilog
-            num, den = flat_pair(coeff, self._scale)
-            e = s0 * (2 * abs(k) - 1) * h.numerator * (self._scale // h.denominator)
-            b = FlatSeries({zero: den, v: flat_shift(num, 0, 1, e)},
-                           {zero: 0, v: degree(self.dvec, v)}, None, den)
-            return b, -sign * s0, "crossing binomial"
-        f = {tuple(j * x for x in v): c for j, c in wall.function.items()}
-        return (FlatSeries.exact({zero: ONE, **f}, self._scale, self.dvec),
-                1 if sign * k > 0 else -1, "crossing binomial")
+            s0 = 1 if p > 0 else -1
+            return _DilogFactor(v, dv, abs(p), s0 * h.numerator * (self._scale // h.denominator),
+                                sign * s0 > 0, *flat_pair(coeff, self._scale))
+        if wall.kind == "log":
+            fd = self.torus.form_den
+
+            def pair(k, a, L):  # exp(g): n F_n = sum_k k g_k F_{n-k}
+                return log_coefficient(flat_pair(a, L), 2 * k * p * (L // fd), L, sign)
+
+            return _PowerFactor(v, dv, None, wall.log_coeffs, pair, self._scale, 1, 0)
+        # f^a for a = s p: n F_n = sum_k ((a + 1) k - n) c_k F_{n-k}
+        a, f = sign * p, wall.function
+        return _PowerFactor(v, dv, a * max(f, default=0) if a > 0 else None, f,
+                            lambda k, c, L: flat_pair(c, L), self._scale, a + 1, 1)
 
     # -- geometry of the standard loop ---------------------------------------------
     def base_direction(self) -> tuple[int, int]:

@@ -166,7 +166,10 @@ def enumerate_broken_lines(m0, Q, diagram: ScatteringDiagram, order: int,
                     continue
                 dfs(m2, c2, budget - cost, bends + [(m2, c2, wall, N2, D2)], N2, D2)
 
-    dfs(m0, (FLAT_ONE, FLAT_ONE), order, [], None, None)
+    try:
+        dfs(m0, (FLAT_ONE, FLAT_ONE), order, [], None, None)
+    finally:
+        del dfs  # the recursive closure refers to itself: free the diagram now
     results.sort(key=lambda bl: (len(bl.segments),
                                  [s.exponent for s in bl.segments]))
     return results

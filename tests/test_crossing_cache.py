@@ -3,9 +3,10 @@ oracles.
 
 Crossing a wall sends each term c X^m to c X^m F, with F fixed by one
 integer pairing p of m with the wall; ``ScatteringDiagram.cross`` keeps F
-per (wall, sign, p) at the highest relative order asked for, as a
-``FlatSeries`` on the diagram's flat ring (a log wall's F is one univariate
-exponential).  The oracles compute each crossing without the cache and
+per (wall, sign, p) at the highest relative order asked for, as its
+coefficients C_j in the wall's one monomial y on the diagram's flat ring,
+and extends it by the coefficients it lacks when a higher order is asked
+for.  The oracles compute each crossing without the cache and
 with QScalar coefficients: per term f^{s p} on classical walls, each term
 conjugated as a factored word and expanded on dilogarithm walls (as the
 crossing did before the cache), and exp(-s g) S exp(s g) on the whole series
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from qca.fixtures import a23
 from qca.qtorus import QTorusElement
-from qca.scalars import ONE, QScalar, flat_pair, qpow
+from qca.scalars import ONE, QScalar, flat_pair, flat_qscalar, qpow
 from qca.scatter import (
     ScatteringDiagram,
     _complete_degree,
@@ -180,9 +181,19 @@ def fresh(name):
 CASES = [("a23-A", 0), ("a23-classical", 2), ("a23-quantum", 2), ("a23-X-quantum", 2)]
 
 
+def reach(entry) -> int:
+    """The highest relative order of a cached factor's known coefficients:
+    it knows C_0..C_J, so every degree below (J + 1) dv."""
+    return len(entry.R) * entry.dv - 1
+
+
 def as_series(dg, entry) -> Series:
-    """A cached flat factor as a QScalar Series."""
-    return entry.series(dg.torus, dg.dvec, dg._scale)
+    """A cached factor as a QScalar Series, exact to its own cutoff: None
+    when every coefficient past the known ones is 0."""
+    items, den = entry.flat()
+    exact = entry.top is not None and len(entry.R) > entry.top
+    return Series(dg.torus, dg.dvec, None if exact else reach(entry),
+                  {n: flat_qscalar(c, den, dg._scale) for n, c, _ in items})
 
 
 def sample(dg, cutoff):
@@ -201,11 +212,9 @@ def test_cache_miss_then_hit():
         # one entry per (wall, sign, pairing), on every kind of wall
         assert entries and all(len(key) == 3 and key[:2] == (id(wall), 1)
                                for key in entries)
+        # exactly the pairings asked for, with no intermediate entries
         pairings = set(dg._pairings(wall, series.terms).values())
-        if wall.kind == "log":  # built whole per pairing, no intermediates
-            assert {key[2] for key in entries} == pairings
-        else:
-            assert {key[2] for key in entries} >= pairings
+        assert {key[2] for key in entries} == pairings
         second = dg.cross(wall, series, 1, cutoff)      # hits reuse it
         assert dg._fcache.keys() == entries.keys()
         assert all(dg._fcache[k] is v for k, v in entries.items())
@@ -228,7 +237,7 @@ def test_non_laurent_log_factors_share_one_denominator():
     series = Series(dg.torus, dg.dvec, cutoff, terms)
     for sign in (1, -1):
         got = dg.cross(wall, series, sign, cutoff)
-        assert any(len(f.den) > 1 for key, f in dg._fcache.items() if key[1] == sign)
+        assert any(len(f.flat()[1]) > 1 for key, f in dg._fcache.items() if key[1] == sign)
         assert len(got.terms) > len(terms)
         assert_same(got, oracle(dg, wall, series, sign, cutoff))
 
@@ -246,13 +255,18 @@ def test_lower_order_is_served_by_a_higher_entry():
         assert dg._fcache.keys() == entries.keys()
         assert all(dg._fcache[k] is v for k, v in entries.items())
         assert_same(got, oracle(dg, wall, series, -1, low))
-        # a higher order than stored rebuilds the entries it needs
+        # a higher order than stored extends the entries it needs in place:
+        # the same entries, each with the same lower coefficients
+        lower = {k: (len(v.R), reach(v), as_series(dg, v)) for k, v in entries.items()}
         top = 6 * dg.dscale
         series = sample(dg, top)
         got = dg.cross(wall, series, -1, top)
-        assert any(dg._fcache[k] is not v for k, v in entries.items())
-        assert max(f.cutoff for f in dg._fcache.values()) > max(
-            f.cutoff for f in entries.values())
+        assert dg._fcache.keys() == entries.keys()
+        assert all(dg._fcache[k] is v for k, v in entries.items())
+        assert any(len(v.R) > lower[k][0] for k, v in entries.items())
+        for k, v in entries.items():
+            _, rel, old = lower[k]
+            assert structure(as_series(dg, v).truncate(rel)) == structure(old.truncate(rel))
         assert_same(got, oracle(dg, wall, series, -1, top))
 
 
@@ -280,9 +294,9 @@ def structure(series: Series):
 @PROPERTY
 @given(st.data())
 def test_incremental_factor_matches_the_whole_word(data):
-    # F_p is built from F_{p -+ 1}; requests in ascending order build on
-    # the entry just below, in descending order the later ones are served
-    # by the intermediate entries the first one left behind
+    # F_p is built from its own coefficient recurrence, in any order of
+    # requests: each request adds its own entry and no other, and asking
+    # again for a pairing at a higher order extends its entry in place
     dg = DIAGRAMS[data.draw(st.sampled_from(["a23-A", "a2-X", "a23-classical",
                                              "a23-X-quantum"]))]
     wall = data.draw(st.sampled_from([w for w in dg.walls if w.kind != "log"]))
@@ -295,13 +309,20 @@ def test_incremental_factor_matches_the_whole_word(data):
     for size in sizes:
         rel = data.draw(st.integers(0, 4 * dg.dscale))
         got = dg._factor(wall, sign, s0 * size, rel)
-        assert got.cutoff >= rel
+        assert reach(got) >= rel or len(got.R) > got.top
         assert structure(as_series(dg, got).truncate(rel)) == structure(
             word_factor(dg, wall, sign, s0 * size, rel))
+    assert {key[2] for key in dg._fcache} == {s0 * size for size in sizes}
+    # a higher order extends an entry, whose lower coefficients stay equal
+    size = data.draw(st.sampled_from(sizes))
+    entry = dg._fcache[(id(wall), sign, s0 * size)]
+    before, rel = as_series(dg, entry), reach(entry)
+    assert dg._factor(wall, sign, s0 * size, rel + 2 * dg.dscale) is entry
+    assert structure(as_series(dg, entry).truncate(rel)) == structure(before.truncate(rel))
     # every entry left in the cache is the whole word at its own cutoff
     for (_, sign_k, k), entry in dg._fcache.items():
-        assert structure(as_series(dg, entry)) == structure(
-            word_factor(dg, wall, sign_k, k, entry.cutoff))
+        assert structure(as_series(dg, entry).truncate(reach(entry))) == structure(
+            word_factor(dg, wall, sign_k, k, reach(entry)))
 
 
 def test_factors_over_coefficients_that_are_not_laurent():
@@ -322,7 +343,7 @@ def test_factors_over_coefficients_that_are_not_laurent():
                 got = dg._factor(wall, sign, p, rel)
                 assert structure(as_series(dg, got).truncate(rel)) == structure(
                     word_factor(dg, wall, sign, p, rel))
-        assert any(len(f.den) > 1 or f.den != {0: 1} for f in dg._fcache.values())
+        assert any(f.flat()[1] != {0: 1} for f in dg._fcache.values())
 
 
 def test_is_consistent_compares_coefficients():
@@ -352,7 +373,7 @@ def fresh_build(dg, key, entry) -> Series:
     twin.walls = dg.walls
     twin._flat_scale()
     wall = next(w for w in dg.walls if id(w) == key[0])
-    return as_series(twin, twin._factor(wall, key[1], key[2], entry.cutoff))
+    return as_series(twin, twin._factor(wall, key[1], key[2], reach(entry)))
 
 
 def test_wall_insertion_drops_only_that_walls_factors():
@@ -398,7 +419,8 @@ def test_a_finer_wall_rekeys_the_cache():
     dg = fresh("a23-A")
     wall = dg.walls[0]
     cutoff = 3 * dg.dscale
-    dg.cross(wall, sample(dg, cutoff), 1, cutoff)
+    for sign in (1, -1):
+        dg.cross(wall, sample(dg, cutoff), sign, cutoff)
     old_scale = dg._scale
     before = {key: structure(as_series(dg, f)) for key, f in dg._fcache.items()}
     assert before
@@ -416,3 +438,8 @@ def test_a_finer_wall_rekeys_the_cache():
         series = sample(dg, 4 * dg.dscale)
         assert_same(dg.cross(finer, series, sign, series.cutoff),
                     oracle(dg, finer, series, sign, series.cutoff))
+    # the re-keyed factors, each sign, extended past what they knew
+    for sign in (1, -1):
+        series = sample(dg, 5 * dg.dscale)
+        assert_same(dg.cross(wall, series, sign, series.cutoff),
+                    oracle(dg, wall, series, sign, series.cutoff))

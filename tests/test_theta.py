@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -140,3 +142,19 @@ def test_crossing_checks_raise_under_python_O(monkeypatch):
     monkeypatch.setattr(dg, "_cross", level_bend)
     with pytest.raises(ArithmeticError, match="bend cost 0 is not a positive multiple"):
         enumerate_broken_lines(M0, Q, dg, 4, final_exponent=TARGET)
+
+
+def test_search_frees_the_diagram_when_it_is_dropped():
+    # the search is a recursive closure over the diagram; once it returns,
+    # dropping the diagram frees it and its cached crossing factors at once,
+    # without waiting for the cyclic garbage collector
+    dg = a23_diagram()
+    enumerate_broken_lines(M0, Q, dg, 4)
+    assert dg._fcache
+    ref = weakref.ref(dg)
+    gc.disable()
+    try:
+        del dg
+        assert ref() is None
+    finally:
+        gc.enable()
